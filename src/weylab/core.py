@@ -111,9 +111,6 @@ class FolnerSchedule:
         n = len(self.windows)
         return tuple(range(n // 2, n))
 
-    def union_range(self) -> Tuple[int, int]:
-        return min(w.lo for w in self.windows), max(w.hi for w in self.windows)
-
     def hull_range(self) -> Tuple[int, int]:
         """Union of every window extended by its translate radius."""
         lo = min(w.lo - m for w, m in zip(self.windows, self.translate_radius))

@@ -170,12 +170,9 @@ class DistanceProfile:
             flags = [1 if scaled_from_exponent(e) < threshold_scaled else 0
                      for e in self.exps.tolist()]
         elif self.kind == "float":
-            bound = float_from_scaled(threshold_scaled)
-            # exact: every sample is a double and threshold_scaled/SCALE may round;
-            # compare on the grid instead
+            # compare on the grid: threshold_scaled / SCALE may not be a double
             flags = [1 if scaled_from_float(v) < threshold_scaled else 0
                      for v in self.floats.tolist()]
-            del bound
         else:
             flags = [1 if s < threshold_scaled else 0 for s in self.scaled_list]
         return list(accumulate(flags, initial=0))

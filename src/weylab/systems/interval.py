@@ -16,9 +16,12 @@ Newton on the increasing quadratic.
 from __future__ import annotations
 
 import math
-import threading
+
+import numpy as np
 
 from ..core import System, register_system
+from ..profiles import DistanceProfile
+from .orbits import CachedOrbit
 
 _BRANCHES = ("hat", "check")
 
@@ -66,60 +69,33 @@ def step_back(y: float) -> float:
     return z
 
 
-class _OrbitCache:
-    """Values S^m(y0) for one anchor, grown on demand; thread-safe."""
-
-    def __init__(self, y0: float):
-        self.fwd = [y0]  # index m >= 0
-        self.bwd = []  # index -(m+1) for m >= 0
-        self.lock = threading.Lock()
-
-    def value(self, m: int) -> float:
-        if m >= 0:
-            if m >= len(self.fwd):
-                with self.lock:
-                    while m >= len(self.fwd):
-                        self.fwd.append(step(self.fwd[-1]))
-            return self.fwd[m]
-        j = -m - 1
-        if j >= len(self.bwd):
-            with self.lock:
-                while j >= len(self.bwd):
-                    prev = self.bwd[-1] if self.bwd else self.fwd[0]
-                    self.bwd.append(step_back(prev))
-        return self.bwd[j]
+def _mirror_dist(same: bool, yp, yq, sqrt):
+    """Plane distance of points over y-values, floats or arrays; sqrt to match."""
+    if same:
+        return abs(yp - yq) * math.sqrt(2.0)
+    return sqrt(2.0 * (yp * yp + yq * yq))
 
 
 class IntervalMirrorSystem(System):
     system_id = "interval61"
     diameter = 2.0
 
-    def __init__(self):
-        self._orbits = {}
-        self._lock = threading.Lock()
-
-    def _orbit(self, y0: float) -> _OrbitCache:
-        cache = self._orbits.get(y0)
-        if cache is None:
-            with self._lock:
-                cache = self._orbits.setdefault(y0, _OrbitCache(y0))
-        return cache
+    def _orbit(self, y0: float) -> CachedOrbit:
+        return CachedOrbit.get((self.system_id, y0), y0, step, step_back)
 
     def value(self, payload) -> float:
-        branch, y0, off = payload
-        return self._orbit(y0).value(off)
+        return self._orbit(payload[1]).at(payload[2])[0]
 
     def act(self, payload, g: int):
         branch, y0, off = payload
         return (branch, y0, off + g)
 
     def dist(self, p, q) -> float:
-        yp = self.value(p)
-        yq = self.value(q)
-        if p[0] == q[0]:
-            d = abs(yp - yq)
-            return d * math.sqrt(2.0)
-        return math.sqrt(2.0 * (yp * yp + yq * yq))
+        return _mirror_dist(p[0] == q[0], self.value(p), self.value(q), math.sqrt)
+
+    def pair_profile(self, p, q, lo, hi):
+        yp, yq = (self._orbit(y0).rows(off + lo, off + hi)[0] for _, y0, off in (p, q))
+        return DistanceProfile.from_floats(lo, _mirror_dist(p[0] == q[0], yp, yq, np.sqrt))
 
     def parse_point(self, text: str):
         fields = {}

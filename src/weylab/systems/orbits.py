@@ -1,0 +1,70 @@
+"""Orbits of an invertible map of the line, cached as float64 arrays.
+
+Row 0 holds the points f^m(x0), further rows derived values of each point,
+all computed by the scalar functions.  Forward and backward arrays grow by
+doubling; the store drops least recently used orbits beyond ORBIT_CACHE_BYTES.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+
+import numpy as np
+
+#: bytes of orbit arrays kept before the least recently used orbits go
+ORBIT_CACHE_BYTES = 1 << 27
+
+_STORE: "OrderedDict[object, CachedOrbit]" = OrderedDict()
+_LOCK = threading.Lock()  # guards the store and the growth of every orbit
+
+
+class CachedOrbit:
+    """Rows at m in [-len(backward), len(forward)) of the orbit of x0."""
+
+    def __init__(self, x0: float, step, step_back, derived=()):
+        self.steps, self.derived = (step, step_back), derived
+        self.ends = [self._rows([x0]), self._rows([])]  # forward, backward
+
+    @classmethod
+    def get(cls, key, *args) -> "CachedOrbit":
+        with _LOCK:  # the orbit stored under key, built as cls(*args) if absent
+            orbit = _STORE[key] = _STORE.pop(key, None) or cls(*args)
+        return orbit
+
+    def _rows(self, xs) -> np.ndarray:
+        return np.array([xs] + [list(map(f, xs)) for f in self.derived], dtype=np.float64)
+
+    def _grow(self, m: int) -> None:
+        """Fill through index m; the caller holds _LOCK."""
+        back = m < 0
+        end = self.ends[back]
+        have, need = end.shape[1], -m if back else m + 1
+        if need <= have:
+            return
+        step, xs = self.steps[back], []
+        x = float(end[0, -1] if have else self.ends[0][0, 0])  # backward starts at x0
+        for _ in range(max(need, 2 * have) - have):
+            x = step(x)
+            xs.append(x)
+        self.ends[back] = np.concatenate([end, self._rows(xs)], axis=1)
+        while cached_bytes() > ORBIT_CACHE_BYTES:
+            _STORE.popitem(last=False)
+
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Rows at indices a..b, one column each."""
+        with _LOCK:
+            self._grow(a)
+            self._grow(b)
+        fwd, bwd = self.ends  # growth only swaps in longer copies
+        back = bwd[:, max(0, -b - 1):max(0, -a)][:, ::-1]
+        return np.concatenate([back, fwd[:, max(0, a):max(0, b + 1)]], axis=1)
+
+    def at(self, m: int) -> list:
+        """The rows at index m, as Python floats."""
+        return self.rows(m, m)[:, 0].tolist()
+
+
+def cached_bytes() -> int:
+    """Bytes held by the arrays of every stored orbit."""
+    return sum(end.nbytes for orbit in _STORE.values() for end in orbit.ends)

@@ -15,10 +15,12 @@ factor map.
 from __future__ import annotations
 
 import math
-import threading
+
+import numpy as np
 
 from ..core import System, register_system
 from ..profiles import DistanceProfile, scaled_from_float
+from .orbits import CachedOrbit
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,27 +53,10 @@ def _advance_back(t: float, eps: float) -> float:
     return s
 
 
-class _AngleOrbit:
-    def __init__(self, t0: float, eps: float):
-        self.eps = eps
-        self.fwd = [t0]
-        self.bwd = []
-        self.lock = threading.Lock()
-
-    def value(self, m: int) -> float:
-        if m >= 0:
-            if m >= len(self.fwd):
-                with self.lock:
-                    while m >= len(self.fwd):
-                        self.fwd.append(_advance(self.fwd[-1], self.eps))
-            return self.fwd[m]
-        j = -m - 1
-        if j >= len(self.bwd):
-            with self.lock:
-                while j >= len(self.bwd):
-                    prev = self.bwd[-1] if self.bwd else self.fwd[0]
-                    self.bwd.append(_advance_back(prev, self.eps))
-        return self.bwd[j]
+def _dist(p, q, sqrt):
+    """R^3 distance of (angle, sin, cos, height) floats or arrays; sqrt to match."""
+    dx, dy, dz = p[1] - q[1], q[2] - p[2], p[3] - q[3]
+    return sqrt(dx * dx + dy * dy + dz * dz)
 
 
 class ShellStackSystem(System):
@@ -80,39 +65,33 @@ class ShellStackSystem(System):
     system_id = "shells62"
     diameter = math.sqrt(5.0)
 
-    def __init__(self):
-        self._orbits = {}
-        self._lock = threading.Lock()
+    def _rows(self, payload, a: int, b=None):
+        """(angle, sin, cos, height) at offset a, or as arrays over a..b."""
+        level, t0, off = payload
+        if level is None:
+            return t0, math.sin(t0), math.cos(t0), 0.0
+        eps = 1.0 / level
+        orbit = CachedOrbit.get((self.system_id, level, t0), t0, lambda t: _advance(t, eps),
+                                lambda t: _advance_back(t, eps), (math.sin, math.cos))
+        t, s, c = orbit.at(off + a) if b is None else orbit.rows(off + a, off + b)
+        return t, s, c, 1.0 / level
 
     def angle(self, payload) -> float:
-        level, t0, off = payload
-        if level is None or off == 0:
-            return t0
-        key = (level, t0)
-        orbit = self._orbits.get(key)
-        if orbit is None:
-            with self._lock:
-                orbit = self._orbits.setdefault(key, _AngleOrbit(t0, 1.0 / level))
-        return orbit.value(off)
+        return self._rows(payload, 0)[0]
 
     def act(self, payload, g: int):
         level, t0, off = payload
         return (level, t0, off + g)
 
     def dist(self, p, q) -> float:
-        tp, tq = self.angle(p), self.angle(q)
-        zp = 0.0 if p[0] is None else 1.0 / p[0]
-        zq = 0.0 if q[0] is None else 1.0 / q[0]
-        dx = math.sin(tp) - math.sin(tq)
-        dy = math.cos(tq) - math.cos(tp)
-        dz = zp - zq
-        return math.sqrt(dx * dx + dy * dy + dz * dz)
+        return _dist(self._rows(p, 0), self._rows(q, 0), math.sqrt)
 
     def pair_profile(self, p, q, lo, hi):
         if p[0] is None and q[0] is None:
             # identity shell: the distance is constant along the orbit
             return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
-        return super().pair_profile(p, q, lo, hi)
+        return DistanceProfile.from_floats(
+            lo, _dist(self._rows(p, lo, hi), self._rows(q, lo, hi), np.sqrt))
 
     def parse_point(self, text: str):
         fields = {}

@@ -340,6 +340,101 @@ def test_shell_orbit_cache_is_thread_safe():
     assert parallel == serial
 
 
+# -- cached orbits and vectorized profiles --------------------------------------
+
+
+def _bits(profile):
+    return np.asarray(profile.floats, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("system_id, p, q, lo, hi", [
+    # shells: same level, both offsets nonzero, hull across offset 0
+    ("shells62", (2, 1.0, 37), (2, 2.5, -53), -4096, 4096),
+    ("shells62", (1, 0.01, 5), (1, TWO_PI - 0.01, -3), -6000, 3000),
+    # shells: cross level, and the identity shell against a finite level
+    ("shells62", (1, 0.5 * math.pi, -11), (8, math.pi, 29), -8192, 8192),
+    ("shells62", (None, 1.3, 5), (4, 0.3, -7), -2048, 14336),
+    ("shells62", (3, 5.5, 9000), (None, 2.0, -4), -12000, -4000),
+    # interval: same branch and cross branch, offsets on both points
+    ("interval61", ("hat", 0.3, 21), ("hat", 0.28, -13), -4096, 4096),
+    ("interval61", ("check", 0.6, -17), ("check", 0.11, 40), -16384, 100),
+    ("interval61", ("hat", 0.3, -17), ("check", 0.6, 40), -3000, 9000),
+    ("interval61", ("hat", 0.22, 9), ("check", 0.22, 9), -8192, 8192),
+])
+def test_vectorized_profile_matches_scalar_walk_bit_for_bit(system_id, p, q, lo, hi):
+    from weylab.core import System
+
+    system = get_system(system_id)
+    fast = system.pair_profile(p, q, lo, hi)
+    slow = System.pair_profile(system, p, q, lo, hi)
+    assert (fast.lo, fast.hi, fast.kind) == (slow.lo, slow.hi, "float")
+    assert np.array_equal(_bits(fast), _bits(slow))
+
+
+def test_cached_orbit_rows_match_plain_iteration():
+    from weylab.systems.orbits import CachedOrbit
+
+    for key, x0, fwd, back in (
+        (("test", "interval"), 0.3, step, step_back),
+        (("test", "shell"), 2.0, lambda t: _advance(t, 0.5),
+         lambda t: _advance_back(t, 0.5)),
+    ):
+        orbit = CachedOrbit.get(key, x0, fwd, back, (math.sin,))
+        expect = {0: x0}
+        for m in range(1, 301):
+            expect[m] = fwd(expect[m - 1])
+            expect[-m] = back(expect[1 - m])
+        for a, b in ((0, 300), (-300, -1), (-300, 300), (-7, -7), (5, 5)):
+            rows = orbit.rows(a, b)
+            assert rows[0].tolist() == [expect[m] for m in range(a, b + 1)]
+            assert rows[1].tolist() == [math.sin(expect[m]) for m in range(a, b + 1)]
+        assert orbit.at(-42) == [expect[-42], math.sin(expect[-42])]
+
+
+def test_concurrent_profiles_grow_both_ends_identically():
+    import concurrent.futures
+    import sys
+
+    system = get_system("shells62")
+    spans = [(-512 * k, 512 * k) for k in (1, 4, 2, 8, 3, 6)] * 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(32):  # fresh anchors each round, so every end grows
+            p, q = (5, 1.2345 + round_ / 64, 0), (5, 4.321, 3 + round_)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(system.pair_profile, p, q, lo, hi)
+                           for lo, hi in spans]
+                _, pending = concurrent.futures.wait(futures, timeout=120)
+            assert not pending
+            results = [f.result() for f in futures]
+            widest = max(results, key=len)
+            for (lo, hi), prof in zip(spans, results):
+                assert (prof.lo, prof.hi) == (lo, hi)
+                assert np.array_equal(
+                    _bits(prof), _bits(widest)[lo - widest.lo:hi - widest.lo + 1])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
+    from weylab.systems import orbits
+
+    system = get_system("interval61")
+    p, q = ("hat", 0.4321, 0), ("check", 0.1234, 0)
+    before = system.pair_profile(p, q, -4096, 4096)
+    cap = 8 * 4096  # 8 bytes a point: one orbit over the 2^13 hull overflows it
+    monkeypatch.setattr(orbits, "ORBIT_CACHE_BYTES", cap)
+    anchors = [("hat", 0.05 + 0.01 * k, 0) for k in range(20)]
+    for a in anchors:
+        system.pair_profile(a, q, -1000, 1000)
+        assert orbits.cached_bytes() <= cap
+    assert ("interval61", 0.4321) not in orbits._STORE  # evicted
+    again = system.pair_profile(p, q, -4096, 4096)  # rebuilt past the cap
+    assert orbits.cached_bytes() <= cap
+    assert np.array_equal(_bits(again), _bits(before))
+
+
 # -- parse/format roundtrips ---------------------------------------------------
 
 
