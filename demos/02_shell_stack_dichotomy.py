@@ -4,7 +4,7 @@ limit circle, and the projection to heights fails mean equicontinuity."""
 import math
 
 from weylab import (Point, dist, dyadic_schedule, get_factor,
-                    test_mean_equicontinuity, test_property_M, weyl)
+                    scan_mean_equicontinuity, scan_property_M, weyl)
 
 sched = dyadic_schedule(9, 16)
 
@@ -28,10 +28,10 @@ for t1, t2 in ((0.5 * math.pi, math.pi), (1.0, 1.3)):
 # criterion, so the map is not mean equicontinuous
 factor = get_factor("shells62.pi")
 scan_sched = dyadic_schedule(13, 16)
-pm = test_property_M(factor, scan_sched, seed=7, pair_count=12,
+pm = scan_property_M(factor, scan_sched, seed=7, pair_count=12,
                      sequence_count=2)
 print("\nsmall-d-small-D scan over fibre pairs: holds =", pm.holds)
-meq = test_mean_equicontinuity(factor, scan_sched, seed=7, sequence_count=2)
+meq = scan_mean_equicontinuity(factor, scan_sched, seed=7, sequence_count=2)
 print("mean equicontinuity: holds =", meq.holds)
 for v in meq.violations:
     print("  witness:", v)

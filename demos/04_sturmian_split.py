@@ -6,7 +6,7 @@ is Banach proximal on fibres, the second an isometry, so the verification
 passes with delta(eps) = eps.
 """
 
-from weylab import (Point, dyadic_schedule, get_factor, test_equicontinuity,
+from weylab import (Point, dyadic_schedule, get_factor, scan_equicontinuity,
                     verify_decomposition, weyl)
 
 rep = verify_decomposition("sturm.pi", "sturm.phi", "sturm.psi",
@@ -21,7 +21,7 @@ for k in (0, 1, 5, 13, -21):
     e = weyl(Point("sturmian", (k, 0)), Point("sturmian", (k, 1)), sched)
     print("  k = %-4d weyl = %.8f" % (k, e.value))
 
-eq = test_equicontinuity(get_factor("sturm.psi"), dyadic_schedule(8, 12),
+eq = scan_equicontinuity(get_factor("sturm.psi"), dyadic_schedule(8, 12),
                          seed=5, pair_count=12)
 print("\nrotation leg modulus scan (holds = %s, delta == eps: %s):"
       % (eq.holds, eq.delta_equals_eps))

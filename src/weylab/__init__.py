@@ -13,8 +13,9 @@ from .core import (CompositionError, CrossSystemError, FactorMap,
                    dist, dyadic_schedule, factor_ids, get_factor, get_system,
                    register_factor, register_system, system_ids)
 from .dyadic import DyadicInteger
-from .estimators import (PseudometricEstimate, WindowValue, banach_density,
-                         besicovitch, check, estimate, hat, weyl)
+from .estimators import (PairSummary, PseudometricEstimate, SummaryMemo,
+                         WindowValue, banach_density, besicovitch, check,
+                         estimate, hat, weyl)
 from .factors import (DecompositionReport, DominationReport,
                       FactorClassification, FunctionFamily, classify_factor_map,
                       d_family, domination_check, lift_metric,
@@ -25,9 +26,9 @@ from .relations import (MeanEquicontinuityReport, ModulusReport, PairSequence,
                         Tolerances, WitnessReport, classify_pair,
                         default_classify_schedule, empirical_measure,
                         is_asymptotically_banach_proximal,
-                        regional_witness_search, sequence_report,
-                        test_equicontinuity, test_mean_equicontinuity,
-                        test_property_M)
+                        regional_witness_search, scan_equicontinuity,
+                        scan_mean_equicontinuity, scan_property_M,
+                        sequence_report)
 from . import systems  # noqa: F401  (fills the registries)
 
 __version__ = "0.1.0"
@@ -37,9 +38,9 @@ __all__ = [
     "DistanceProfile", "DominationReport", "DyadicInteger",
     "FactorClassification", "FactorMap", "FolnerSchedule", "FolnerWindow",
     "FunctionFamily", "MeanEquicontinuityReport", "ModulusReport",
-    "PairSequence", "PairVerdict", "Point", "PropertyMReport",
+    "PairSequence", "PairSummary", "PairVerdict", "Point", "PropertyMReport",
     "PseudometricEstimate", "SamplerError", "ScenarioError",
-    "SequenceReport", "System", "ToleranceError", "Tolerances",
+    "SequenceReport", "SummaryMemo", "System", "ToleranceError", "Tolerances",
     "UnknownFactorError", "UnknownSystemError", "WeylabError",
     "WindowValue", "WitnessReport", "act", "banach_density", "besicovitch",
     "check", "classify_factor_map", "classify_pair", "d_family",
@@ -48,7 +49,6 @@ __all__ = [
     "factor_ids", "get_factor", "get_system", "hat",
     "is_asymptotically_banach_proximal", "lift_metric",
     "regional_witness_search", "register_factor", "register_system",
-    "sequence_report", "system_ids", "test_equicontinuity",
-    "test_mean_equicontinuity", "test_property_M", "verify_decomposition",
-    "weyl",
+    "scan_equicontinuity", "scan_mean_equicontinuity", "scan_property_M",
+    "sequence_report", "system_ids", "verify_decomposition", "weyl",
 ]

@@ -31,10 +31,10 @@ from typing import Optional, Tuple
 from .core import (FolnerSchedule, Point, ScenarioError, WeylabError,
                    default_schedule, dyadic_schedule, factor_ids, get_factor,
                    get_system, system_ids)
-from .estimators import estimate
+from .estimators import SummaryMemo
 from .factors import classify_factor_map, verify_decomposition
-from .relations import (Tolerances, classify_pair, test_mean_equicontinuity,
-                        test_property_M)
+from .relations import (Tolerances, classify_pair, scan_mean_equicontinuity,
+                        scan_property_M)
 from .systems.thuemorse import (PD_RULES, TM_RULES, exchange_language,
                                 substitution_language, window_match_fraction)
 
@@ -250,43 +250,52 @@ def _run_estimate(sc: Scenario, seed_override, threads, rows, verdicts):
     for kind in sc.kinds:
         if kind not in DEFAULT_KINDS + ("banach-density",):
             _fail(sc.name, "unknown estimate kind %r" % kind)
-    if "banach-density" in sc.kinds and sc.eps is None:
+    density = "banach-density" in sc.kinds
+    if density and sc.eps is None:
         _fail(sc.name, "banach-density needs an eps key")
     pairs = _resolve_pairs(sc, seed_override)
+    summaries = SummaryMemo(schedule, sc.eps if density else None)
 
     def work(indexed):
         idx, (x, y) = indexed
         pid = "p%03d" % idx
-        chunk, summary = [], {"x": str(x), "y": str(y)}
+        chunk, entry = [], {"x": str(x), "y": str(y)}
+        summary = summaries(x, y)
         for kind in sc.kinds:
-            est = estimate(kind, x, y, schedule, eps=sc.eps)
+            est = summary.get(kind)
             chunk.extend(_series_rows(sc.name, pid, est))
-            summary[kind] = est.value
+            entry[kind] = est.value
             if est.boundary_warning:
-                summary.setdefault("boundary_warning", True)
-        return pid, chunk, summary
+                entry.setdefault("boundary_warning", True)
+        return pid, chunk, entry
 
     legend = {}
-    for pid, chunk, summary in _ordered_map(work, list(enumerate(pairs)),
-                                            threads):
+    for pid, chunk, entry in _ordered_map(work, list(enumerate(pairs)),
+                                          threads):
         rows.extend(chunk)
-        legend[pid] = summary
+        legend[pid] = entry
     verdicts[sc.name] = {"operation": "estimate", "pairs": legend}
     return False
 
 
-def _weyl_series(sc: Scenario, prefix: str, pairs, schedule, threads, rows):
-    def work(indexed):
-        idx, (x, y) = indexed
-        return _series_rows(sc.name, "%sp%03d" % (prefix, idx),
-                            estimate("weyl", x, y, schedule))
+def _weyl_series(sc: Scenario, items, summaries, threads, rows):
+    """Weyl series rows of (pair_id, pair) items; pairs behind a verdict
+    are already in summaries and are not estimated again."""
+    def work(item):
+        pid, (x, y) = item
+        return _series_rows(sc.name, pid, summaries(x, y).weyl)
 
-    for chunk in _ordered_map(work, list(enumerate(pairs)), threads):
+    for chunk in _ordered_map(work, items, threads):
         rows.extend(chunk)
 
 
+def _sampled_items(prefix: str, pairs):
+    return [("%sp%03d" % (prefix, idx), pair)
+            for idx, pair in enumerate(pairs)]
+
+
 def _run_classify(sc: Scenario, seed_override, threads, rows, verdicts):
-    schedule = _schedule_of(sc)
+    summaries = SummaryMemo(_schedule_of(sc))
     tol = sc.tolerances or Tolerances()
     if sc.pairs:
         system = get_system(sc.system) if sc.system else None
@@ -297,83 +306,81 @@ def _run_classify(sc: Scenario, seed_override, threads, rows, verdicts):
         for idx, (a, b) in enumerate(sc.pairs):
             x = Point(system.system_id, system.parse_point(a))
             y = Point(system.system_id, system.parse_point(b))
-            verdict = classify_pair(x, y, schedule, tol, factor=fm)
+            verdict = classify_pair(x, y, tolerances=tol, factor=fm,
+                                    summaries=summaries)
             pid = "p%03d" % idx
             for kind in DEFAULT_KINDS:
                 rows.extend(_series_rows(sc.name, pid,
-                                         estimate(kind, x, y, schedule)))
+                                         summaries(x, y).get(kind)))
             legend[pid] = verdict.as_dict()
         verdicts[sc.name] = {"operation": "classify", "pairs": legend}
         return False
     if sc.factor is None:
         _fail(sc.name, "classify needs a factor id or explicit pairs")
     seed = _require_seed(sc, seed_override)
-    cls = classify_factor_map(sc.factor, schedule, tol, seed, sc.count,
-                              sc.sequences)
-    _weyl_series(sc, "", get_factor(sc.factor).pair_sampler(seed, sc.count),
-                 schedule, threads, rows)
+    cls = classify_factor_map(sc.factor, None, tol, seed, sc.count,
+                              sc.sequences, summaries)
+    pairs = get_factor(sc.factor).pair_sampler(seed, sc.count)
+    _weyl_series(sc, _sampled_items("", pairs), summaries, threads, rows)
     verdicts[sc.name] = {"operation": "classify", **cls.as_dict()}
     return False
 
 
 def _run_test_M(sc: Scenario, seed_override, threads, rows, verdicts):
-    schedule = _schedule_of(sc)
+    summaries = SummaryMemo(_schedule_of(sc))
     tol = sc.tolerances or Tolerances()
     if sc.factor is None:
         _fail(sc.name, "test-M needs a factor id")
     seed = _require_seed(sc, seed_override)
     fm = get_factor(sc.factor)
-    report = test_property_M(fm, schedule, tol, seed, sc.count, sc.sequences)
+    report = scan_property_M(fm, None, tol, seed, sc.count, sc.sequences,
+                             summaries)
     if fm.pair_sampler is not None:
-        _weyl_series(sc, "", fm.pair_sampler(seed, sc.count), schedule,
-                     threads, rows)
+        _weyl_series(sc, _sampled_items("", fm.pair_sampler(seed, sc.count)),
+                     summaries, threads, rows)
     verdicts[sc.name] = {"operation": "test-M",
                          **dataclasses.asdict(report)}
     return False
 
 
 def _run_test_meq(sc: Scenario, seed_override, threads, rows, verdicts):
-    schedule = _schedule_of(sc)
+    summaries = SummaryMemo(_schedule_of(sc))
     tol = sc.tolerances or Tolerances()
     if sc.factor is None:
         _fail(sc.name, "test-meq needs a factor id")
     seed = _require_seed(sc, seed_override)
     fm = get_factor(sc.factor)
-    report = test_mean_equicontinuity(fm, schedule, tol, seed, sc.sequences)
+    report = scan_mean_equicontinuity(fm, None, tol, seed, sc.sequences,
+                                      summaries)
     if fm.sequence_sampler is not None:
         for sidx, seq in enumerate(fm.sequence_sampler(seed, sc.sequences)):
             items = [("s%02d.t%02d" % (sidx, tidx), pair)
                      for tidx, pair in enumerate(seq.terms)]
             if seq.limit is not None:
                 items.append(("s%02d.lim" % sidx, seq.limit))
-
-            def work(item):
-                pid, (x, y) = item
-                return _series_rows(sc.name, pid,
-                                    estimate("weyl", x, y, schedule))
-
-            for chunk in _ordered_map(work, items, threads):
-                rows.extend(chunk)
+            _weyl_series(sc, items, summaries, threads, rows)
     verdicts[sc.name] = {"operation": "test-meq",
                          **dataclasses.asdict(report)}
     return False
 
 
 def _run_decomposition(sc: Scenario, seed_override, threads, rows, verdicts):
-    schedule = _schedule_of(sc)
+    summaries = SummaryMemo(_schedule_of(sc))
     tol = sc.tolerances or Tolerances()
     if sc.decomposition is None:
         _fail(sc.name, "verify-decomposition needs decomposition = "
                        "'<pi> <phi> <psi>'")
     seed = _require_seed(sc, seed_override)
     pi_id, phi_id, psi_id = sc.decomposition
-    report = verify_decomposition(pi_id, phi_id, psi_id, schedule, tol, seed,
-                                  sc.count, sc.sequences)
+    report = verify_decomposition(pi_id, phi_id, psi_id, None, tol, seed,
+                                  sc.count, sc.sequences,
+                                  summaries=summaries)
     for label, map_id in (("phi.", phi_id), ("psi.", psi_id)):
         fm = get_factor(map_id)
         if fm.pair_sampler is not None:
-            _weyl_series(sc, label, fm.pair_sampler(seed, sc.count),
-                         schedule, threads, rows)
+            _weyl_series(sc, _sampled_items(label,
+                                            fm.pair_sampler(seed, sc.count)),
+                         summaries, threads, rows)
     verdicts[sc.name] = {"operation": "verify-decomposition",
                          **report.as_dict()}
     return not report.passed

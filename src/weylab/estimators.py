@@ -18,14 +18,17 @@ Each windowed value reports the translate that achieved it (the smallest
 translate sat on the search boundary |g'| = M; the latter raises the
 boundary_warning flag, a hint that the radius was too small to see the
 extreme.
+
+The single-kind functions build the pair's profile on every call.
+PairSummary computes all kinds from one build, and a SummaryMemo keeps one
+summary per pair, so that a whole run builds each distinct pair once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import CrossSystemError, FolnerSchedule, FolnerWindow, Point
 from .profiles import SCALE, DistanceProfile, scaled_from_float
@@ -33,42 +36,17 @@ from .profiles import SCALE, DistanceProfile, scaled_from_float
 _ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
 
 
-# ---------------------------------------------------------------------------
-# profile cache: estimator kinds on the same pair and hull share one profile
-
-_CACHE_SIZE = 2
-_profile_cache: dict = {}
-_profile_order: list = []
-_cache_lock = threading.Lock()
-
-
 def pair_profile(x: Point, y: Point, lo: int, hi: int) -> DistanceProfile:
-    """Exact distance profile of the pair on [lo, hi], cached.
+    """Exact distance profile of the pair on [lo, hi], built on every call.
 
-    The cache key orders the two points canonically; metrics are symmetric
-    so the profile does not depend on the order.
+    Callers that need several estimates of one pair take them from one
+    PairSummary rather than building the profile again.
     """
     if x.system_id != y.system_id:
         raise CrossSystemError(
             "cannot profile %r against %r" % (x.system_id, y.system_id)
         )
-    system = x.system()
-    fa = system.format_point(x.payload)
-    fb = system.format_point(y.payload)
-    if fb < fa:
-        fa, fb = fb, fa
-    key = (x.system_id, fa, fb, lo, hi)
-    with _cache_lock:
-        if key in _profile_cache:
-            return _profile_cache[key]
-    profile = system.pair_profile(x.payload, y.payload, lo, hi)
-    with _cache_lock:
-        if key not in _profile_cache:
-            _profile_cache[key] = profile
-            _profile_order.append(key)
-            while len(_profile_order) > _CACHE_SIZE:
-                _profile_cache.pop(_profile_order.pop(0), None)
-    return profile
+    return x.system().pair_profile(x.payload, y.payload, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +82,14 @@ def _window_value(window, radius, translate, exact, boundary) -> WindowValue:
     return WindowValue(window, radius, translate, exact, float(exact), boundary)
 
 
-def _aggregate(kind, x, y, per_window, support, maximize) -> PseudometricEstimate:
+def _aggregate(kind, x, y, per_window, schedule) -> PseudometricEstimate:
+    """'check' and 'hat' take the extreme over every window, the averaged
+    kinds the max over the tail half."""
+    if kind in ("check", "hat"):
+        support = range(len(per_window))
+    else:
+        support = schedule.tail_windows()
+    maximize = kind != "check"
     best = None
     for i in support:
         wv = per_window[i]
@@ -112,7 +97,7 @@ def _aggregate(kind, x, y, per_window, support, maximize) -> PseudometricEstimat
             best = wv
     warning = any(per_window[i].boundary for i in support)
     return PseudometricEstimate(
-        kind=kind, x=x, y=y, value=best.value, exact=best.exact,
+        kind=kind, x=str(x), y=str(y), value=best.value, exact=best.exact,
         per_window=tuple(per_window), boundary_warning=warning,
     )
 
@@ -143,64 +128,89 @@ def _scan_translates(prefix, base, wlo, whi, M, maximize):
     return best, best_a, boundary
 
 
-def _labels(x: Point, y: Point):
-    return str(x), str(y)
+# ---------------------------------------------------------------------------
+# per-window values of each kind, from one profile
 
 
-def besicovitch(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
-    """Average distance along each window, no translates; tail max."""
-    profile = _hull_profile(x, y, schedule)
+def _besicovitch_windows(profile, schedule):
     prefix = profile.prefix()
     base = profile.lo
     per = []
     for w in schedule.windows:
         total = prefix[w.hi - base + 1] - prefix[w.lo - base]
         per.append(_window_value(w, 0, 0, Fraction(total, len(w) * SCALE), False))
-    lx, ly = _labels(x, y)
-    return _aggregate("besicovitch", lx, ly, per, schedule.tail_windows(), True)
+    return per
 
 
-def weyl(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
-    """Best translated window average per window; tail max."""
-    profile = _hull_profile(x, y, schedule)
+def _weyl_windows(profile, schedule):
     prefix = profile.prefix()
     base = profile.lo
     per = []
     for w, M in zip(schedule.windows, schedule.translate_radius):
         total, a, boundary = _scan_translates(prefix, base, w.lo, w.hi, M, True)
         per.append(_window_value(w, M, a, Fraction(total, len(w) * SCALE), boundary))
-    lx, ly = _labels(x, y)
-    return _aggregate("weyl", lx, ly, per, schedule.tail_windows(), True)
+    return per
 
 
-def _extreme_estimate(x, y, schedule, kind):
-    minimize = kind == "check"
-    profile = _hull_profile(x, y, schedule)
-    per = []
+def _extreme_windows(profile, schedule):
+    """(check, hat) per-window values; each window's single extremes pass
+    (and its interior pass, for the boundary flag) serves both kinds."""
+    low, high = [], []
     for w, M in zip(schedule.windows, schedule.translate_radius):
         a, b = w.lo - M, w.hi + M
         mn, mn_t, mx, mx_t = profile.extremes(a, b)
-        value, pos = (mn, mn_t) if minimize else (mx, mx_t)
-        boundary = False
+        low_boundary = high_boundary = False
         if b - 1 >= a + 1:
             imn, _, imx, _ = profile.extremes(a + 1, b - 1)
-            interior = imn if minimize else imx
-            boundary = interior != value
-        per.append(_window_value(w, M, pos, Fraction(value, SCALE), boundary))
-    lx, ly = _labels(x, y)
-    return _aggregate(kind, lx, ly, per, range(len(per)), not minimize)
+            low_boundary, high_boundary = imn != mn, imx != mx
+        low.append(_window_value(w, M, mn_t, Fraction(mn, SCALE), low_boundary))
+        high.append(_window_value(w, M, mx_t, Fraction(mx, SCALE), high_boundary))
+    return low, high
+
+
+def _density_windows(profile, eps, schedule):
+    iprefix = profile.indicator_prefix(scaled_from_float(eps))
+    base = profile.lo
+    per = []
+    for w, M in zip(schedule.windows, schedule.translate_radius):
+        count, a, boundary = _scan_translates(iprefix, base, w.lo, w.hi, M, False)
+        per.append(_window_value(w, M, a, Fraction(count, len(w)), boundary))
+    return per
+
+
+def _check_eps(eps: float) -> None:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+
+
+# ---------------------------------------------------------------------------
+# single estimates: one profile build each
+
+
+def besicovitch(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
+    """Average distance along each window, no translates; tail max."""
+    per = _besicovitch_windows(_hull_profile(x, y, schedule), schedule)
+    return _aggregate("besicovitch", x, y, per, schedule)
+
+
+def weyl(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
+    """Best translated window average per window; tail max."""
+    per = _weyl_windows(_hull_profile(x, y, schedule), schedule)
+    return _aggregate("weyl", x, y, per, schedule)
 
 
 def check(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
     """Smallest single sample over every window plus translate slack: an
     upper bound for the orbit infimum of d."""
-    return _extreme_estimate(x, y, schedule, "check")
+    low, _ = _extreme_windows(_hull_profile(x, y, schedule), schedule)
+    return _aggregate("check", x, y, low, schedule)
 
 
 def hat(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
     """Largest single sample over every window plus translate slack: a
     lower bound for the orbit supremum of d."""
-    return _extreme_estimate(x, y, schedule, "hat")
+    _, high = _extreme_windows(_hull_profile(x, y, schedule), schedule)
+    return _aggregate("hat", x, y, high, schedule)
 
 
 def banach_density(x: Point, y: Point, eps: float,
@@ -210,18 +220,81 @@ def banach_density(x: Point, y: Point, eps: float,
     The threshold is compared on the exact grid, so ties at eps never
     depend on float rounding.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    profile = _hull_profile(x, y, schedule)
-    threshold = scaled_from_float(eps)
-    iprefix = profile.indicator_prefix(threshold)
-    base = profile.lo
-    per = []
-    for w, M in zip(schedule.windows, schedule.translate_radius):
-        count, a, boundary = _scan_translates(iprefix, base, w.lo, w.hi, M, False)
-        per.append(_window_value(w, M, a, Fraction(count, len(w)), boundary))
-    lx, ly = _labels(x, y)
-    return _aggregate("banach-density", lx, ly, per, schedule.tail_windows(), True)
+    _check_eps(eps)
+    per = _density_windows(_hull_profile(x, y, schedule), eps, schedule)
+    return _aggregate("banach-density", x, y, per, schedule)
+
+
+# ---------------------------------------------------------------------------
+# every estimate of a pair from one profile
+
+
+@dataclass(frozen=True)
+class PairSummary:
+    """check, besicovitch, weyl and hat of one ordered pair on one schedule
+    (plus banach-density when an eps is given), all from a single profile
+    build and a single prefix.  The profile itself is not kept: at a 2^16
+    hull its grid integers and prefix sums weigh tens of megabytes."""
+
+    check: PseudometricEstimate
+    besicovitch: PseudometricEstimate
+    weyl: PseudometricEstimate
+    hat: PseudometricEstimate
+    banach_density: Optional[PseudometricEstimate] = None
+
+    @classmethod
+    def of(cls, x: Point, y: Point, schedule: FolnerSchedule,
+           eps: Optional[float] = None) -> "PairSummary":
+        if eps is not None:
+            _check_eps(eps)
+        profile = _hull_profile(x, y, schedule)
+        low, high = _extreme_windows(profile, schedule)
+        density = None
+        if eps is not None:
+            density = _aggregate("banach-density", x, y,
+                                 _density_windows(profile, eps, schedule),
+                                 schedule)
+        return cls(
+            check=_aggregate("check", x, y, low, schedule),
+            besicovitch=_aggregate("besicovitch", x, y,
+                                   _besicovitch_windows(profile, schedule),
+                                   schedule),
+            weyl=_aggregate("weyl", x, y, _weyl_windows(profile, schedule),
+                            schedule),
+            hat=_aggregate("hat", x, y, high, schedule),
+            banach_density=density,
+        )
+
+    def get(self, kind: str) -> PseudometricEstimate:
+        """The estimate of one kind, by its name in `estimate`."""
+        if kind == "banach-density":
+            if self.banach_density is None:
+                raise ValueError("banach-density needs eps")
+            return self.banach_density
+        if kind not in _ESTIMATE_KINDS:
+            raise ValueError("unknown estimate kind %r" % (kind,))
+        return getattr(self, kind)
+
+
+class SummaryMemo:
+    """One PairSummary per ordered pair of points, for one schedule (and one
+    banach-density eps).  Every consumer in a run reads its estimates here,
+    so each distinct pair is built, quantized, prefixed and scanned once.
+    Only summaries are held, never a profile.  Threads may share a memo:
+    two that miss on the same pair at once both compute it, and the two
+    summaries are equal."""
+
+    def __init__(self, schedule: FolnerSchedule, eps: Optional[float] = None):
+        self.schedule = schedule
+        self.eps = eps
+        self._summaries: Dict[Tuple[Point, Point], PairSummary] = {}
+
+    def __call__(self, x: Point, y: Point) -> PairSummary:
+        summary = self._summaries.get((x, y))
+        if summary is None:
+            summary = PairSummary.of(x, y, self.schedule, self.eps)
+            self._summaries[(x, y)] = summary
+        return summary
 
 
 def estimate(kind: str, x: Point, y: Point, schedule: FolnerSchedule,

@@ -19,10 +19,11 @@ import numpy as np
 from .core import (CompositionError, FactorMap, FolnerSchedule, FolnerWindow,
                    Point, System, UnknownSystemError, get_factor, get_system,
                    register_system)
+from .estimators import SummaryMemo
 from .relations import (MeanEquicontinuityReport, ModulusReport, PairVerdict,
                         PropertyMReport, Tolerances, classify_pair,
-                        default_classify_schedule, test_equicontinuity,
-                        test_mean_equicontinuity, test_property_M)
+                        scan_equicontinuity, scan_mean_equicontinuity,
+                        scan_property_M, summaries_for)
 
 # ---------------------------------------------------------------------------
 # function families and the induced truncated metrics
@@ -202,16 +203,22 @@ class FactorClassification:
 def classify_factor_map(map_id, schedule: Optional[FolnerSchedule] = None,
                         tolerances: Optional[Tolerances] = None,
                         seed: int = 0, pair_count: int = 24,
-                        sequence_count: int = 4) -> FactorClassification:
+                        sequence_count: int = 4,
+                        summaries: Optional[SummaryMemo] = None
+                        ) -> FactorClassification:
+    """Every sampled pair and sequence term is estimated once, through one
+    memo shared by the pair verdicts, the modulus scans and the sequence
+    tests (pass `summaries` to share it further)."""
     fm = map_id if isinstance(map_id, FactorMap) else get_factor(map_id)
-    schedule = schedule or default_classify_schedule()
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     if fm.pair_sampler is None:
         raise CompositionError("factor map %s has no pair sampler" % fm.map_id)
     pairs = fm.pair_sampler(seed, pair_count)
     verdicts = []
     for a, b in pairs:
-        v = classify_pair(a, b, schedule, tol, factor=fm)
+        v = classify_pair(a, b, tolerances=tol, factor=fm,
+                          summaries=summaries)
         if v.in_R_pi is False:
             raise CompositionError(
                 "sampler for %s produced a pair outside R(pi)" % fm.map_id)
@@ -221,10 +228,11 @@ def classify_factor_map(map_id, schedule: Optional[FolnerSchedule] = None,
     proximal = all(v.proximal for v in verdicts)
     distal = all(v.distal for v in nd)
     banach_distal = all(v.banach_distal for v in nd)
-    equi = test_equicontinuity(fm, schedule, tol, seed, pair_count)
-    prop_m = test_property_M(fm, schedule, tol, seed, pair_count,
-                             sequence_count)
-    me = test_mean_equicontinuity(fm, schedule, tol, seed, sequence_count)
+    equi = scan_equicontinuity(fm, None, tol, seed, pair_count, summaries)
+    prop_m = scan_property_M(fm, None, tol, seed, pair_count,
+                             sequence_count, summaries)
+    me = scan_mean_equicontinuity(fm, None, tol, seed, sequence_count,
+                                  summaries)
     warnings = []
     if equi.holds:
         if me.holds is False:
@@ -288,7 +296,9 @@ def verify_decomposition(pi_id: str, phi_id: str, psi_id: str,
                          tolerances: Optional[Tolerances] = None,
                          seed: int = 0, pair_count: int = 24,
                          sequence_count: int = 4,
-                         sample_points: int = 20) -> DecompositionReport:
+                         sample_points: int = 20,
+                         summaries: Optional[SummaryMemo] = None
+                         ) -> DecompositionReport:
     """Check pi = psi o phi with phi topo-isomorphic (Banach proximal) and
     psi equicontinuous, on samples."""
     pi, phi, psi = get_factor(pi_id), get_factor(phi_id), get_factor(psi_id)
@@ -305,10 +315,11 @@ def verify_decomposition(pi_id: str, phi_id: str, psi_id: str,
         if psi.apply(phi.apply(x)).payload != pi.apply(x).payload:
             composition_ok = False
             break
-    phi_cls = classify_factor_map(phi, schedule, tolerances, seed,
-                                  pair_count, sequence_count)
-    psi_cls = classify_factor_map(psi, schedule, tolerances, seed,
-                                  pair_count, sequence_count)
+    summaries = summaries_for(schedule, summaries)
+    phi_cls = classify_factor_map(phi, None, tolerances, seed, pair_count,
+                                  sequence_count, summaries)
+    psi_cls = classify_factor_map(psi, None, tolerances, seed, pair_count,
+                                  sequence_count, summaries)
     passed = composition_ok and phi_cls.topo_isomorphic \
         and psi_cls.equicontinuous
     if passed:

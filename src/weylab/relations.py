@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from .core import (FactorMap, FolnerSchedule, FolnerWindow, Point,
                    SamplerError, ToleranceError, act, dist, dyadic_schedule)
-from .estimators import besicovitch, check, hat, weyl
+from .estimators import SummaryMemo
 
 #: schedule used by classification entry points when none is given
 DEFAULT_CLASSIFY_SCHEDULE = (10, 14)
@@ -25,6 +23,18 @@ DEFAULT_CLASSIFY_SCHEDULE = (10, 14)
 
 def default_classify_schedule() -> FolnerSchedule:
     return dyadic_schedule(*DEFAULT_CLASSIFY_SCHEDULE)
+
+
+def summaries_for(schedule: Optional[FolnerSchedule] = None,
+                  summaries: Optional[SummaryMemo] = None) -> SummaryMemo:
+    """The memo a classifier reads its estimates from: the caller's, whose
+    schedule must match a given one, or a fresh memo on the schedule
+    (default: the classification schedule)."""
+    if summaries is None:
+        return SummaryMemo(schedule or default_classify_schedule())
+    if schedule is not None and schedule != summaries.schedule:
+        raise ValueError("schedule differs from the schedule of summaries")
+    return summaries
 
 
 @dataclass(frozen=True)
@@ -85,8 +95,9 @@ class PairVerdict:
 
 def classify_pair(x: Point, y: Point, schedule: Optional[FolnerSchedule] = None,
                   tolerances: Optional[Tolerances] = None,
-                  factor: Optional[FactorMap] = None) -> PairVerdict:
-    schedule = schedule or default_classify_schedule()
+                  factor: Optional[FactorMap] = None,
+                  summaries: Optional[SummaryMemo] = None) -> PairVerdict:
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     in_r: Optional[bool] = None
     if factor is not None:
@@ -104,18 +115,17 @@ def classify_pair(x: Point, y: Point, schedule: Optional[FolnerSchedule] = None,
             distal=False, banach_distal=False, inconclusive=False,
             boundary_warning=False,
         )
-    e_check = check(x, y, schedule)
-    e_besi = besicovitch(x, y, schedule)
-    e_weyl = weyl(x, y, schedule)
-    e_hat = hat(x, y, schedule)
+    summary = summaries(x, y)
+    e_check, e_weyl = summary.check, summary.weyl
     banach_proximal = e_weyl.value < tol.zero_tol
     proximal = e_check.value < tol.zero_tol
     distal = e_check.value > tol.sep_tol
     banach_distal = e_weyl.value > tol.sep_tol
     return PairVerdict(
         x=str(x), y=str(y), diagonal=False, in_R_pi=in_r, d0=dist(x, y),
-        check_value=e_check.value, besicovitch_value=e_besi.value,
-        weyl_value=e_weyl.value, hat_value=e_hat.value,
+        check_value=e_check.value,
+        besicovitch_value=summary.besicovitch.value,
+        weyl_value=e_weyl.value, hat_value=summary.hat.value,
         banach_proximal=banach_proximal, proximal=proximal, distal=distal,
         banach_distal=banach_distal,
         inconclusive=not (proximal or distal),
@@ -175,20 +185,21 @@ class SequenceReport:
 
 
 def sequence_report(seq: PairSequence, schedule: Optional[FolnerSchedule] = None,
-                    tolerances: Optional[Tolerances] = None) -> SequenceReport:
+                    tolerances: Optional[Tolerances] = None,
+                    summaries: Optional[SummaryMemo] = None) -> SequenceReport:
     """Estimated weyl values of the terms and of the declared limit.
 
     The sequence counts as asymptotically Banach proximal when the tail
     half of the term estimates sits below zero_tol.
     """
-    schedule = schedule or default_classify_schedule()
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     values = []
     for a, b in seq.terms:
         if a.payload == b.payload:
             values.append(0.0)
         else:
-            values.append(weyl(a, b, schedule).value)
+            values.append(summaries(a, b).weyl.value)
     tail = values[len(values) // 2 :]
     abp = max(tail) < tol.zero_tol
     limit_bp = None
@@ -198,7 +209,7 @@ def sequence_report(seq: PairSequence, schedule: Optional[FolnerSchedule] = None
         if la.payload == lb.payload:
             limit_value = 0.0
         else:
-            limit_value = weyl(la, lb, schedule).value
+            limit_value = summaries(la, lb).weyl.value
         limit_bp = limit_value < tol.zero_tol
     return SequenceReport(abp, tuple(values), limit_bp, limit_value,
                           seq.description)
@@ -229,7 +240,7 @@ def _sample_sequences(factor: FactorMap, seed: int, count: int):
     return factor.sequence_sampler(seed, count)
 
 
-def _scan_rows(pairs, schedule, tol, value_of):
+def _scan_rows(pairs, value_of):
     """(d0, estimate value) rows for non-diagonal sampled pairs."""
     rows = []
     for a, b in pairs:
@@ -279,17 +290,17 @@ def _modulus_scan(rows, tol: Tolerances, pairs_examined: int,
     return ModulusReport(holds, tuple(grid), delta_eq, pairs_examined, note)
 
 
-def test_equicontinuity(factor: FactorMap,
+def scan_equicontinuity(factor: FactorMap,
                         schedule: Optional[FolnerSchedule] = None,
                         tolerances: Optional[Tolerances] = None,
-                        seed: int = 0, pair_count: int = 24) -> ModulusReport:
+                        seed: int = 0, pair_count: int = 24,
+                        summaries: Optional[SummaryMemo] = None) -> ModulusReport:
     """Scan R(pi) samples for pairs that start close but drift far apart
     at some single orbit time (hat)."""
-    schedule = schedule or default_classify_schedule()
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    rows = _scan_rows(pairs, schedule, tol,
-                      lambda a, b: hat(a, b, schedule).value)
+    rows = _scan_rows(pairs, lambda a, b: summaries(a, b).hat.value)
     return _modulus_scan(rows, tol, len(pairs), "orbit sup")
 
 
@@ -301,26 +312,26 @@ class PropertyMReport:
     sequences_examined: int
 
 
-def test_property_M(factor: FactorMap,
+def scan_property_M(factor: FactorMap,
                     schedule: Optional[FolnerSchedule] = None,
                     tolerances: Optional[Tolerances] = None,
                     seed: int = 0, pair_count: int = 24,
-                    sequence_count: int = 4) -> PropertyMReport:
+                    sequence_count: int = 4,
+                    summaries: Optional[SummaryMemo] = None) -> PropertyMReport:
     """Two routes at once: the delta*(eps) scan on weyl values over sampled
     R(pi) pairs, and the sequence criterion that a convergent sequence with
     a Banach proximal limit must itself be asymptotically Banach proximal."""
-    schedule = schedule or default_classify_schedule()
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    rows = _scan_rows(pairs, schedule, tol,
-                      lambda a, b: weyl(a, b, schedule).value)
+    rows = _scan_rows(pairs, lambda a, b: summaries(a, b).weyl.value)
     scan = _modulus_scan(rows, tol, len(pairs), "weyl value")
     violations = []
     seqs = _sample_sequences(factor, seed, sequence_count)
     for seq in seqs:
         if seq.limit is None:
             continue
-        rep = sequence_report(seq, schedule, tol)
+        rep = sequence_report(seq, tolerances=tol, summaries=summaries)
         if rep.limit_banach_proximal and not rep.asymptotically_banach_proximal:
             violations.append(
                 "limit is Banach proximal but the sequence is not "
@@ -338,15 +349,16 @@ class MeanEquicontinuityReport:
     note: str
 
 
-def test_mean_equicontinuity(factor: FactorMap,
+def scan_mean_equicontinuity(factor: FactorMap,
                              schedule: Optional[FolnerSchedule] = None,
                              tolerances: Optional[Tolerances] = None,
-                             seed: int = 0,
-                             sequence_count: int = 4) -> MeanEquicontinuityReport:
+                             seed: int = 0, sequence_count: int = 4,
+                             summaries: Optional[SummaryMemo] = None
+                             ) -> MeanEquicontinuityReport:
     """On convergent sequences in R(pi) the map is mean equicontinuous iff
     'asymptotically Banach proximal' and 'limit Banach proximal' agree;
     both defect directions are reported."""
-    schedule = schedule or default_classify_schedule()
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     seqs = _sample_sequences(factor, seed, sequence_count)
     if not seqs:
@@ -356,7 +368,7 @@ def test_mean_equicontinuity(factor: FactorMap,
     for seq in seqs:
         if seq.limit is None:
             continue
-        rep = sequence_report(seq, schedule, tol)
+        rep = sequence_report(seq, tolerances=tol, summaries=summaries)
         if rep.asymptotically_banach_proximal and not rep.limit_banach_proximal:
             violations.append(
                 "sequence is asymptotically Banach proximal but its limit "
@@ -390,11 +402,13 @@ def regional_witness_search(factor: FactorMap, x: Point, y: Point,
                             eps_pair: float,
                             schedule: Optional[FolnerSchedule] = None,
                             tolerances: Optional[Tolerances] = None,
-                            seed: int = 0, count: int = 40) -> WitnessReport:
+                            seed: int = 0, count: int = 40,
+                            summaries: Optional[SummaryMemo] = None
+                            ) -> WitnessReport:
     """Look for a non-diagonal sampled pair in R(pi) within eps_pair of
     (x, y) coordinatewise whose weyl value sits below zero_tol: evidence
     that (x, y) is regionally Banach proximal without being so itself."""
-    schedule = schedule or default_classify_schedule()
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     best = None
     for a, b in _sample_pairs(factor, seed, count):
@@ -403,7 +417,7 @@ def regional_witness_search(factor: FactorMap, x: Point, y: Point,
         for (a2, b2) in ((a, b), (b, a)):
             dxa, dyb = dist(x, a2), dist(y, b2)
             if dxa < eps_pair and dyb < eps_pair:
-                value = weyl(a2, b2, schedule).value
+                value = summaries(a2, b2).weyl.value
                 if value < tol.zero_tol:
                     if best is None or value < best[2]:
                         best = (a2, b2, value, dxa, dyb)
@@ -415,8 +429,15 @@ def regional_witness_search(factor: FactorMap, x: Point, y: Point,
 
 def empirical_measure(x: Point, observable: Callable[[Point], float],
                       window: FolnerWindow) -> float:
-    """Window average of an observable along the orbit of x."""
-    total = 0.0
+    """Window average of an observable along the orbit of x, summed exactly
+    (float values lift losslessly into rationals) and rounded once."""
+    total = Fraction(0)
     for t in range(window.lo, window.hi + 1):
-        total += observable(act(x, t))
-    return total / len(window)
+        total += Fraction(float(observable(act(x, t))))
+    return float(total / len(window))
+
+
+# former names of the scans, kept as plain aliases of the same functions
+test_equicontinuity = scan_equicontinuity
+test_property_M = scan_property_M
+test_mean_equicontinuity = scan_mean_equicontinuity

@@ -20,10 +20,8 @@ from weylab.profiles import SCALE
 from weylab.factors import (FunctionFamily, classify_factor_map,
                             domination_check, lift_metric,
                             verify_decomposition)
-from weylab.relations import classify_pair
-from weylab.relations import test_equicontinuity as equicontinuity_scan
-from weylab.relations import test_mean_equicontinuity as meq_scan
-from weylab.relations import test_property_M as property_m_scan
+from weylab.relations import (classify_pair, scan_equicontinuity,
+                              scan_mean_equicontinuity, scan_property_M)
 from weylab.systems.thuemorse import (PD_RULES, complement, exchange_language,
                                       substitution_language,
                                       window_match_fraction)
@@ -101,9 +99,10 @@ def test_criterion_3_shell_stack_dichotomy():
         y = Point("shells62", (None, t2, 0))
         rigid_exact = rigid_exact and weyl(x, y, fib_sched).value == dist(x, y)
     factor = get_factor("shells62.pi")
-    pm = property_m_scan(factor, dyadic_schedule(13, 16), seed=7,
+    pm = scan_property_M(factor, dyadic_schedule(13, 16), seed=7,
                          pair_count=12, sequence_count=2)
-    meq = meq_scan(factor, dyadic_schedule(13, 16), seed=7, sequence_count=2)
+    meq = scan_mean_equicontinuity(factor, dyadic_schedule(13, 16), seed=7,
+                                   sequence_count=2)
     witnessed = meq.holds is False and any(
         "shell" in v for v in meq.violations)
     ok = worst < 0.05 and rigid_exact and pm.holds and witnessed
@@ -184,7 +183,7 @@ def test_criterion_6_sturmian_decomposition_witness():
         x = Point("sturmian", (k, 0))
         y = Point("sturmian", (k, 1))
         worst = max(worst, weyl(x, y, sched).value)
-    eq = equicontinuity_scan(get_factor("sturm.psi"), dyadic_schedule(8, 12),
+    eq = scan_equicontinuity(get_factor("sturm.psi"), dyadic_schedule(8, 12),
                              seed=5, pair_count=12)
     ok = rep.passed and worst < 0.01 and eq.holds and eq.delta_equals_eps
     _report(6, ok, "decomposition verified: %s; coding fibre weyl <= %.6f "

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -187,3 +188,51 @@ def test_stdout_mode_prints_csv_then_json(tmp_path, capsys):
     outtext = capsys.readouterr().out
     assert outtext.startswith(",".join(CSV_HEADER))
     assert '"tiny"' in outtext
+
+
+# byte-identity baseline: first 16 hex digits of the sha256 of results.csv
+# followed by verdicts.json, for each bundled scenario but shells-meq
+BASELINE_DIGESTS = {
+    "ex61-weyl": "68b17bfc5977d8a5",
+    "pd-language": "c88e68b6a7ff3f45",
+    "sturmian-decomposition": "a2af97aa045024ed",
+    "tm-chain-classify": "10c18c95277abb87",
+    "tm-chain-decomposition-fail": "9537b6b2b5f418a5",
+    "tm-fibre-D": "3e6921c729138b5f",
+}
+
+
+@pytest.mark.parametrize("name,threads",
+                         [(name, 1) for name in BASELINE_DIGESTS]
+                         + [("tm-fibre-D", 2)])
+def test_bundled_scenarios_reproduce_baseline_digests(tmp_path, name,
+                                                      threads):
+    out = tmp_path / "out"
+    code = main(["run", name, "--out", str(out), "--threads", str(threads)])
+    assert code == (2 if name == "tm-chain-decomposition-fail" else 0)
+    data = (out / "results.csv").read_bytes() \
+        + (out / "verdicts.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == BASELINE_DIGESTS[name]
+
+
+def test_estimate_builds_one_profile_per_pair_for_all_kinds(tmp_path,
+                                                            count_builds):
+    counts = count_builds("toeplitz")
+    path = tmp_path / "five.ini"
+    path.write_text(
+        "[scenario:five]\n"
+        "operation = estimate\n"
+        "system = toeplitz\n"
+        "pairs =\n"
+        "    addr=int:1 flag=plain | addr=int:1 flag=primed\n"
+        "    addr=int:-6 flag=plain | addr=int:-6 flag=primed\n"
+        "    addr=int:0 flag=plain | addr=int:5 flag=plain\n"
+        "max_exponent = 8\n"
+        "kinds = besicovitch weyl check hat banach-density\n"
+        "eps = 0.01\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert len(counts) == 3 and set(counts.values()) == {1}
+    pairs = json.loads((out / "verdicts.json").read_text())["five"]["pairs"]
+    assert all({"besicovitch", "weyl", "check", "hat", "banach-density"}
+               <= set(entry) for entry in pairs.values())

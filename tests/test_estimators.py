@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -5,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from weylab.core import (CrossSystemError, Point, default_schedule,
                          dyadic_schedule, get_system)
-from weylab.estimators import (banach_density, besicovitch, check, estimate,
-                               hat, weyl)
+from weylab.estimators import (PairSummary, SummaryMemo, banach_density,
+                               besicovitch, check, estimate, hat, weyl)
 
 from _reference import naive_estimate
 
@@ -130,7 +132,7 @@ def test_diagonal_estimates_are_exact_zero():
         assert not est.boundary_warning
 
 
-def test_repeated_calls_hit_the_profile_cache_consistently():
+def test_repeated_calls_rebuild_the_profile_consistently():
     schedule = default_schedule(3)
     _, x, y = PAIRS[1]
     first = weyl(x, y, schedule)
@@ -139,6 +141,75 @@ def test_repeated_calls_hit_the_profile_cache_consistently():
         assert again.exact == first.exact
         assert [w.exact for w in again.per_window] \
             == [w.exact for w in first.per_window]
+
+
+# near-tie pairs: many translates of a window share its exact sum
+NEAR_TIE_PAIRS = [
+    ("toeplitz fibre", _pt("toeplitz", "addr=int:7 flag=plain"),
+     _pt("toeplitz", "addr=int:7 flag=primed")),
+    ("parity half-line", _pt("thuemorse", "addr=int:0 flag=plain bit=0"),
+     _pt("thuemorse", "addr=int:0 flag=primed bit=0")),
+    ("parity complement", _pt("thuemorse", "addr=int:3 flag=plain bit=0"),
+     _pt("thuemorse", "addr=int:3 flag=plain bit=1")),
+    ("rigid shell", _pt("shells62", "level=inf t=1.0"),
+     _pt("shells62", "level=inf t=1.3")),
+]
+
+
+@pytest.mark.parametrize("label,x,y", NEAR_TIE_PAIRS,
+                         ids=[p[0] for p in NEAR_TIE_PAIRS])
+def test_pair_summary_matches_single_estimators_at_scale(label, x, y):
+    schedule = dyadic_schedule(12, 14)
+    eps = 0.25  # a dyadic value, so samples tie with the threshold
+    summary = PairSummary.of(x, y, schedule, eps)
+    single = {kind: fn(x, y, schedule) for kind, fn in _ESTIMATORS.items()}
+    single["banach-density"] = banach_density(x, y, eps, schedule)
+    for kind, est in single.items():
+        got = summary.get(kind)
+        # WindowValue equality covers exact, translate and boundary
+        assert got.per_window == est.per_window, (label, kind)
+        assert got == est, (label, kind)
+
+
+def test_pair_summary_without_eps_has_no_density():
+    schedule = default_schedule(3)
+    _, x, y = PAIRS[1]
+    summary = PairSummary.of(x, y, schedule)
+    assert summary.banach_density is None
+    with pytest.raises(ValueError):
+        summary.get("banach-density")
+    with pytest.raises(ValueError):
+        summary.get("nonsense")
+    with pytest.raises(ValueError):
+        PairSummary.of(x, y, schedule, eps=0.0)
+
+
+def test_summary_memo_builds_each_ordered_pair_once(count_builds):
+    counts = count_builds("toeplitz")
+    _, x, y = PAIRS[1]
+    memo = SummaryMemo(default_schedule(3))
+    first = memo(x, y)
+    assert memo(x, y) is first
+    assert memo(y, x).weyl.exact == first.weyl.exact
+    assert sorted(counts.values()) == [1, 1]
+
+
+def test_summary_memo_shared_by_threads():
+    schedule = dyadic_schedule(2, 5)
+    pairs = [(x, y) for _, x, y in PAIRS[:6]]
+    expected = [PairSummary.of(x, y, schedule) for x, y in pairs]
+    memo = SummaryMemo(schedule)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda: [memo(x, y) for x, y in pairs])
+                       for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(got == expected for got in results)
+    assert [memo(x, y) for x, y in pairs] == expected
 
 
 def test_boundary_warning_on_half_line_pair():

@@ -143,3 +143,13 @@ def test_verify_decomposition_rejects_mismatched_chain():
     with pytest.raises(CompositionError):
         verify_decomposition("tm.pi", "sturm.phi", "sturm.psi", SCHED,
                              seed=0)
+
+
+def test_classification_builds_each_pair_once(count_builds):
+    # pair verdicts, the three scans and the sequence tests share one memo
+    counts = count_builds(get_factor("tm.psi").source)
+    classify_factor_map("tm.psi", dyadic_schedule(6, 8), seed=3,
+                        pair_count=12, sequence_count=3)
+    assert counts
+    assert all(p != q for p, q in counts)
+    assert set(counts.values()) == {1}

@@ -2,14 +2,13 @@ import pytest
 
 from weylab.core import (Point, SamplerError, ToleranceError, dyadic_schedule,
                          get_factor, get_system)
+from weylab.estimators import SummaryMemo
 from weylab.relations import (PairSequence, Tolerances, classify_pair,
                               default_classify_schedule, empirical_measure,
                               is_asymptotically_banach_proximal,
-                              regional_witness_search, sequence_report)
-# aliased so pytest does not collect the library entry points as tests
-from weylab.relations import test_equicontinuity as equicontinuity_scan
-from weylab.relations import test_mean_equicontinuity as meq_scan
-from weylab.relations import test_property_M as property_m_scan
+                              regional_witness_search, scan_equicontinuity,
+                              scan_mean_equicontinuity, scan_property_M,
+                              sequence_report)
 
 SCHED = dyadic_schedule(6, 10)
 
@@ -105,33 +104,35 @@ def test_sequence_report_shell_witness():
 
 
 def test_equicontinuity_scan_directions():
-    holds = equicontinuity_scan(get_factor("sturm.psi"), SCHED, seed=0)
+    holds = scan_equicontinuity(get_factor("sturm.psi"), SCHED, seed=0)
     assert holds.holds
     assert holds.delta_equals_eps
-    fails = equicontinuity_scan(get_factor("tm.psi"), SCHED, seed=0)
+    fails = scan_equicontinuity(get_factor("tm.psi"), SCHED, seed=0)
     assert not fails.holds
     assert any(not ok for (_, _, ok) in fails.grid)
     assert fails.pairs_examined > 0
 
 
 def test_property_m_directions():
-    good = property_m_scan(get_factor("tm.phi"), dyadic_schedule(8, 12),
+    good = scan_property_M(get_factor("tm.phi"), dyadic_schedule(8, 12),
                            seed=0)
     assert good.holds
-    bad = property_m_scan(get_factor("tm.pi"), dyadic_schedule(8, 12),
+    bad = scan_property_M(get_factor("tm.pi"), dyadic_schedule(8, 12),
                           seed=0)
     assert not bad.holds
     assert not bad.scan.holds
 
 
 def test_mean_equicontinuity_directions():
-    good = meq_scan(get_factor("sturm.phi"), dyadic_schedule(8, 12), seed=0)
+    good = scan_mean_equicontinuity(get_factor("sturm.phi"),
+                                    dyadic_schedule(8, 12), seed=0)
     assert good.holds is True
-    bad = meq_scan(get_factor("shells62.pi"), dyadic_schedule(12, 15),
-                   seed=0)
+    bad = scan_mean_equicontinuity(get_factor("shells62.pi"),
+                                   dyadic_schedule(12, 15), seed=0)
     assert bad.holds is False
     assert bad.violations
-    none = meq_scan(get_factor("identity.rotation"), SCHED, seed=0)
+    none = scan_mean_equicontinuity(get_factor("identity.rotation"), SCHED,
+                                    seed=0)
     assert none.holds is None
     assert "no sequence sampler" in none.note
 
@@ -161,3 +162,25 @@ def test_empirical_measure_is_a_window_mean():
         FolnerWindow(1, 8))
     # gamma_1..gamma_8 = 1,0,1,1,1,0,1,0 -> mean 5/8
     assert mean == pytest.approx(5 / 8)
+
+
+def test_empirical_measure_is_exact():
+    # a float running sum of ten 0.1s gives 0.9999999999999999 / 10
+    from weylab.core import FolnerWindow
+    x = _pt("toeplitz", "addr=int:0 flag=plain")
+    assert empirical_measure(x, lambda p: 0.1, FolnerWindow(1, 10)) == 0.1
+
+
+def test_summaries_must_share_the_schedule():
+    x = _pt("toeplitz", "addr=int:2 flag=plain")
+    y = _pt("toeplitz", "addr=int:2 flag=primed")
+    memo = SummaryMemo(SCHED)
+    verdict = classify_pair(x, y, SCHED, summaries=memo)
+    assert verdict.weyl_value == classify_pair(x, y, SCHED).weyl_value
+    with pytest.raises(ValueError):
+        classify_pair(x, y, dyadic_schedule(6, 9), summaries=memo)
+
+
+def test_no_public_name_is_collected_as_a_test():
+    import weylab
+    assert [n for n in weylab.__all__ if n.startswith("test")] == []
