@@ -15,7 +15,7 @@ from .core import (CompositionError, CrossSystemError, FactorMap,
 from .dyadic import DyadicInteger
 from .estimators import (PairSummary, PseudometricEstimate, SummaryMemo,
                          WindowValue, banach_density, besicovitch, check,
-                         estimate, hat, weyl)
+                         estimate, estimates, hat, weyl)
 from .factors import (DecompositionReport, DominationReport,
                       FactorClassification, FunctionFamily, classify_factor_map,
                       d_family, domination_check, lift_metric,
@@ -46,7 +46,7 @@ __all__ = [
     "check", "classify_factor_map", "classify_pair", "d_family",
     "default_classify_schedule", "default_schedule", "dist",
     "domination_check", "dyadic_schedule", "empirical_measure", "estimate",
-    "factor_ids", "get_factor", "get_system", "hat",
+    "estimates", "factor_ids", "get_factor", "get_system", "hat",
     "is_asymptotically_banach_proximal", "lift_metric",
     "regional_witness_search", "register_factor", "register_system",
     "scan_equicontinuity", "scan_mean_equicontinuity", "scan_property_M",

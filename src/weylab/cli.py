@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 from .core import (FolnerSchedule, Point, ScenarioError, WeylabError,
                    default_schedule, dyadic_schedule, factor_ids, get_factor,
                    get_system, system_ids)
-from .estimators import SummaryMemo
+from .estimators import SummaryMemo, estimates
 from .factors import classify_factor_map, verify_decomposition
 from .relations import (Tolerances, classify_pair, scan_mean_equicontinuity,
                         scan_property_M)
@@ -250,30 +250,28 @@ def _run_estimate(sc: Scenario, seed_override, threads, rows, verdicts):
     for kind in sc.kinds:
         if kind not in DEFAULT_KINDS + ("banach-density",):
             _fail(sc.name, "unknown estimate kind %r" % kind)
-    density = "banach-density" in sc.kinds
-    if density and sc.eps is None:
+    if "banach-density" in sc.kinds and sc.eps is None:
         _fail(sc.name, "banach-density needs an eps key")
     pairs = _resolve_pairs(sc, seed_override)
-    summaries = SummaryMemo(schedule, sc.eps if density else None)
 
     def work(indexed):
         idx, (x, y) = indexed
         pid = "p%03d" % idx
-        chunk, entry = [], {"x": str(x), "y": str(y)}
-        summary = summaries(x, y)
+        chunk, summary = [], {"x": str(x), "y": str(y)}
+        ests = estimates(x, y, schedule, sc.kinds, sc.eps)
         for kind in sc.kinds:
-            est = summary.get(kind)
+            est = ests[kind]
             chunk.extend(_series_rows(sc.name, pid, est))
-            entry[kind] = est.value
+            summary[kind] = est.value
             if est.boundary_warning:
-                entry.setdefault("boundary_warning", True)
-        return pid, chunk, entry
+                summary.setdefault("boundary_warning", True)
+        return pid, chunk, summary
 
     legend = {}
-    for pid, chunk, entry in _ordered_map(work, list(enumerate(pairs)),
-                                          threads):
+    for pid, chunk, summary in _ordered_map(work, list(enumerate(pairs)),
+                                            threads):
         rows.extend(chunk)
-        legend[pid] = entry
+        legend[pid] = summary
     verdicts[sc.name] = {"operation": "estimate", "pairs": legend}
     return False
 
@@ -311,7 +309,7 @@ def _run_classify(sc: Scenario, seed_override, threads, rows, verdicts):
             pid = "p%03d" % idx
             for kind in DEFAULT_KINDS:
                 rows.extend(_series_rows(sc.name, pid,
-                                         summaries(x, y).get(kind)))
+                                         getattr(summaries(x, y), kind)))
             legend[pid] = verdict.as_dict()
         verdicts[sc.name] = {"operation": "classify", "pairs": legend}
         return False

@@ -19,9 +19,10 @@ translate sat on the search boundary |g'| = M; the latter raises the
 boundary_warning flag, a hint that the radius was too small to see the
 extreme.
 
-The single-kind functions build the pair's profile on every call.
-PairSummary computes all kinds from one build, and a SummaryMemo keeps one
-summary per pair, so that a whole run builds each distinct pair once.
+The single-kind functions build the pair's profile on every call;
+`estimates` computes several kinds from one build.  A PairSummary holds a
+pair's four classification kinds, and a SummaryMemo keeps one summary per
+pair, so that a whole run builds each distinct pair once.
 """
 
 from __future__ import annotations
@@ -226,90 +227,77 @@ def banach_density(x: Point, y: Point, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# every estimate of a pair from one profile
+# several estimates of a pair from one profile
 
 
-@dataclass(frozen=True)
-class PairSummary:
-    """check, besicovitch, weyl and hat of one ordered pair on one schedule
-    (plus banach-density when an eps is given), all from a single profile
-    build and a single prefix.  The profile itself is not kept: at a 2^16
-    hull its grid integers and prefix sums weigh tens of megabytes."""
-
-    check: PseudometricEstimate
-    besicovitch: PseudometricEstimate
-    weyl: PseudometricEstimate
-    hat: PseudometricEstimate
-    banach_density: Optional[PseudometricEstimate] = None
-
-    @classmethod
-    def of(cls, x: Point, y: Point, schedule: FolnerSchedule,
-           eps: Optional[float] = None) -> "PairSummary":
-        if eps is not None:
-            _check_eps(eps)
-        profile = _hull_profile(x, y, schedule)
-        low, high = _extreme_windows(profile, schedule)
-        density = None
-        if eps is not None:
-            density = _aggregate("banach-density", x, y,
-                                 _density_windows(profile, eps, schedule),
-                                 schedule)
-        return cls(
-            check=_aggregate("check", x, y, low, schedule),
-            besicovitch=_aggregate("besicovitch", x, y,
-                                   _besicovitch_windows(profile, schedule),
-                                   schedule),
-            weyl=_aggregate("weyl", x, y, _weyl_windows(profile, schedule),
-                            schedule),
-            hat=_aggregate("hat", x, y, high, schedule),
-            banach_density=density,
-        )
-
-    def get(self, kind: str) -> PseudometricEstimate:
-        """The estimate of one kind, by its name in `estimate`."""
-        if kind == "banach-density":
-            if self.banach_density is None:
-                raise ValueError("banach-density needs eps")
-            return self.banach_density
+def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
+              eps: Optional[float] = None) -> Dict[str, PseudometricEstimate]:
+    """The estimates of the named kinds, by kind name, from one profile
+    build.  Only the passes those kinds need are run; 'check' and 'hat'
+    share one.  'banach-density' needs eps."""
+    for kind in kinds:
         if kind not in _ESTIMATE_KINDS:
             raise ValueError("unknown estimate kind %r" % (kind,))
-        return getattr(self, kind)
-
-
-class SummaryMemo:
-    """One PairSummary per ordered pair of points, for one schedule (and one
-    banach-density eps).  Every consumer in a run reads its estimates here,
-    so each distinct pair is built, quantized, prefixed and scanned once.
-    Only summaries are held, never a profile.  Threads may share a memo:
-    two that miss on the same pair at once both compute it, and the two
-    summaries are equal."""
-
-    def __init__(self, schedule: FolnerSchedule, eps: Optional[float] = None):
-        self.schedule = schedule
-        self.eps = eps
-        self._summaries: Dict[Tuple[Point, Point], PairSummary] = {}
-
-    def __call__(self, x: Point, y: Point) -> PairSummary:
-        summary = self._summaries.get((x, y))
-        if summary is None:
-            summary = PairSummary.of(x, y, self.schedule, self.eps)
-            self._summaries[(x, y)] = summary
-        return summary
+        if kind == "banach-density":
+            if eps is None:
+                raise ValueError("banach-density needs eps")
+            _check_eps(eps)
+    profile = _hull_profile(x, y, schedule)
+    extremes = None
+    out = {}
+    for kind in kinds:
+        if kind == "besicovitch":
+            per = _besicovitch_windows(profile, schedule)
+        elif kind == "weyl":
+            per = _weyl_windows(profile, schedule)
+        elif kind == "banach-density":
+            per = _density_windows(profile, eps, schedule)
+        else:
+            if extremes is None:
+                extremes = _extreme_windows(profile, schedule)
+            per = extremes[kind == "hat"]
+        out[kind] = _aggregate(kind, x, y, per, schedule)
+    return out
 
 
 def estimate(kind: str, x: Point, y: Point, schedule: FolnerSchedule,
              eps: Optional[float] = None) -> PseudometricEstimate:
     """Dispatch by kind name; 'banach-density' needs eps."""
-    if kind == "besicovitch":
-        return besicovitch(x, y, schedule)
-    if kind == "weyl":
-        return weyl(x, y, schedule)
-    if kind == "check":
-        return check(x, y, schedule)
-    if kind == "hat":
-        return hat(x, y, schedule)
-    if kind == "banach-density":
-        if eps is None:
-            raise ValueError("banach-density needs eps")
-        return banach_density(x, y, eps, schedule)
-    raise ValueError("unknown estimate kind %r" % (kind,))
+    return estimates(x, y, schedule, (kind,), eps)[kind]
+
+
+@dataclass(frozen=True)
+class PairSummary:
+    """check, besicovitch, weyl and hat of one ordered pair on one schedule,
+    all from a single profile build and a single prefix.  The profile itself
+    is not kept: at a 2^16 hull its grid integers and prefix sums weigh tens
+    of megabytes."""
+
+    check: PseudometricEstimate
+    besicovitch: PseudometricEstimate
+    weyl: PseudometricEstimate
+    hat: PseudometricEstimate
+
+    @classmethod
+    def of(cls, x: Point, y: Point, schedule: FolnerSchedule) -> "PairSummary":
+        return cls(**estimates(x, y, schedule,
+                               ("check", "besicovitch", "weyl", "hat")))
+
+
+class SummaryMemo:
+    """One PairSummary per ordered pair of points, for one schedule.  Every
+    consumer in a run reads its estimates here, so each distinct pair is
+    built, quantized, prefixed and scanned once.  Only summaries are held,
+    never a profile.  Threads may share a memo: two that miss on the same
+    pair at once both compute it, and the two summaries are equal."""
+
+    def __init__(self, schedule: FolnerSchedule):
+        self.schedule = schedule
+        self._summaries: Dict[Tuple[Point, Point], PairSummary] = {}
+
+    def __call__(self, x: Point, y: Point) -> PairSummary:
+        summary = self._summaries.get((x, y))
+        if summary is None:
+            summary = PairSummary.of(x, y, self.schedule)
+            self._summaries[(x, y)] = summary
+        return summary

@@ -44,6 +44,11 @@ def scaled_from_exponent(e: int) -> int:
     return 1 << (SCALE_BITS - e)
 
 
+#: 2^-e on the grid for 0 <= e <= SCALE_BITS, then 0 for every larger e;
+#: 'exp2' profiles share these ints instead of allocating one per sample
+_EXP2_GRID = tuple(scaled_from_exponent(e) for e in range(SCALE_BITS + 2))
+
+
 def float_from_scaled(s: int) -> float:
     return float(Fraction(s, SCALE))
 
@@ -95,8 +100,11 @@ class DistanceProfile:
 
     def scaled(self) -> List[int]:
         if self.scaled_list is None:
-            if self.kind == "exp2":
+            if self.kind == "exp2" and len(self) and int(self.exps.min()) < 0:
                 self.scaled_list = [scaled_from_exponent(e) for e in self.exps.tolist()]
+            elif self.kind == "exp2":
+                clipped = np.minimum(self.exps, SCALE_BITS + 1).tolist()
+                self.scaled_list = list(map(_EXP2_GRID.__getitem__, clipped))
             else:
                 m, e = np.frexp(self.floats)
                 mant = np.round(m * 9007199254740992.0).astype(np.int64)  # m * 2^53

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 
 from .core import (FactorMap, FolnerSchedule, FolnerWindow, Point,
                    SamplerError, ToleranceError, act, dist, dyadic_schedule)
-from .estimators import SummaryMemo
+from .estimators import SummaryMemo, estimate, weyl
 
 #: schedule used by classification entry points when none is given
 DEFAULT_CLASSIFY_SCHEDULE = (10, 14)
@@ -35,6 +35,18 @@ def summaries_for(schedule: Optional[FolnerSchedule] = None,
     if schedule is not None and schedule != summaries.schedule:
         raise ValueError("schedule differs from the schedule of summaries")
     return summaries
+
+
+def _value_reader(kind: str, schedule: Optional[FolnerSchedule],
+                  summaries: Optional[SummaryMemo]):
+    """(a, b) -> value of one estimate kind: read from the caller's memo
+    or, without one, computed alone, so that a standalone scan or sequence
+    report runs no pass it does not need."""
+    if summaries is None:
+        schedule = schedule or default_classify_schedule()
+        return lambda a, b: estimate(kind, a, b, schedule).value
+    summaries = summaries_for(schedule, summaries)
+    return lambda a, b: getattr(summaries(a, b), kind).value
 
 
 @dataclass(frozen=True)
@@ -192,14 +204,14 @@ def sequence_report(seq: PairSequence, schedule: Optional[FolnerSchedule] = None
     The sequence counts as asymptotically Banach proximal when the tail
     half of the term estimates sits below zero_tol.
     """
-    summaries = summaries_for(schedule, summaries)
+    weyl_of = _value_reader("weyl", schedule, summaries)
     tol = tolerances or Tolerances()
     values = []
     for a, b in seq.terms:
         if a.payload == b.payload:
             values.append(0.0)
         else:
-            values.append(summaries(a, b).weyl.value)
+            values.append(weyl_of(a, b))
     tail = values[len(values) // 2 :]
     abp = max(tail) < tol.zero_tol
     limit_bp = None
@@ -209,7 +221,7 @@ def sequence_report(seq: PairSequence, schedule: Optional[FolnerSchedule] = None
         if la.payload == lb.payload:
             limit_value = 0.0
         else:
-            limit_value = summaries(la, lb).weyl.value
+            limit_value = weyl_of(la, lb)
         limit_bp = limit_value < tol.zero_tol
     return SequenceReport(abp, tuple(values), limit_bp, limit_value,
                           seq.description)
@@ -297,10 +309,9 @@ def scan_equicontinuity(factor: FactorMap,
                         summaries: Optional[SummaryMemo] = None) -> ModulusReport:
     """Scan R(pi) samples for pairs that start close but drift far apart
     at some single orbit time (hat)."""
-    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    rows = _scan_rows(pairs, lambda a, b: summaries(a, b).hat.value)
+    rows = _scan_rows(pairs, _value_reader("hat", schedule, summaries))
     return _modulus_scan(rows, tol, len(pairs), "orbit sup")
 
 
@@ -321,17 +332,16 @@ def scan_property_M(factor: FactorMap,
     """Two routes at once: the delta*(eps) scan on weyl values over sampled
     R(pi) pairs, and the sequence criterion that a convergent sequence with
     a Banach proximal limit must itself be asymptotically Banach proximal."""
-    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    rows = _scan_rows(pairs, lambda a, b: summaries(a, b).weyl.value)
+    rows = _scan_rows(pairs, _value_reader("weyl", schedule, summaries))
     scan = _modulus_scan(rows, tol, len(pairs), "weyl value")
     violations = []
     seqs = _sample_sequences(factor, seed, sequence_count)
     for seq in seqs:
         if seq.limit is None:
             continue
-        rep = sequence_report(seq, tolerances=tol, summaries=summaries)
+        rep = sequence_report(seq, schedule, tol, summaries)
         if rep.limit_banach_proximal and not rep.asymptotically_banach_proximal:
             violations.append(
                 "limit is Banach proximal but the sequence is not "
@@ -358,7 +368,6 @@ def scan_mean_equicontinuity(factor: FactorMap,
     """On convergent sequences in R(pi) the map is mean equicontinuous iff
     'asymptotically Banach proximal' and 'limit Banach proximal' agree;
     both defect directions are reported."""
-    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     seqs = _sample_sequences(factor, seed, sequence_count)
     if not seqs:
@@ -368,7 +377,7 @@ def scan_mean_equicontinuity(factor: FactorMap,
     for seq in seqs:
         if seq.limit is None:
             continue
-        rep = sequence_report(seq, tolerances=tol, summaries=summaries)
+        rep = sequence_report(seq, schedule, tol, summaries)
         if rep.asymptotically_banach_proximal and not rep.limit_banach_proximal:
             violations.append(
                 "sequence is asymptotically Banach proximal but its limit "
@@ -402,22 +411,22 @@ def regional_witness_search(factor: FactorMap, x: Point, y: Point,
                             eps_pair: float,
                             schedule: Optional[FolnerSchedule] = None,
                             tolerances: Optional[Tolerances] = None,
-                            seed: int = 0, count: int = 40,
-                            summaries: Optional[SummaryMemo] = None
-                            ) -> WitnessReport:
+                            seed: int = 0, count: int = 40) -> WitnessReport:
     """Look for a non-diagonal sampled pair in R(pi) within eps_pair of
     (x, y) coordinatewise whose weyl value sits below zero_tol: evidence
     that (x, y) is regionally Banach proximal without being so itself."""
-    summaries = summaries_for(schedule, summaries)
+    schedule = schedule or default_classify_schedule()
     tol = tolerances or Tolerances()
     best = None
     for a, b in _sample_pairs(factor, seed, count):
         if a.payload == b.payload:
             continue
+        value = None
         for (a2, b2) in ((a, b), (b, a)):
             dxa, dyb = dist(x, a2), dist(y, b2)
             if dxa < eps_pair and dyb < eps_pair:
-                value = summaries(a2, b2).weyl.value
+                if value is None:  # d is symmetric: both orders share it
+                    value = weyl(a2, b2, schedule).value
                 if value < tol.zero_tol:
                     if best is None or value < best[2]:
                         best = (a2, b2, value, dxa, dyb)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from weylab.core import (CrossSystemError, Point, default_schedule,
                          dyadic_schedule, get_system)
 from weylab.estimators import (PairSummary, SummaryMemo, banach_density,
-                               besicovitch, check, estimate, hat, weyl)
+                               besicovitch, check, estimate, estimates, hat,
+                               weyl)
 
 from _reference import naive_estimate
 
@@ -161,27 +162,34 @@ NEAR_TIE_PAIRS = [
 def test_pair_summary_matches_single_estimators_at_scale(label, x, y):
     schedule = dyadic_schedule(12, 14)
     eps = 0.25  # a dyadic value, so samples tie with the threshold
-    summary = PairSummary.of(x, y, schedule, eps)
     single = {kind: fn(x, y, schedule) for kind, fn in _ESTIMATORS.items()}
     single["banach-density"] = banach_density(x, y, eps, schedule)
+    together = estimates(x, y, schedule, tuple(single), eps)
+    summary = PairSummary.of(x, y, schedule)
     for kind, est in single.items():
-        got = summary.get(kind)
+        got = together[kind]
         # WindowValue equality covers exact, translate and boundary
         assert got.per_window == est.per_window, (label, kind)
         assert got == est, (label, kind)
+        if kind in _ESTIMATORS:
+            assert getattr(summary, kind) == est, (label, kind)
 
 
-def test_pair_summary_without_eps_has_no_density():
+def test_estimates_builds_once_for_the_requested_kinds(count_builds):
+    counts = count_builds("toeplitz")
     schedule = default_schedule(3)
     _, x, y = PAIRS[1]
-    summary = PairSummary.of(x, y, schedule)
-    assert summary.banach_density is None
+    got = estimates(x, y, schedule, ("hat", "weyl"))
+    assert list(got) == ["hat", "weyl"]
+    assert got["hat"] == hat(x, y, schedule)
+    assert sum(counts.values()) == 2  # estimates once, hat once
     with pytest.raises(ValueError):
-        summary.get("banach-density")
+        estimates(x, y, schedule, ("weyl", "banach-density"))
     with pytest.raises(ValueError):
-        summary.get("nonsense")
+        estimates(x, y, schedule, ("banach-density",), eps=0.0)
     with pytest.raises(ValueError):
-        PairSummary.of(x, y, schedule, eps=0.0)
+        estimates(x, y, schedule, ("nonsense",))
+    assert sum(counts.values()) == 2  # bad requests build nothing
 
 
 def test_summary_memo_builds_each_ordered_pair_once(count_builds):

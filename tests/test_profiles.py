@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weylab.profiles import (SCALE, SCALE_BITS, DistanceProfile,
+from weylab.profiles import (INF_EXP, SCALE, SCALE_BITS, DistanceProfile,
                              float_from_scaled, scaled_from_exponent,
                              scaled_from_float)
 
@@ -87,3 +87,10 @@ def test_exponent_profile_is_exact_powers():
     assert prof.value_scaled(1) == SCALE >> 3
     assert prof.value_scaled(2) == 1
     assert prof.value_scaled(3) == 0  # underflows the grid to exact zero
+
+
+@pytest.mark.parametrize("exps", [[0, 3, 1074, 1075, 2000, INF_EXP],
+                                  [2, -1, 1074, INF_EXP]])
+def test_exponent_profile_scaled_list_matches_per_sample_values(exps):
+    prof = DistanceProfile.from_exponents(-2, np.array(exps))
+    assert prof.scaled() == [scaled_from_exponent(e) for e in exps]
