@@ -173,16 +173,12 @@ class DistanceProfile:
 
     def indicator_prefix(self, threshold_scaled: int) -> List[int]:
         """Prefix counts of samples strictly below the scaled threshold."""
-        if self.kind == "exp2":
-            # 2^(SCALE_BITS - e) < T, with the convention value 0 for clipped e
-            flags = [1 if scaled_from_exponent(e) < threshold_scaled else 0
-                     for e in self.exps.tolist()]
-        elif self.kind == "float":
+        if self.kind == "float":
             # compare on the grid: threshold_scaled / SCALE may not be a double
             flags = [1 if scaled_from_float(v) < threshold_scaled else 0
                      for v in self.floats.tolist()]
         else:
-            flags = [1 if s < threshold_scaled else 0 for s in self.scaled_list]
+            flags = [1 if s < threshold_scaled else 0 for s in self.scaled()]
         return list(accumulate(flags, initial=0))
 
     def plus(self, other: "DistanceProfile") -> "DistanceProfile":
