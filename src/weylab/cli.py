@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Tuple
@@ -31,7 +30,7 @@ from typing import Optional, Tuple
 from .core import (FolnerSchedule, Point, ScenarioError, WeylabError,
                    default_schedule, dyadic_schedule, factor_ids, get_factor,
                    get_system, system_ids)
-from .estimators import SummaryMemo, estimates
+from .estimators import ESTIMATE_KINDS, SummaryMemo, estimates
 from .factors import classify_factor_map, verify_decomposition
 from .relations import (Tolerances, classify_pair, scan_mean_equicontinuity,
                         scan_property_M)
@@ -210,13 +209,6 @@ def _require_seed(sc: Scenario, override: Optional[int]) -> int:
     return seed
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _series_rows(name: str, pair_id: str, est) -> list:
     rows = []
     for wv in est.per_window:
@@ -245,46 +237,34 @@ def _resolve_pairs(sc: Scenario, seed_override: Optional[int]):
     return fm.pair_sampler(_require_seed(sc, seed_override), sc.count)
 
 
-def _run_estimate(sc: Scenario, seed_override, threads, rows, verdicts):
+def _run_estimate(sc: Scenario, seed_override, rows, verdicts):
     schedule = _schedule_of(sc)
     for kind in sc.kinds:
-        if kind not in DEFAULT_KINDS + ("banach-density",):
+        if kind not in ESTIMATE_KINDS:
             _fail(sc.name, "unknown estimate kind %r" % kind)
-    if "banach-density" in sc.kinds and sc.eps is None:
-        _fail(sc.name, "banach-density needs an eps key")
-    pairs = _resolve_pairs(sc, seed_override)
-
-    def work(indexed):
-        idx, (x, y) = indexed
+    if "banach-density" in sc.kinds and (sc.eps is None or not sc.eps > 0):
+        _fail(sc.name, "banach-density needs an eps key above 0")
+    legend = {}
+    for idx, (x, y) in enumerate(_resolve_pairs(sc, seed_override)):
         pid = "p%03d" % idx
-        chunk, summary = [], {"x": str(x), "y": str(y)}
+        summary = {"x": str(x), "y": str(y)}
         ests = estimates(x, y, schedule, sc.kinds, sc.eps)
         for kind in sc.kinds:
             est = ests[kind]
-            chunk.extend(_series_rows(sc.name, pid, est))
+            rows.extend(_series_rows(sc.name, pid, est))
             summary[kind] = est.value
             if est.boundary_warning:
                 summary.setdefault("boundary_warning", True)
-        return pid, chunk, summary
-
-    legend = {}
-    for pid, chunk, summary in _ordered_map(work, list(enumerate(pairs)),
-                                            threads):
-        rows.extend(chunk)
         legend[pid] = summary
     verdicts[sc.name] = {"operation": "estimate", "pairs": legend}
     return False
 
 
-def _weyl_series(sc: Scenario, items, summaries, threads, rows):
+def _weyl_series(sc: Scenario, items, summaries, rows):
     """Weyl series rows of (pair_id, pair) items; pairs behind a verdict
     are already in summaries and are not estimated again."""
-    def work(item):
-        pid, (x, y) = item
-        return _series_rows(sc.name, pid, summaries(x, y).weyl)
-
-    for chunk in _ordered_map(work, items, threads):
-        rows.extend(chunk)
+    for pid, (x, y) in items:
+        rows.extend(_series_rows(sc.name, pid, summaries(x, y).weyl))
 
 
 def _sampled_items(prefix: str, pairs):
@@ -292,7 +272,7 @@ def _sampled_items(prefix: str, pairs):
             for idx, pair in enumerate(pairs)]
 
 
-def _run_classify(sc: Scenario, seed_override, threads, rows, verdicts):
+def _run_classify(sc: Scenario, seed_override, rows, verdicts):
     summaries = SummaryMemo(_schedule_of(sc))
     tol = sc.tolerances or Tolerances()
     if sc.pairs:
@@ -319,12 +299,12 @@ def _run_classify(sc: Scenario, seed_override, threads, rows, verdicts):
     cls = classify_factor_map(sc.factor, None, tol, seed, sc.count,
                               sc.sequences, summaries)
     pairs = get_factor(sc.factor).pair_sampler(seed, sc.count)
-    _weyl_series(sc, _sampled_items("", pairs), summaries, threads, rows)
+    _weyl_series(sc, _sampled_items("", pairs), summaries, rows)
     verdicts[sc.name] = {"operation": "classify", **cls.as_dict()}
     return False
 
 
-def _run_test_M(sc: Scenario, seed_override, threads, rows, verdicts):
+def _run_test_M(sc: Scenario, seed_override, rows, verdicts):
     summaries = SummaryMemo(_schedule_of(sc))
     tol = sc.tolerances or Tolerances()
     if sc.factor is None:
@@ -335,13 +315,13 @@ def _run_test_M(sc: Scenario, seed_override, threads, rows, verdicts):
                              summaries)
     if fm.pair_sampler is not None:
         _weyl_series(sc, _sampled_items("", fm.pair_sampler(seed, sc.count)),
-                     summaries, threads, rows)
+                     summaries, rows)
     verdicts[sc.name] = {"operation": "test-M",
                          **dataclasses.asdict(report)}
     return False
 
 
-def _run_test_meq(sc: Scenario, seed_override, threads, rows, verdicts):
+def _run_test_meq(sc: Scenario, seed_override, rows, verdicts):
     summaries = SummaryMemo(_schedule_of(sc))
     tol = sc.tolerances or Tolerances()
     if sc.factor is None:
@@ -356,13 +336,13 @@ def _run_test_meq(sc: Scenario, seed_override, threads, rows, verdicts):
                      for tidx, pair in enumerate(seq.terms)]
             if seq.limit is not None:
                 items.append(("s%02d.lim" % sidx, seq.limit))
-            _weyl_series(sc, items, summaries, threads, rows)
+            _weyl_series(sc, items, summaries, rows)
     verdicts[sc.name] = {"operation": "test-meq",
                          **dataclasses.asdict(report)}
     return False
 
 
-def _run_decomposition(sc: Scenario, seed_override, threads, rows, verdicts):
+def _run_decomposition(sc: Scenario, seed_override, rows, verdicts):
     summaries = SummaryMemo(_schedule_of(sc))
     tol = sc.tolerances or Tolerances()
     if sc.decomposition is None:
@@ -378,14 +358,13 @@ def _run_decomposition(sc: Scenario, seed_override, threads, rows, verdicts):
         if fm.pair_sampler is not None:
             _weyl_series(sc, _sampled_items(label,
                                             fm.pair_sampler(seed, sc.count)),
-                         summaries, threads, rows)
+                         summaries, rows)
     verdicts[sc.name] = {"operation": "verify-decomposition",
                          **report.as_dict()}
     return not report.passed
 
 
-def _run_language_check(sc: Scenario, seed_override, threads, rows,
-                        verdicts):
+def _run_language_check(sc: Scenario, seed_override, rows, verdicts):
     system = get_system(sc.system or "toeplitz")
     if not hasattr(system, "coords"):
         _fail(sc.name, "language-check needs a symbolic system")
@@ -399,18 +378,13 @@ def _run_language_check(sc: Scenario, seed_override, threads, rows,
     payload = system.parse_point(sc.point)
     letters = system.coords(payload, -sc.radius, sc.radius)
     rules = _SUBSTITUTIONS[sc.substitution]
-
-    def work(length):
+    fractions = {}
+    passed = True
+    for length in range(1, sc.max_word_length + 1):
         words = substitution_language(rules, length)
         if sc.exchanged:
             words = exchange_language(words)
-        return length, window_match_fraction(letters, words, length)
-
-    fractions = {}
-    passed = True
-    for length, frac in _ordered_map(work,
-                                     list(range(1, sc.max_word_length + 1)),
-                                     threads):
+        frac = window_match_fraction(letters, words, length)
         rows.append((sc.name, "words", length, 0, "fraction-matched",
                      repr(float(frac))))
         fractions[str(length)] = float(frac)
@@ -437,14 +411,13 @@ _RUNNERS = {
 }
 
 
-def run_scenarios(scenarios, seed_override: Optional[int] = None,
-                  threads: int = 1):
+def run_scenarios(scenarios, seed_override: Optional[int] = None):
     """Execute scenarios in file order; returns (csv rows, verdict document,
     verdict_failed flag)."""
     rows, verdicts = [], {}
     failed = False
     for sc in scenarios:
-        failed = _RUNNERS[sc.operation](sc, seed_override, threads, rows,
+        failed = _RUNNERS[sc.operation](sc, seed_override, rows,
                                         verdicts) or failed
     return rows, verdicts, failed
 
@@ -543,7 +516,9 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--out", metavar="DIR", default=None,
                        help="write results.csv and verdicts.json here "
                             "(default: stdout)")
-    run_p.add_argument("--threads", type=int, default=1, metavar="N")
+    run_p.add_argument("--threads", type=int, default=1, metavar="N",
+                       help="accepted for compatibility and ignored; runs "
+                            "use one thread")
     run_p.add_argument("--seed", type=int, default=None, metavar="U64",
                        help="override every scenario seed")
     sub.add_parser("list", help="list systems, factor maps, and bundled "
@@ -565,8 +540,7 @@ def main(argv=None) -> int:
             raise ScenarioError("scenario parse error: %s" % exc) from exc
         if not scenarios:
             return 0
-        rows, verdicts, failed = run_scenarios(scenarios, args.seed,
-                                               args.threads)
+        rows, verdicts, failed = run_scenarios(scenarios, args.seed)
         _emit(rows, verdicts, scenarios, args.out, stdout)
         return 2 if failed else 0
     except ScenarioError as exc:

@@ -19,10 +19,12 @@ translate sat on the search boundary |g'| = M; the latter raises the
 boundary_warning flag, a hint that the radius was too small to see the
 extreme.
 
-The single-kind functions build the pair's profile on every call;
-`estimates` computes several kinds from one build.  A PairSummary holds a
-pair's four classification kinds, and a SummaryMemo keeps one summary per
-pair, so that a whole run builds each distinct pair once.
+`estimates` computes any set of kinds from one profile build, and the
+single-kind functions call it with one kind.  Besicovitch, weyl and
+banach-density share one translate scan: besicovitch is the weyl scan at
+radius 0.  A PairSummary holds a pair's four classification kinds, and a
+SummaryMemo keeps one summary per pair, so that a whole run builds each
+distinct pair once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Dict, Optional, Tuple
 from .core import CrossSystemError, FolnerSchedule, FolnerWindow, Point
 from .profiles import SCALE, DistanceProfile, scaled_from_float
 
-_ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
+ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
 
 
 def pair_profile(x: Point, y: Point, lo: int, hi: int) -> DistanceProfile:
@@ -75,7 +77,7 @@ class PseudometricEstimate:
     boundary_warning: bool
 
     def __post_init__(self):
-        if self.kind not in _ESTIMATE_KINDS:
+        if self.kind not in ESTIMATE_KINDS:
             raise ValueError("unknown estimate kind %r" % (self.kind,))
 
 
@@ -103,14 +105,10 @@ def _aggregate(kind, x, y, per_window, schedule) -> PseudometricEstimate:
     )
 
 
-def _hull_profile(x, y, schedule: FolnerSchedule) -> DistanceProfile:
-    lo, hi = schedule.hull_range()
-    return pair_profile(x, y, lo, hi)
-
-
 def _scan_translates(prefix, base, wlo, whi, M, maximize):
     """Extreme window sum over translates |a| <= M with the tie-break and
-    boundary bookkeeping described in the module docstring."""
+    boundary bookkeeping described in the module docstring.  M = 0 gives
+    (window sum, 0, False)."""
     best = None
     best_a = 0
     any_interior = False
@@ -133,23 +131,16 @@ def _scan_translates(prefix, base, wlo, whi, M, maximize):
 # per-window values of each kind, from one profile
 
 
-def _besicovitch_windows(profile, schedule):
-    prefix = profile.prefix()
-    base = profile.lo
+def _scan_windows(prefix, base, schedule, radii, maximize, unit):
+    """Per-window best translated sums over prefix, as multiples of unit.
+    besicovitch scans with every radius 0, weyl and banach-density with
+    the schedule's translate radii."""
     per = []
-    for w in schedule.windows:
-        total = prefix[w.hi - base + 1] - prefix[w.lo - base]
-        per.append(_window_value(w, 0, 0, Fraction(total, len(w) * SCALE), False))
-    return per
-
-
-def _weyl_windows(profile, schedule):
-    prefix = profile.prefix()
-    base = profile.lo
-    per = []
-    for w, M in zip(schedule.windows, schedule.translate_radius):
-        total, a, boundary = _scan_translates(prefix, base, w.lo, w.hi, M, True)
-        per.append(_window_value(w, M, a, Fraction(total, len(w) * SCALE), boundary))
+    for w, M in zip(schedule.windows, radii):
+        total, a, boundary = _scan_translates(prefix, base, w.lo, w.hi, M,
+                                              maximize)
+        per.append(_window_value(w, M, a, Fraction(total, len(w) * unit),
+                                 boundary))
     return per
 
 
@@ -169,19 +160,48 @@ def _extreme_windows(profile, schedule):
     return low, high
 
 
-def _density_windows(profile, eps, schedule):
-    iprefix = profile.indicator_prefix(scaled_from_float(eps))
-    base = profile.lo
-    per = []
-    for w, M in zip(schedule.windows, schedule.translate_radius):
-        count, a, boundary = _scan_translates(iprefix, base, w.lo, w.hi, M, False)
-        per.append(_window_value(w, M, a, Fraction(count, len(w)), boundary))
-    return per
+# ---------------------------------------------------------------------------
+# estimates of a pair from one profile
 
 
-def _check_eps(eps: float) -> None:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
+              eps: Optional[float] = None) -> Dict[str, PseudometricEstimate]:
+    """The estimates of the named kinds, by kind name, from one profile
+    build.  Only the passes those kinds need are run; 'check' and 'hat'
+    share one.  'banach-density' needs eps."""
+    for kind in kinds:
+        if kind not in ESTIMATE_KINDS:
+            raise ValueError("unknown estimate kind %r" % (kind,))
+        if kind == "banach-density":
+            if eps is None:
+                raise ValueError("banach-density needs eps")
+            if eps <= 0:
+                raise ValueError("eps must be positive")
+    profile = pair_profile(x, y, *schedule.hull_range())
+    extremes = None
+    out = {}
+    for kind in kinds:
+        if kind in ("check", "hat"):
+            if extremes is None:
+                extremes = _extreme_windows(profile, schedule)
+            per = extremes[kind == "hat"]
+        elif kind == "banach-density":
+            per = _scan_windows(profile.indicator_prefix(scaled_from_float(eps)),
+                                profile.lo, schedule, schedule.translate_radius,
+                                False, 1)
+        else:
+            radii = (schedule.translate_radius if kind == "weyl"
+                     else [0] * len(schedule.windows))
+            per = _scan_windows(profile.prefix(), profile.lo, schedule, radii,
+                                True, SCALE)
+        out[kind] = _aggregate(kind, x, y, per, schedule)
+    return out
+
+
+def estimate(kind: str, x: Point, y: Point, schedule: FolnerSchedule,
+             eps: Optional[float] = None) -> PseudometricEstimate:
+    """Dispatch by kind name; 'banach-density' needs eps."""
+    return estimates(x, y, schedule, (kind,), eps)[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +210,24 @@ def _check_eps(eps: float) -> None:
 
 def besicovitch(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
     """Average distance along each window, no translates; tail max."""
-    per = _besicovitch_windows(_hull_profile(x, y, schedule), schedule)
-    return _aggregate("besicovitch", x, y, per, schedule)
+    return estimate("besicovitch", x, y, schedule)
 
 
 def weyl(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
     """Best translated window average per window; tail max."""
-    per = _weyl_windows(_hull_profile(x, y, schedule), schedule)
-    return _aggregate("weyl", x, y, per, schedule)
+    return estimate("weyl", x, y, schedule)
 
 
 def check(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
     """Smallest single sample over every window plus translate slack: an
     upper bound for the orbit infimum of d."""
-    low, _ = _extreme_windows(_hull_profile(x, y, schedule), schedule)
-    return _aggregate("check", x, y, low, schedule)
+    return estimate("check", x, y, schedule)
 
 
 def hat(x: Point, y: Point, schedule: FolnerSchedule) -> PseudometricEstimate:
     """Largest single sample over every window plus translate slack: a
     lower bound for the orbit supremum of d."""
-    _, high = _extreme_windows(_hull_profile(x, y, schedule), schedule)
-    return _aggregate("hat", x, y, high, schedule)
+    return estimate("hat", x, y, schedule)
 
 
 def banach_density(x: Point, y: Point, eps: float,
@@ -221,49 +237,7 @@ def banach_density(x: Point, y: Point, eps: float,
     The threshold is compared on the exact grid, so ties at eps never
     depend on float rounding.
     """
-    _check_eps(eps)
-    per = _density_windows(_hull_profile(x, y, schedule), eps, schedule)
-    return _aggregate("banach-density", x, y, per, schedule)
-
-
-# ---------------------------------------------------------------------------
-# several estimates of a pair from one profile
-
-
-def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
-              eps: Optional[float] = None) -> Dict[str, PseudometricEstimate]:
-    """The estimates of the named kinds, by kind name, from one profile
-    build.  Only the passes those kinds need are run; 'check' and 'hat'
-    share one.  'banach-density' needs eps."""
-    for kind in kinds:
-        if kind not in _ESTIMATE_KINDS:
-            raise ValueError("unknown estimate kind %r" % (kind,))
-        if kind == "banach-density":
-            if eps is None:
-                raise ValueError("banach-density needs eps")
-            _check_eps(eps)
-    profile = _hull_profile(x, y, schedule)
-    extremes = None
-    out = {}
-    for kind in kinds:
-        if kind == "besicovitch":
-            per = _besicovitch_windows(profile, schedule)
-        elif kind == "weyl":
-            per = _weyl_windows(profile, schedule)
-        elif kind == "banach-density":
-            per = _density_windows(profile, eps, schedule)
-        else:
-            if extremes is None:
-                extremes = _extreme_windows(profile, schedule)
-            per = extremes[kind == "hat"]
-        out[kind] = _aggregate(kind, x, y, per, schedule)
-    return out
-
-
-def estimate(kind: str, x: Point, y: Point, schedule: FolnerSchedule,
-             eps: Optional[float] = None) -> PseudometricEstimate:
-    """Dispatch by kind name; 'banach-density' needs eps."""
-    return estimates(x, y, schedule, (kind,), eps)[kind]
+    return estimate("banach-density", x, y, schedule, eps)
 
 
 @dataclass(frozen=True)

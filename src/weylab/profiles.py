@@ -173,12 +173,8 @@ class DistanceProfile:
 
     def indicator_prefix(self, threshold_scaled: int) -> List[int]:
         """Prefix counts of samples strictly below the scaled threshold."""
-        if self.kind == "float":
-            # compare on the grid: threshold_scaled / SCALE may not be a double
-            flags = [1 if scaled_from_float(v) < threshold_scaled else 0
-                     for v in self.floats.tolist()]
-        else:
-            flags = [1 if s < threshold_scaled else 0 for s in self.scaled()]
+        # compare on the grid: threshold_scaled / SCALE may not be a double
+        flags = [1 if s < threshold_scaled else 0 for s in self.scaled()]
         return list(accumulate(flags, initial=0))
 
     def plus(self, other: "DistanceProfile") -> "DistanceProfile":

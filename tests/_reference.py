@@ -34,14 +34,14 @@ def _window_sum(dists, a, b):
     return sum(scaled(dists[t]) for t in range(a, b + 1))
 
 
-def _scan(dists, wlo, whi, radius, maximize):
-    """Best window sum over translates in [-radius, radius]; ties keep the
-    smallest |translate| (negative first), and the boundary flag is set when
-    no achiever is interior."""
+def _scan(window_sum, wlo, whi, radius, maximize):
+    """Best window_sum(a, b) over translates in [-radius, radius]; ties keep
+    the smallest |translate| (negative first), and the boundary flag is set
+    when no achiever is interior."""
     best = best_a = None
     any_interior = False
     for a in range(-radius, radius + 1):
-        s = _window_sum(dists, wlo + a, whi + a)
+        s = window_sum(wlo + a, whi + a)
         better = best is None or (s > best if maximize else s < best)
         if better:
             best, best_a = s, a
@@ -76,7 +76,8 @@ def naive_window_rows(x, y, schedule, kind, eps=None):
             s = _window_sum(dists, w.lo, w.hi)
             rows.append((n, 0, Fraction(s, n << SCALE_BITS), False))
         elif kind == "weyl":
-            s, a, boundary = _scan(dists, w.lo, w.hi, radius, True)
+            s, a, boundary = _scan(lambda a, b: _window_sum(dists, a, b),
+                                   w.lo, w.hi, radius, True)
             rows.append((n, a, Fraction(s, n << SCALE_BITS), boundary))
         elif kind in ("check", "hat"):
             lo, hi = w.lo - radius, w.hi + radius
@@ -110,6 +111,50 @@ def naive_window_rows(x, y, schedule, kind, eps=None):
         else:
             raise ValueError(kind)
     return rows
+
+
+def linear_window_rows(x, y, schedule, kinds, eps=None):
+    """naive_window_rows for each of kinds, in linear time: one orbit walk
+    over the schedule's hull, plain prefix sums, and _scan's tie-break and
+    boundary rules.  Fast enough for windows of 2^12 samples and more."""
+    ends = [(w.lo - r, w.hi + r)
+            for w, r in zip(schedule.windows, schedule.translate_radius)]
+    lo, hi = min(a for a, _ in ends), max(b for _, b in ends)
+    dists = orbit_distances(x, y, lo, hi)
+    values = [scaled(dists[t]) for t in range(lo, hi + 1)]
+    prefix = [0]
+    for v in values:
+        prefix.append(prefix[-1] + v)
+    if eps is not None:
+        cut = scaled(eps)
+        counts = [0]
+        for v in values:
+            counts.append(counts[-1] + int(v < cut))
+    out = {}
+    for kind in kinds:
+        rows = []
+        for w, radius in zip(schedule.windows, schedule.translate_radius):
+            n = len(w)
+            if kind == "besicovitch":
+                s = prefix[w.hi + 1 - lo] - prefix[w.lo - lo]
+                rows.append((n, 0, Fraction(s, n << SCALE_BITS), False))
+            elif kind in ("weyl", "banach-density"):
+                sums = prefix if kind == "weyl" else counts
+                s, a, boundary = _scan(
+                    lambda a, b: sums[b + 1 - lo] - sums[a - lo],
+                    w.lo, w.hi, radius, kind == "weyl")
+                unit = n << SCALE_BITS if kind == "weyl" else n
+                rows.append((n, a, Fraction(s, unit), boundary))
+            else:
+                pick = max if kind == "hat" else min
+                seg = values[w.lo - radius - lo:w.hi + radius + 1 - lo]
+                value = pick(seg)
+                inner = pick(seg[1:-1]) if len(seg) > 2 else value
+                rows.append((n, w.lo - radius + seg.index(value),
+                             Fraction(value, 1 << SCALE_BITS),
+                             inner != value))
+        out[kind] = rows
+    return out
 
 
 def naive_estimate(x, y, schedule, kind, eps=None):

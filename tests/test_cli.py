@@ -129,6 +129,27 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kinds,message", [
+    ("weyl frobnicate", "unknown estimate kind"),
+    ("weyl banach-density", "needs an eps key"),
+    ("banach-density\neps = 0", "needs an eps key"),
+    ("banach-density\neps = nan", "needs an eps key"),
+])
+def test_estimate_rejects_bad_kinds_before_any_build(tmp_path, capsys,
+                                                     count_builds, kinds,
+                                                     message):
+    counts = count_builds("toeplitz")
+    path = tmp_path / "bad.ini"
+    path.write_text(
+        "[scenario:bad]\noperation = estimate\nsystem = toeplitz\n"
+        "pair = addr=int:1 flag=plain | addr=int:1 flag=primed\n"
+        "max_exponent = 4\nkinds = %s\n" % kinds)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not counts and not out.exists()
+
+
 def test_seed_is_mandatory_for_sampled_operations(tmp_path, capsys):
     path = tmp_path / "s.ini"
     path.write_text("[scenario:x]\noperation = classify\nfactor = tm.psi\n"
