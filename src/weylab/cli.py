@@ -2,15 +2,19 @@
 
 Scenario files are INI-style: each [scenario:<name>] section selects an
 operation (estimate | classify | test-M | test-meq | verify-decomposition |
-language-check) plus the system/factor ids, pair literals, schedule
-parameters, tolerances, and a seed.  Every run emits the per-window
-convergence series as CSV rows (fixed header
+language-check) plus the system/factor ids, point literals, schedule
+parameters, tolerances, and a seed.  Point literals are space-separated
+key=value tokens (core.parse_fields), and unknown or missing keys are
+rejected; odometer, rotation and point keep their own short syntax.  Every
+run emits the per-window convergence series as CSV rows (fixed header
 scenario,pair_id,window_len,translate,kind,value) next to the JSON verdict
 document; a verdict without its series is considered a bug.
 
-Exit codes: 0 clean run, 1 usage or parse error, 2 verdict-level failure
-(a failed decomposition check or language check).  Verdict failures never
-masquerade as usage errors.
+Exit codes: 0 clean run, 2 verdict-level failure (a failed decomposition
+check or language check), 1 usage error, reported as one "error:" line: an
+unparseable file, an unknown key or bad value, a malformed point literal, a
+bad schedule, a missing or negative seed, a word length outside 1..62.
+Verdict failures never masquerade as usage errors.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from .estimators import ESTIMATE_KINDS, SummaryMemo, estimates
 from .factors import classify_factor_map, verify_decomposition
 from .relations import (Tolerances, classify_pair, scan_mean_equicontinuity,
                         scan_property_M)
-from .systems.thuemorse import (PD_RULES, TM_RULES, exchange_language,
-                                substitution_language, window_match_fraction)
+from .systems.thuemorse import (MAX_WORD_LENGTH, PD_RULES, TM_RULES,
+                                exchange_language, substitution_language,
+                                window_match_fraction)
 
 CSV_HEADER = ("scenario", "pair_id", "window_len", "translate", "kind",
               "value")
@@ -43,17 +48,6 @@ DEFAULT_KINDS = ("besicovitch", "weyl", "check", "hat")
 OPERATIONS = ("estimate", "classify", "test-M", "test-meq",
               "verify-decomposition", "language-check")
 _SUBSTITUTIONS = {"thuemorse": TM_RULES, "period-doubling": PD_RULES}
-
-_KNOWN_KEYS = frozenset({
-    "operation", "system", "factor", "pair", "pairs", "count", "sequences",
-    "seed", "lo_exponent", "max_exponent", "family", "tolerances", "eps",
-    "kinds", "decomposition", "point", "radius", "max_word_length",
-    "substitution", "exchanged", "out",
-})
-
-# operations that draw pairs or sequences from a seeded sampler
-_SAMPLED_OPS = frozenset({"classify", "test-M", "test-meq",
-                          "verify-decomposition"})
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class Scenario:
     lo_exponent: Optional[int] = None
     max_exponent: Optional[int] = None
     family: str = "symmetric"
-    tolerances: Optional[Tolerances] = None
+    tolerances: Tolerances = Tolerances()
     eps: Optional[float] = None
     kinds: Tuple[str, ...] = DEFAULT_KINDS
     decomposition: Optional[Tuple[str, str, str]] = None
@@ -85,7 +79,7 @@ def _fail(name: str, message: str):
     raise ScenarioError("scenario %r: %s" % (name, message))
 
 
-def _parse_pairs(name: str, text: str) -> Tuple[Tuple[str, str], ...]:
+def _parse_pairs(text: str) -> Tuple[Tuple[str, str], ...]:
     pairs = []
     for line in text.splitlines():
         line = line.strip()
@@ -93,35 +87,75 @@ def _parse_pairs(name: str, text: str) -> Tuple[Tuple[str, str], ...]:
             continue
         parts = [p.strip() for p in line.split("|")]
         if len(parts) != 2 or not all(parts):
-            _fail(name, "pair literal must be '<point> | <point>': %r" % line)
+            raise ValueError("pair literal must be '<point> | <point>': %r"
+                             % line)
         pairs.append((parts[0], parts[1]))
     return tuple(pairs)
 
 
-def _parse_tolerances(name: str, text: str) -> Tolerances:
+def _parse_one_pair(text: str) -> Tuple[Tuple[str, str], ...]:
+    pairs = _parse_pairs(text)
+    if len(pairs) != 1:
+        raise ValueError("the pair key takes exactly one pair")
+    return pairs
+
+
+def _parse_tolerances(text: str) -> Tolerances:
     mapping = {"zero": "zero_tol", "sep": "sep_tol", "ratio": "delta_ratio"}
     kwargs = {}
     for token in text.split():
         key, _, value = token.partition("=")
         if key not in mapping or not value:
-            _fail(name, "tolerances expect 'zero=.. sep=.. ratio=..': %r"
-                  % token)
+            raise ValueError("tolerances expect 'zero=.. sep=.. ratio=..': "
+                             "%r" % token)
         kwargs[mapping[key]] = float(value)
     return Tolerances(**kwargs)
 
 
-def _parse_bool(name: str, value: str) -> bool:
+def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    _fail(name, "expected a boolean, got %r" % value)
+    raise ValueError("expected a boolean, got %r" % value)
+
+
+def _parse_operation(text: str) -> str:
+    if text.strip() not in OPERATIONS:
+        raise ValueError("unknown operation %r (expected one of %s)"
+                         % (text, ", ".join(OPERATIONS)))
+    return text.strip()
+
+
+# scenario-file key -> parser of its value, which raises ValueError on bad
+# text; 'pair' fills Scenario.pairs, and a key left out keeps the Scenario
+# default
+_CONVERTERS = {
+    "operation": _parse_operation,
+    "pair": _parse_one_pair,
+    "pairs": _parse_pairs,
+    "tolerances": _parse_tolerances,
+    "eps": float,
+    "kinds": lambda text: tuple(text.replace(",", " ").split()),
+    "decomposition": lambda text: tuple(text.split()),
+    "exchanged": _parse_bool,
+    "family": str.strip,
+    "substitution": str.strip,
+    **dict.fromkeys(("system", "factor", "point", "out"),
+                    lambda text: text.strip() or None),
+    **dict.fromkeys(("count", "sequences", "seed", "lo_exponent",
+                     "max_exponent", "radius", "max_word_length"), int),
+}
+_KNOWN_KEYS = frozenset(_CONVERTERS)
 
 
 def parse_scenarios(text: str) -> Tuple[Scenario, ...]:
     parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ScenarioError("scenario parse error: %s" % exc) from exc
     scenarios = []
     for section in parser.sections():
         if not section.startswith("scenario:"):
@@ -137,75 +171,44 @@ def parse_scenarios(text: str) -> Tuple[Scenario, ...]:
             _fail(name, "unknown keys %s" % ", ".join(unknown))
         if "operation" not in raw:
             _fail(name, "missing the operation key")
-        op = raw["operation"].strip()
-        if op not in OPERATIONS:
-            _fail(name, "unknown operation %r (expected one of %s)"
-                  % (op, ", ".join(OPERATIONS)))
-        pairs = ()
         if "pair" in raw and "pairs" in raw:
             _fail(name, "give either pair or pairs, not both")
-        if "pair" in raw:
-            pairs = _parse_pairs(name, raw["pair"])
-            if len(pairs) != 1:
-                _fail(name, "the pair key takes exactly one pair")
-        elif "pairs" in raw:
-            pairs = _parse_pairs(name, raw["pairs"])
-        try:
-            scenario = Scenario(
-                name=name,
-                operation=op,
-                system=raw.get("system", "").strip() or None,
-                factor=raw.get("factor", "").strip() or None,
-                pairs=pairs,
-                count=int(raw.get("count", 24)),
-                sequences=int(raw.get("sequences", 4)),
-                seed=int(raw["seed"]) if "seed" in raw else None,
-                lo_exponent=(int(raw["lo_exponent"])
-                             if "lo_exponent" in raw else None),
-                max_exponent=(int(raw["max_exponent"])
-                              if "max_exponent" in raw else None),
-                family=raw.get("family", "symmetric").strip(),
-                tolerances=(_parse_tolerances(name, raw["tolerances"])
-                            if "tolerances" in raw else None),
-                eps=float(raw["eps"]) if "eps" in raw else None,
-                kinds=(tuple(raw["kinds"].replace(",", " ").split())
-                       if "kinds" in raw else DEFAULT_KINDS),
-                decomposition=(tuple(raw["decomposition"].split())
-                               if "decomposition" in raw else None),
-                point=raw.get("point", "").strip() or None,
-                radius=int(raw.get("radius", 1 << 16)),
-                max_word_length=int(raw.get("max_word_length", 12)),
-                substitution=raw.get("substitution",
-                                     "period-doubling").strip(),
-                exchanged=(_parse_bool(name, raw["exchanged"])
-                           if "exchanged" in raw else True),
-                out=raw.get("out", "").strip() or None,
-            )
-        except ValueError as exc:
-            raise ScenarioError("scenario %r: %s" % (name, exc)) from exc
-        if scenario.decomposition is not None \
-                and len(scenario.decomposition) != 3:
-            _fail(name, "decomposition expects '<pi> <phi> <psi>'")
-        scenarios.append(scenario)
+        fields = {}
+        for key, value in raw.items():
+            try:
+                fields[key] = _CONVERTERS[key](value)
+            except ValueError as exc:
+                _fail(name, "%s: %s" % (key, exc))
+        if "pair" in fields:
+            fields["pairs"] = fields.pop("pair")
+        scenarios.append(Scenario(name=name, **fields))
     return tuple(scenarios)
 
 
 def _schedule_of(sc: Scenario) -> FolnerSchedule:
     if sc.max_exponent is None:
         _fail(sc.name, "missing max_exponent")
-    if sc.lo_exponent is not None:
+    try:
+        if sc.lo_exponent is None:
+            return default_schedule(sc.max_exponent, sc.family)
         return dyadic_schedule(sc.lo_exponent, sc.max_exponent, sc.family)
-    return default_schedule(sc.max_exponent, sc.family)
+    except ValueError as exc:
+        _fail(sc.name, "schedule: %s" % exc)
 
 
-def _effective_seed(sc: Scenario, override: Optional[int]) -> Optional[int]:
-    return override if override is not None else sc.seed
+def _point(sc: Scenario, system, text: str) -> Point:
+    try:
+        return Point(system.system_id, system.parse_point(text))
+    except ValueError as exc:
+        _fail(sc.name, "%s point %r: %s" % (system.system_id, text, exc))
 
 
 def _require_seed(sc: Scenario, override: Optional[int]) -> int:
-    seed = _effective_seed(sc, override)
+    seed = override if override is not None else sc.seed
     if seed is None:
         _fail(sc.name, "seed is mandatory for sampled operations")
+    if seed < 0:
+        _fail(sc.name, "seed must be >= 0, got %d" % seed)
     return seed
 
 
@@ -224,11 +227,8 @@ def _resolve_pairs(sc: Scenario, seed_override: Optional[int]):
         if sc.system is None:
             _fail(sc.name, "explicit pairs need a system id")
         system = get_system(sc.system)
-        return [
-            (Point(system.system_id, system.parse_point(a)),
-             Point(system.system_id, system.parse_point(b)))
-            for a, b in sc.pairs
-        ]
+        return [(_point(sc, system, a), _point(sc, system, b))
+                for a, b in sc.pairs]
     if sc.factor is None:
         _fail(sc.name, "need either explicit pairs or a factor id")
     fm = get_factor(sc.factor)
@@ -274,18 +274,12 @@ def _sampled_items(prefix: str, pairs):
 
 def _run_classify(sc: Scenario, seed_override, rows, verdicts):
     summaries = SummaryMemo(_schedule_of(sc))
-    tol = sc.tolerances or Tolerances()
     if sc.pairs:
-        system = get_system(sc.system) if sc.system else None
-        if system is None:
-            _fail(sc.name, "classify with explicit pairs needs a system id")
         fm = get_factor(sc.factor) if sc.factor else None
         legend = {}
-        for idx, (a, b) in enumerate(sc.pairs):
-            x = Point(system.system_id, system.parse_point(a))
-            y = Point(system.system_id, system.parse_point(b))
-            verdict = classify_pair(x, y, tolerances=tol, factor=fm,
-                                    summaries=summaries)
+        for idx, (x, y) in enumerate(_resolve_pairs(sc, seed_override)):
+            verdict = classify_pair(x, y, tolerances=sc.tolerances,
+                                    factor=fm, summaries=summaries)
             pid = "p%03d" % idx
             for kind in DEFAULT_KINDS:
                 rows.extend(_series_rows(sc.name, pid,
@@ -296,8 +290,8 @@ def _run_classify(sc: Scenario, seed_override, rows, verdicts):
     if sc.factor is None:
         _fail(sc.name, "classify needs a factor id or explicit pairs")
     seed = _require_seed(sc, seed_override)
-    cls = classify_factor_map(sc.factor, None, tol, seed, sc.count,
-                              sc.sequences, summaries)
+    cls = classify_factor_map(sc.factor, None, sc.tolerances, seed,
+                              sc.count, sc.sequences, summaries)
     pairs = get_factor(sc.factor).pair_sampler(seed, sc.count)
     _weyl_series(sc, _sampled_items("", pairs), summaries, rows)
     verdicts[sc.name] = {"operation": "classify", **cls.as_dict()}
@@ -306,13 +300,12 @@ def _run_classify(sc: Scenario, seed_override, rows, verdicts):
 
 def _run_test_M(sc: Scenario, seed_override, rows, verdicts):
     summaries = SummaryMemo(_schedule_of(sc))
-    tol = sc.tolerances or Tolerances()
     if sc.factor is None:
         _fail(sc.name, "test-M needs a factor id")
     seed = _require_seed(sc, seed_override)
     fm = get_factor(sc.factor)
-    report = scan_property_M(fm, None, tol, seed, sc.count, sc.sequences,
-                             summaries)
+    report = scan_property_M(fm, None, sc.tolerances, seed, sc.count,
+                             sc.sequences, summaries)
     if fm.pair_sampler is not None:
         _weyl_series(sc, _sampled_items("", fm.pair_sampler(seed, sc.count)),
                      summaries, rows)
@@ -323,13 +316,12 @@ def _run_test_M(sc: Scenario, seed_override, rows, verdicts):
 
 def _run_test_meq(sc: Scenario, seed_override, rows, verdicts):
     summaries = SummaryMemo(_schedule_of(sc))
-    tol = sc.tolerances or Tolerances()
     if sc.factor is None:
         _fail(sc.name, "test-meq needs a factor id")
     seed = _require_seed(sc, seed_override)
     fm = get_factor(sc.factor)
-    report = scan_mean_equicontinuity(fm, None, tol, seed, sc.sequences,
-                                      summaries)
+    report = scan_mean_equicontinuity(fm, None, sc.tolerances, seed,
+                                      sc.sequences, summaries)
     if fm.sequence_sampler is not None:
         for sidx, seq in enumerate(fm.sequence_sampler(seed, sc.sequences)):
             items = [("s%02d.t%02d" % (sidx, tidx), pair)
@@ -344,15 +336,14 @@ def _run_test_meq(sc: Scenario, seed_override, rows, verdicts):
 
 def _run_decomposition(sc: Scenario, seed_override, rows, verdicts):
     summaries = SummaryMemo(_schedule_of(sc))
-    tol = sc.tolerances or Tolerances()
-    if sc.decomposition is None:
+    if sc.decomposition is None or len(sc.decomposition) != 3:
         _fail(sc.name, "verify-decomposition needs decomposition = "
                        "'<pi> <phi> <psi>'")
     seed = _require_seed(sc, seed_override)
     pi_id, phi_id, psi_id = sc.decomposition
-    report = verify_decomposition(pi_id, phi_id, psi_id, None, tol, seed,
-                                  sc.count, sc.sequences,
-                                  summaries=summaries)
+    report = verify_decomposition(pi_id, phi_id, psi_id, None,
+                                  sc.tolerances, seed, sc.count,
+                                  sc.sequences, summaries=summaries)
     for label, map_id in (("phi.", phi_id), ("psi.", psi_id)):
         fm = get_factor(map_id)
         if fm.pair_sampler is not None:
@@ -373,9 +364,11 @@ def _run_language_check(sc: Scenario, seed_override, rows, verdicts):
     if sc.substitution not in _SUBSTITUTIONS:
         _fail(sc.name, "unknown substitution %r (expected %s)"
               % (sc.substitution, ", ".join(sorted(_SUBSTITUTIONS))))
+    if not 1 <= sc.max_word_length <= MAX_WORD_LENGTH:
+        _fail(sc.name, "max_word_length must be in [1, %d]" % MAX_WORD_LENGTH)
     if sc.radius < sc.max_word_length:
         _fail(sc.name, "radius smaller than the longest word")
-    payload = system.parse_point(sc.point)
+    payload = _point(sc, system, sc.point).payload
     letters = system.coords(payload, -sc.radius, sc.radius)
     rules = _SUBSTITUTIONS[sc.substitution]
     fractions = {}
@@ -533,19 +526,12 @@ def main(argv=None) -> int:
         if args.command == "list":
             stdout.write(list_registry())
             return 0
-        text = _load_scenario_text(args.scenario)
-        try:
-            scenarios = parse_scenarios(text)
-        except configparser.Error as exc:
-            raise ScenarioError("scenario parse error: %s" % exc) from exc
+        scenarios = parse_scenarios(_load_scenario_text(args.scenario))
         if not scenarios:
             return 0
         rows, verdicts, failed = run_scenarios(scenarios, args.seed)
         _emit(rows, verdicts, scenarios, args.out, stdout)
         return 2 if failed else 0
-    except ScenarioError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except WeylabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -8,8 +8,8 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -181,6 +181,28 @@ class System:
     def sample_payloads(self, rng, count: int) -> List[Any]:
         """Deterministic test points for the property batteries."""
         raise NotImplementedError
+
+
+def parse_fields(text: str, keys: Dict[str, Optional[str]]) -> Dict[str, str]:
+    """Values of a point literal of space-separated key=value tokens.
+
+    `keys` maps each allowed key to its default, or to None when the key is
+    required; the result has one value per key, in the order of `keys`.
+    Raises ValueError on a token without '=', an unknown key or a missing
+    required key.
+    """
+    fields = {}
+    for token in text.split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError("expected key=value tokens, got %r" % (token,))
+        if key not in keys:
+            raise ValueError("unknown key %r (keys: %s)" % (key, " ".join(keys)))
+        fields[key] = value
+    missing = [k for k, default in keys.items() if default is None and k not in fields]
+    if missing:
+        raise ValueError("missing key %s" % " ".join(missing))
+    return {key: fields.get(key, default) for key, default in keys.items()}
 
 
 _SYSTEMS: Dict[str, System] = {}

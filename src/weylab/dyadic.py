@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 
 def two_adic_valuation(n: int) -> int:
@@ -53,9 +53,6 @@ def count_even_valuations_range(lo: int, hi: int) -> int:
     return total
 
 
-_FracLike = Union[int, Fraction]
-
-
 def parse_dyadic(text: str) -> "DyadicInteger":
     """Inverse of str(DyadicInteger): 'int:5' or 'frac:3/5'."""
     text = text.strip()
@@ -63,6 +60,8 @@ def parse_dyadic(text: str) -> "DyadicInteger":
         return DyadicInteger.from_int(int(text[4:]))
     if text.startswith("frac:"):
         num, _, den = text[5:].partition("/")
+        if int(den) == 0:  # Fraction would raise ZeroDivisionError
+            raise ValueError("zero denominator in %r" % (text,))
         return DyadicInteger.from_fraction(int(num), int(den))
     raise ValueError("cannot parse 2-adic integer from %r" % (text,))
 

@@ -9,7 +9,7 @@ zeros so float noise cannot contradict reflexivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 

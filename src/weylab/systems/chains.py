@@ -110,7 +110,7 @@ def _tm_phi_sequences(seed: int, count: int):
         PairSequence(tuple((a, a) for a, _ in terms), (w, w),
                      "diagonal control sequence"),
     ]
-    return seqs[:count] if count < len(seqs) else seqs
+    return seqs[:count]
 
 
 def _tm_psi_pairs(seed: int, count: int):
@@ -138,7 +138,7 @@ def _tm_psi_sequences(seed: int, count: int):
     seqs = [
         PairSequence(terms, (w, w), "singular fibres collapsing at 4^n"),
     ]
-    return seqs[:count] if count < len(seqs) else seqs
+    return seqs[:count]
 
 
 def _tm_pi_pairs(seed: int, count: int):
@@ -192,7 +192,7 @@ def _tm_pi_sequences(seed: int, count: int):
         PairSequence(terms, (w, w),
                      "half-line disagreement pairs with a diagonal limit"),
     ]
-    return seqs[:count] if count < len(seqs) else seqs
+    return seqs[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def _sturm_phi_sequences(seed: int, count: int):
         PairSequence(terms, limit,
                      "boundary fibres drifting to the one-sided coding of 0"),
     ]
-    return seqs[:count] if count < len(seqs) else seqs
+    return seqs[:count]
 
 
 _CURATED_ARCS = (0.5, 0.3, 0.2, 0.15)
@@ -274,7 +274,7 @@ def _sturm_psi_sequences(seed: int, count: int):
         PairSequence(displaced, (_rot_point(u0), _rot_point(u0 + offset)),
                      "arcs shrinking onto a separated pair"),
     ]
-    return seqs[:count] if count < len(seqs) else seqs
+    return seqs[:count]
 
 
 def _sturm_pi_pairs(seed: int, count: int):
@@ -333,7 +333,7 @@ def _shells_pi_sequences(seed: int, count: int):
         PairSequence(terms, limit,
                      "shell pairs climbing the stack toward the rigid shell"),
     ]
-    return seqs[:count] if count < len(seqs) else seqs
+    return seqs[:count]
 
 
 # ---------------------------------------------------------------------------

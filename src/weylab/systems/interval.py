@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..core import System, register_system
+from ..core import System, parse_fields, register_system
 from ..profiles import DistanceProfile
 from .orbits import CachedOrbit
 
@@ -98,17 +98,12 @@ class IntervalMirrorSystem(System):
         return DistanceProfile.from_floats(lo, _mirror_dist(p[0] == q[0], yp, yq, np.sqrt))
 
     def parse_point(self, text: str):
-        fields = {}
-        for token in text.split():
-            key, _, value = token.partition("=")
-            fields[key] = value
-        y = float(fields.pop("y"))
-        branch = fields.pop("branch", "hat")
-        off = int(fields.pop("off", "0"))
-        if branch not in _BRANCHES or fields:
-            raise ValueError("interval payload is y=<float> branch=hat|check [off=<int>]")
-        level_of(y)  # validates the range
-        return (branch, y, off)
+        keys = {"y": None, "branch": "hat", "off": "0"}
+        y, branch, off = parse_fields(text, keys).values()
+        if branch not in _BRANCHES:
+            raise ValueError("interval branch is hat or check, got %r" % (branch,))
+        level_of(float(y))  # validates the range
+        return (branch, float(y), int(off))
 
     def format_point(self, payload) -> str:
         branch, y0, off = payload

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..core import System, register_system
 from ..dyadic import DyadicInteger, parse_dyadic
-from ..profiles import INF_EXP, SCALE_BITS, DistanceProfile
+from ..profiles import INF_EXP, DistanceProfile
 
 
 class OdometerSystem(System):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ..core import System, register_system
+from ..core import System, parse_fields, register_system
 from ..profiles import DistanceProfile, scaled_from_float
 from .orbits import CachedOrbit
 
@@ -59,6 +59,14 @@ def _dist(p, q, sqrt):
     return sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def _parse_level(text: str):
+    """Shell index k >= 1, or None for 'inf', the limit shell."""
+    level = None if text == "inf" else int(text)
+    if level is not None and level < 1:
+        raise ValueError("shell level must be >= 1 or inf, got %r" % (text,))
+    return level
+
+
 class ShellStackSystem(System):
     """Payloads (level, t0, offset); level None is the identity shell."""
 
@@ -94,17 +102,10 @@ class ShellStackSystem(System):
             lo, _dist(self._rows(p, lo, hi), self._rows(q, lo, hi), np.sqrt))
 
     def parse_point(self, text: str):
-        fields = {}
-        for token in text.split():
-            key, _, value = token.partition("=")
-            fields[key] = value
-        raw = fields.pop("level")
-        level = None if raw == "inf" else int(raw)
-        t = float(fields.pop("t")) % TWO_PI
-        off = int(fields.pop("off", "0"))
-        if fields or (level is not None and level < 1):
-            raise ValueError("shell payload is level=<k>=1|inf t=<float> [off=<int>]")
-        return (level, t, off)
+        level, t, off = parse_fields(text, {"level": None, "t": None, "off": "0"}).values()
+        if not math.isfinite(float(t)):
+            raise ValueError("shell angle t must be finite, got %r" % (t,))
+        return (_parse_level(level), float(t) % TWO_PI, int(off))
 
     def format_point(self, payload) -> str:
         level, t0, off = payload
@@ -141,14 +142,7 @@ class ShellBaseSystem(System):
         return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
 
     def parse_point(self, text: str):
-        fields = {}
-        for token in text.split():
-            key, _, value = token.partition("=")
-            fields[key] = value
-        raw = fields.pop("level")
-        if fields:
-            raise ValueError("base payload is level=<k>|inf")
-        return None if raw == "inf" else int(raw)
+        return _parse_level(parse_fields(text, {"level": None})["level"])
 
     def format_point(self, payload) -> str:
         return "level=%s" % ("inf" if payload is None else payload)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ..core import System, register_system
+from ..core import System, parse_fields, register_system
 from ..profiles import DistanceProfile, scaled_from_float
 from .symbolic import SymbolicSystem
 
@@ -83,15 +83,10 @@ class SturmianSystem(SymbolicSystem):
         return out
 
     def parse_point(self, text: str):
-        fields = {}
-        for token in text.split():
-            key, _, value = token.partition("=")
-            fields[key] = value
-        k = int(fields.pop("orbit"))
-        side = {"upper": 0, "lower": 1}.get(fields.pop("side", "upper"))
-        if side is None or fields:
-            raise ValueError("sturmian payload is orbit=<int> side=upper|lower")
-        return (k, side)
+        k, side = parse_fields(text, {"orbit": None, "side": "upper"}).values()
+        if side not in ("upper", "lower"):
+            raise ValueError("sturmian side is upper or lower, got %r" % (side,))
+        return (int(k), int(side == "lower"))
 
     def format_point(self, payload) -> str:
         k, side = payload

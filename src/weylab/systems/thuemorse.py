@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import register_system
+from ..core import parse_fields, register_system
 from ..dyadic import DyadicInteger, count_even_valuations_range, parse_dyadic
 from .symbolic import SymbolicSystem
-from .toeplitz import _parse_fields, _parse_flag, make_toeplitz_payload, rule_word
+from .toeplitz import _parse_flag, make_toeplitz_payload, rule_word
 
 TM_RULES = {"0": "01", "1": "10"}
 PD_RULES = {"0": "01", "1": "00"}
+#: longest window window_match_fraction packs into one uint64 code
+MAX_WORD_LENGTH = 62
 
 
 def _step_parity(addr: DyadicInteger, flag: int, g: int) -> int:
@@ -68,13 +70,9 @@ class ThueMorseSystem(SymbolicSystem):
         return xs[lo - base : hi - base + 1]
 
     def parse_point(self, text: str):
-        fields = _parse_fields(text)
-        addr = parse_dyadic(fields.pop("addr"))
-        flag = _parse_flag(fields.pop("flag", "plain"))
-        bit = int(fields.pop("bit", "0"))
-        if fields:
-            raise ValueError("unknown payload keys %s" % sorted(fields))
-        return make_thuemorse_payload(addr, flag, bit)
+        keys = {"addr": None, "flag": "plain", "bit": "0"}
+        addr, flag, bit = parse_fields(text, keys).values()
+        return make_thuemorse_payload(parse_dyadic(addr), _parse_flag(flag), int(bit))
 
     def format_point(self, payload) -> str:
         addr, flag, bit = payload
@@ -134,8 +132,8 @@ def window_match_fraction(letters: np.ndarray, words: frozenset,
     from fractions import Fraction
 
     arr = np.ascontiguousarray(letters, dtype=np.uint8)
-    if not 1 <= length <= 62:
-        raise ValueError("window length must be in [1, 62]")
+    if not 1 <= length <= MAX_WORD_LENGTH:
+        raise ValueError("window length must be in [1, %d]" % MAX_WORD_LENGTH)
     if arr.size < length:
         raise ValueError("letter array shorter than the window length")
     codes = np.zeros(arr.size - length + 1, dtype=np.uint64)

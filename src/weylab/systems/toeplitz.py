@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import System, register_system
+from ..core import parse_fields, register_system
 from ..dyadic import DyadicInteger, parse_dyadic, two_adic_valuation
 from .symbolic import SymbolicSystem
 
@@ -69,12 +69,8 @@ class ToeplitzSystem(SymbolicSystem):
         return rule_word(addr.value.numerator, addr.value.denominator, flag, lo, hi)
 
     def parse_point(self, text: str):
-        fields = _parse_fields(text)
-        addr = parse_dyadic(fields.pop("addr"))
-        flag = _parse_flag(fields.pop("flag", "plain"))
-        if fields:
-            raise ValueError("unknown payload keys %s" % sorted(fields))
-        return make_toeplitz_payload(addr, flag)
+        addr, flag = parse_fields(text, {"addr": None, "flag": "plain"}).values()
+        return make_toeplitz_payload(parse_dyadic(addr), _parse_flag(flag))
 
     def format_point(self, payload) -> str:
         addr, flag = payload
@@ -89,16 +85,6 @@ class ToeplitzSystem(SymbolicSystem):
             addr = DyadicInteger.from_int(int(rng.integers(-50, 50)))
             out.append(make_toeplitz_payload(addr, int(rng.integers(0, 2))))
         return out
-
-
-def _parse_fields(text: str) -> dict:
-    fields = {}
-    for token in text.split():
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise ValueError("expected key=value tokens, got %r" % (token,))
-        fields[key] = value
-    return fields
 
 
 def _parse_flag(text: str) -> int:

@@ -1,12 +1,13 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
-from weylab.cli import (CSV_HEADER, bundled_scenarios, list_registry, main,
-                        parse_scenarios)
+from weylab.cli import (_CONVERTERS, CSV_HEADER, Scenario, bundled_scenarios,
+                        list_registry, main, parse_scenarios)
 from weylab.core import ScenarioError
 
 
@@ -148,6 +149,84 @@ def test_estimate_rejects_bad_kinds_before_any_build(tmp_path, capsys,
     assert main(["run", str(path), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not counts and not out.exists()
+
+
+def test_every_scenario_field_has_a_converter():
+    # 'pair' is the one-pair spelling of the pairs field
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    assert set(_CONVERTERS) == fields - {"name"} | {"pair"}
+
+
+def _estimate(system, pair, extra=""):
+    return ("operation = estimate\nsystem = %s\npair = %s\n"
+            "max_exponent = 2\nkinds = weyl\n%s" % (system, pair, extra))
+
+
+_SAMPLED = ("operation = classify\nfactor = tm.psi\nmax_exponent = 4\n"
+            "count = 2\nsequences = 1\n")
+_LANGUAGE = ("operation = language-check\nsystem = toeplitz\n"
+             "point = addr=int:0\nradius = 4096\n")
+
+# (scenario body, extra command-line arguments); every keyed point literal
+# is tried with a missing key, an unknown key and a token without '='
+# (shellbase62 has one key, so a literal without it has an unknown key)
+_BAD_INPUTS = {
+    "shells62-missing": (_estimate("shells62", "t=0.5 | level=1 t=0.5"), ()),
+    "shells62-unknown": (_estimate("shells62", "level=1 t=0.5 spin=2 | "
+                                               "level=1 t=0.5"), ()),
+    "shells62-no-eq": (_estimate("shells62", "level=1 t=0.5 off | "
+                                             "level=1 t=0.5"), ()),
+    "shells62-infinite-t": (_estimate("shells62", "level=1 t=inf | "
+                                                  "level=1 t=0.5"), ()),
+    "shellbase62-unknown": (_estimate("shellbase62", "level=2 t=1 | level=2"),
+                            ()),
+    "shellbase62-no-eq": (_estimate("shellbase62", "level=2 x | level=2"), ()),
+    "shellbase62-level-0": (_estimate("shellbase62", "level=0 | level=2"), ()),
+    "interval61-missing": (_estimate("interval61", "branch=hat | y=0.3"), ()),
+    "interval61-unknown": (_estimate("interval61", "y=0.3 z=1 | y=0.3"), ()),
+    "interval61-no-eq": (_estimate("interval61", "y=0.3 hat | y=0.3"), ()),
+    "sturmian-missing": (_estimate("sturmian", "side=upper | orbit=0"), ()),
+    "sturmian-unknown": (_estimate("sturmian", "orbit=0 k=1 | orbit=0"), ()),
+    "sturmian-no-eq": (_estimate("sturmian", "orbit=0 upper | orbit=0"), ()),
+    "toeplitz-missing": (_estimate("toeplitz", "flag=plain | addr=int:0"), ()),
+    "toeplitz-unknown": (_estimate("toeplitz", "addr=int:0 bit=1 | "
+                                               "addr=int:0"), ()),
+    "toeplitz-no-eq": (_estimate("toeplitz", "addr=int:0 primed | "
+                                             "addr=int:0"), ()),
+    "toeplitz-bad-addr": (_estimate("toeplitz", "addr=int:zz | addr=int:0"),
+                          ()),
+    "thuemorse-missing": (_estimate("thuemorse", "bit=1 | addr=int:0"), ()),
+    "thuemorse-unknown": (_estimate("thuemorse", "addr=int:0 side=upper | "
+                                                 "addr=int:0"), ()),
+    "thuemorse-no-eq": (_estimate("thuemorse", "addr=int:0 1 | addr=int:0"),
+                        ()),
+    "odometer-zero-denominator": (_estimate("odometer", "frac:1/0 | int:0"),
+                                  ()),
+    "language-point": (_LANGUAGE.replace("addr=int:0", "addr=int:0 bit=1"),
+                       ()),
+    "lo-above-max": (_estimate("odometer", "int:0 | int:1",
+                               "lo_exponent = 3\n"), ()),
+    "family-sideways": (_estimate("odometer", "int:0 | int:1",
+                                  "family = sideways\n"), ()),
+    "max-exponent-0": (_estimate("odometer", "int:0 | int:1")
+                       .replace("max_exponent = 2", "max_exponent = 0"), ()),
+    "seed-negative": (_SAMPLED + "seed = -1\n", ()),
+    "seed-flag-negative": (_SAMPLED + "seed = 3\n", ("--seed", "-1")),
+    "word-length-80": (_LANGUAGE + "max_word_length = 80\n", ()),
+    "word-length-0": (_LANGUAGE + "max_word_length = 0\n", ()),
+}
+
+
+@pytest.mark.parametrize("body,extra", _BAD_INPUTS.values(),
+                         ids=_BAD_INPUTS.keys())
+def test_bad_input_is_a_usage_error(tmp_path, capsys, body, extra):
+    path = tmp_path / "bad.ini"
+    path.write_text("[scenario:bad]\n" + body)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: scenario 'bad': ")
+    assert not out.exists()
 
 
 def test_seed_is_mandatory_for_sampled_operations(tmp_path, capsys):

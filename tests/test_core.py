@@ -6,7 +6,7 @@ import weylab
 from weylab.core import (CrossSystemError, FolnerSchedule, FolnerWindow,
                          Point, UnknownFactorError, UnknownSystemError, act,
                          default_schedule, dist, dyadic_schedule, get_factor,
-                         get_system)
+                         get_system, parse_fields)
 
 
 def test_window_basics():
@@ -100,6 +100,20 @@ def test_point_formatting_and_module_act():
                   get_system("toeplitz").parse_point("addr=int:0"))
     with pytest.raises(CrossSystemError):
         dist(x, other)
+
+
+def test_parse_fields_fills_defaults_and_rejects_bad_tokens():
+    keys = {"addr": None, "flag": "plain", "bit": "0"}
+    assert parse_fields("addr=int:3", keys) == {
+        "addr": "int:3", "flag": "plain", "bit": "0"}
+    # values come back in the order of keys, whatever the token order
+    assert list(parse_fields("bit=1 addr=int:3", keys).values()) == [
+        "int:3", "plain", "1"]
+    for text, message in [("addr=int:3 flag", "expected key=value"),
+                          ("addr=int:3 side=upper", "unknown key 'side'"),
+                          ("flag=primed", "missing key addr")]:
+        with pytest.raises(ValueError, match=message):
+            parse_fields(text, keys)
 
 
 def test_sample_payloads_deterministic():
