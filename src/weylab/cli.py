@@ -13,7 +13,8 @@ document; a verdict without its series is considered a bug.
 Exit codes: 0 clean run, 2 verdict-level failure (a failed decomposition
 check or language check), 1 usage error, reported as one "error:" line: an
 unparseable file, an unknown key or bad value, a malformed point literal, a
-bad schedule, a missing or negative seed, a word length outside 1..62.
+bad schedule or bad tolerances, a count or sequences below 1, a missing or
+negative seed, a word length outside 1..62.
 Verdict failures never masquerade as usage errors.
 """
 
@@ -23,6 +24,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Tuple
 
-from .core import (FolnerSchedule, Point, ScenarioError, WeylabError,
-                   default_schedule, dyadic_schedule, factor_ids, get_factor,
-                   get_system, system_ids)
+from .core import (FolnerSchedule, Point, ScenarioError, ToleranceError,
+                   WeylabError, default_schedule, dyadic_schedule, factor_ids,
+                   get_factor, get_system, system_ids)
 from .estimators import ESTIMATE_KINDS, SummaryMemo, estimates
 from .factors import classify_factor_map, verify_decomposition
 from .relations import (Tolerances, classify_pair, scan_mean_equicontinuity,
@@ -121,6 +123,13 @@ def _parse_bool(value: str) -> bool:
     raise ValueError("expected a boolean, got %r" % value)
 
 
+def _parse_positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("expected an integer >= 1, got %d" % value)
+    return value
+
+
 def _parse_operation(text: str) -> str:
     if text.strip() not in OPERATIONS:
         raise ValueError("unknown operation %r (expected one of %s)"
@@ -144,8 +153,9 @@ _CONVERTERS = {
     "substitution": str.strip,
     **dict.fromkeys(("system", "factor", "point", "out"),
                     lambda text: text.strip() or None),
-    **dict.fromkeys(("count", "sequences", "seed", "lo_exponent",
-                     "max_exponent", "radius", "max_word_length"), int),
+    **dict.fromkeys(("count", "sequences"), _parse_positive),
+    **dict.fromkeys(("seed", "lo_exponent", "max_exponent", "radius",
+                     "max_word_length"), int),
 }
 _KNOWN_KEYS = frozenset(_CONVERTERS)
 
@@ -177,7 +187,7 @@ def parse_scenarios(text: str) -> Tuple[Scenario, ...]:
         for key, value in raw.items():
             try:
                 fields[key] = _CONVERTERS[key](value)
-            except ValueError as exc:
+            except (ValueError, ToleranceError) as exc:
                 _fail(name, "%s: %s" % (key, exc))
         if "pair" in fields:
             fields["pairs"] = fields.pop("pair")
@@ -237,7 +247,7 @@ def _resolve_pairs(sc: Scenario, seed_override: Optional[int]):
     return fm.pair_sampler(_require_seed(sc, seed_override), sc.count)
 
 
-def _run_estimate(sc: Scenario, seed_override, rows, verdicts):
+def _run_estimate(sc: Scenario, seed_override, rows, verdicts, memo_of):
     schedule = _schedule_of(sc)
     for kind in sc.kinds:
         if kind not in ESTIMATE_KINDS:
@@ -272,8 +282,8 @@ def _sampled_items(prefix: str, pairs):
             for idx, pair in enumerate(pairs)]
 
 
-def _run_classify(sc: Scenario, seed_override, rows, verdicts):
-    summaries = SummaryMemo(_schedule_of(sc))
+def _run_classify(sc: Scenario, seed_override, rows, verdicts, memo_of):
+    summaries = memo_of(_schedule_of(sc))
     if sc.pairs:
         fm = get_factor(sc.factor) if sc.factor else None
         legend = {}
@@ -298,8 +308,8 @@ def _run_classify(sc: Scenario, seed_override, rows, verdicts):
     return False
 
 
-def _run_test_M(sc: Scenario, seed_override, rows, verdicts):
-    summaries = SummaryMemo(_schedule_of(sc))
+def _run_test_M(sc: Scenario, seed_override, rows, verdicts, memo_of):
+    summaries = memo_of(_schedule_of(sc))
     if sc.factor is None:
         _fail(sc.name, "test-M needs a factor id")
     seed = _require_seed(sc, seed_override)
@@ -314,8 +324,8 @@ def _run_test_M(sc: Scenario, seed_override, rows, verdicts):
     return False
 
 
-def _run_test_meq(sc: Scenario, seed_override, rows, verdicts):
-    summaries = SummaryMemo(_schedule_of(sc))
+def _run_test_meq(sc: Scenario, seed_override, rows, verdicts, memo_of):
+    summaries = memo_of(_schedule_of(sc))
     if sc.factor is None:
         _fail(sc.name, "test-meq needs a factor id")
     seed = _require_seed(sc, seed_override)
@@ -334,8 +344,8 @@ def _run_test_meq(sc: Scenario, seed_override, rows, verdicts):
     return False
 
 
-def _run_decomposition(sc: Scenario, seed_override, rows, verdicts):
-    summaries = SummaryMemo(_schedule_of(sc))
+def _run_decomposition(sc: Scenario, seed_override, rows, verdicts, memo_of):
+    summaries = memo_of(_schedule_of(sc))
     if sc.decomposition is None or len(sc.decomposition) != 3:
         _fail(sc.name, "verify-decomposition needs decomposition = "
                        "'<pi> <phi> <psi>'")
@@ -355,7 +365,7 @@ def _run_decomposition(sc: Scenario, seed_override, rows, verdicts):
     return not report.passed
 
 
-def _run_language_check(sc: Scenario, seed_override, rows, verdicts):
+def _run_language_check(sc: Scenario, seed_override, rows, verdicts, memo_of):
     system = get_system(sc.system or "toeplitz")
     if not hasattr(system, "coords"):
         _fail(sc.name, "language-check needs a symbolic system")
@@ -406,12 +416,13 @@ _RUNNERS = {
 
 def run_scenarios(scenarios, seed_override: Optional[int] = None):
     """Execute scenarios in file order; returns (csv rows, verdict document,
-    verdict_failed flag)."""
+    verdict_failed flag); the run keeps one SummaryMemo per schedule."""
     rows, verdicts = [], {}
     failed = False
+    memo_of = functools.cache(SummaryMemo)
     for sc in scenarios:
-        failed = _RUNNERS[sc.operation](sc, seed_override, rows,
-                                        verdicts) or failed
+        failed = _RUNNERS[sc.operation](sc, seed_override, rows, verdicts,
+                                        memo_of) or failed
     return rows, verdicts, failed
 
 

@@ -23,13 +23,13 @@ extreme.
 single-kind functions call it with one kind.  Besicovitch, weyl and
 banach-density share one translate scan: besicovitch is the weyl scan at
 radius 0.  A PairSummary holds a pair's four classification kinds, and a
-SummaryMemo keeps one summary per pair, so that a whole run builds each
-distinct pair once.
+SummaryMemo keeps one summary per unordered pair (estimates are
+bit-symmetric), so that a whole run builds each distinct pair once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -257,13 +257,18 @@ class PairSummary:
         return cls(**estimates(x, y, schedule,
                                ("check", "besicovitch", "weyl", "hat")))
 
+    def swapped(self) -> "PairSummary":
+        """The summary of (y, x): the same estimates, relabelled."""
+        return PairSummary(*(replace(e, x=e.y, y=e.x)
+                             for e in vars(self).values()))
+
 
 class SummaryMemo:
-    """One PairSummary per ordered pair of points, for one schedule.  Every
+    """One PairSummary per unordered pair of points, for one schedule: every
     consumer in a run reads its estimates here, so each distinct pair is
-    built, quantized, prefixed and scanned once.  Only summaries are held,
-    never a profile.  Threads may share a memo: two that miss on the same
-    pair at once both compute it, and the two summaries are equal."""
+    built and scanned once, and (y, x) after (x, y) is only relabelled.
+    Only summaries are held, never a profile.  Threads may share a memo:
+    two that miss on one pair at once both compute it, with equal results."""
 
     def __init__(self, schedule: FolnerSchedule):
         self.schedule = schedule
@@ -272,6 +277,8 @@ class SummaryMemo:
     def __call__(self, x: Point, y: Point) -> PairSummary:
         summary = self._summaries.get((x, y))
         if summary is None:
-            summary = PairSummary.of(x, y, self.schedule)
+            reverse = self._summaries.get((y, x))
+            summary = (PairSummary.of(x, y, self.schedule) if reverse is None
+                       else reverse.swapped())
             self._summaries[(x, y)] = summary
         return summary

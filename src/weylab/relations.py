@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 
 from .core import (FactorMap, FolnerSchedule, FolnerWindow, Point,
                    SamplerError, ToleranceError, act, dist, dyadic_schedule)
-from .estimators import SummaryMemo, estimate, weyl
+from .estimators import SummaryMemo
 
 #: schedule used by classification entry points when none is given
 DEFAULT_CLASSIFY_SCHEDULE = (10, 14)
@@ -27,26 +27,14 @@ def default_classify_schedule() -> FolnerSchedule:
 
 def summaries_for(schedule: Optional[FolnerSchedule] = None,
                   summaries: Optional[SummaryMemo] = None) -> SummaryMemo:
-    """The memo a classifier reads its estimates from: the caller's, whose
+    """The memo every estimate here is read from: the caller's, whose
     schedule must match a given one, or a fresh memo on the schedule
-    (default: the classification schedule)."""
+    (default: the classification schedule) that lasts for the call."""
     if summaries is None:
         return SummaryMemo(schedule or default_classify_schedule())
     if schedule is not None and schedule != summaries.schedule:
         raise ValueError("schedule differs from the schedule of summaries")
     return summaries
-
-
-def _value_reader(kind: str, schedule: Optional[FolnerSchedule],
-                  summaries: Optional[SummaryMemo]):
-    """(a, b) -> value of one estimate kind: read from the caller's memo
-    or, without one, computed alone, so that a standalone scan or sequence
-    report runs no pass it does not need."""
-    if summaries is None:
-        schedule = schedule or default_classify_schedule()
-        return lambda a, b: estimate(kind, a, b, schedule).value
-    summaries = summaries_for(schedule, summaries)
-    return lambda a, b: getattr(summaries(a, b), kind).value
 
 
 @dataclass(frozen=True)
@@ -204,14 +192,14 @@ def sequence_report(seq: PairSequence, schedule: Optional[FolnerSchedule] = None
     The sequence counts as asymptotically Banach proximal when the tail
     half of the term estimates sits below zero_tol.
     """
-    weyl_of = _value_reader("weyl", schedule, summaries)
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     values = []
     for a, b in seq.terms:
         if a.payload == b.payload:
             values.append(0.0)
         else:
-            values.append(weyl_of(a, b))
+            values.append(summaries(a, b).weyl.value)
     tail = values[len(values) // 2 :]
     abp = max(tail) < tol.zero_tol
     limit_bp = None
@@ -221,7 +209,7 @@ def sequence_report(seq: PairSequence, schedule: Optional[FolnerSchedule] = None
         if la.payload == lb.payload:
             limit_value = 0.0
         else:
-            limit_value = weyl_of(la, lb)
+            limit_value = summaries(la, lb).weyl.value
         limit_bp = limit_value < tol.zero_tol
     return SequenceReport(abp, tuple(values), limit_bp, limit_value,
                           seq.description)
@@ -309,9 +297,10 @@ def scan_equicontinuity(factor: FactorMap,
                         summaries: Optional[SummaryMemo] = None) -> ModulusReport:
     """Scan R(pi) samples for pairs that start close but drift far apart
     at some single orbit time (hat)."""
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    rows = _scan_rows(pairs, _value_reader("hat", schedule, summaries))
+    rows = _scan_rows(pairs, lambda a, b: summaries(a, b).hat.value)
     return _modulus_scan(rows, tol, len(pairs), "orbit sup")
 
 
@@ -332,9 +321,10 @@ def scan_property_M(factor: FactorMap,
     """Two routes at once: the delta*(eps) scan on weyl values over sampled
     R(pi) pairs, and the sequence criterion that a convergent sequence with
     a Banach proximal limit must itself be asymptotically Banach proximal."""
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    rows = _scan_rows(pairs, _value_reader("weyl", schedule, summaries))
+    rows = _scan_rows(pairs, lambda a, b: summaries(a, b).weyl.value)
     scan = _modulus_scan(rows, tol, len(pairs), "weyl value")
     violations = []
     seqs = _sample_sequences(factor, seed, sequence_count)
@@ -368,6 +358,7 @@ def scan_mean_equicontinuity(factor: FactorMap,
     """On convergent sequences in R(pi) the map is mean equicontinuous iff
     'asymptotically Banach proximal' and 'limit Banach proximal' agree;
     both defect directions are reported."""
+    summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     seqs = _sample_sequences(factor, seed, sequence_count)
     if not seqs:
@@ -415,21 +406,18 @@ def regional_witness_search(factor: FactorMap, x: Point, y: Point,
     """Look for a non-diagonal sampled pair in R(pi) within eps_pair of
     (x, y) coordinatewise whose weyl value sits below zero_tol: evidence
     that (x, y) is regionally Banach proximal without being so itself."""
-    schedule = schedule or default_classify_schedule()
+    summaries = summaries_for(schedule)
     tol = tolerances or Tolerances()
     best = None
     for a, b in _sample_pairs(factor, seed, count):
         if a.payload == b.payload:
             continue
-        value = None
         for (a2, b2) in ((a, b), (b, a)):
             dxa, dyb = dist(x, a2), dist(y, b2)
             if dxa < eps_pair and dyb < eps_pair:
-                if value is None:  # d is symmetric: both orders share it
-                    value = weyl(a2, b2, schedule).value
-                if value < tol.zero_tol:
-                    if best is None or value < best[2]:
-                        best = (a2, b2, value, dxa, dyb)
+                value = summaries(a2, b2).weyl.value
+                if value < tol.zero_tol and (best is None or value < best[2]):
+                    best = (a2, b2, value, dxa, dyb)
     if best is None:
         return WitnessReport(False, None, None, None, None)
     a2, b2, value, dxa, dyb = best

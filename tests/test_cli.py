@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -214,6 +215,12 @@ _BAD_INPUTS = {
     "seed-flag-negative": (_SAMPLED + "seed = 3\n", ("--seed", "-1")),
     "word-length-80": (_LANGUAGE + "max_word_length = 80\n", ()),
     "word-length-0": (_LANGUAGE + "max_word_length = 0\n", ()),
+    "count-negative": (_SAMPLED.replace("count = 2", "count = -1")
+                       + "seed = 3\n", ()),
+    "sequences-0": (_SAMPLED.replace("sequences = 1", "sequences = 0")
+                    + "seed = 3\n", ()),
+    "tolerances-zero-above-sep": (_SAMPLED + "seed = 3\n"
+                                  "tolerances = zero=0.5 sep=0.1\n", ()),
 }
 
 
@@ -336,3 +343,19 @@ def test_estimate_builds_one_profile_per_pair_for_all_kinds(tmp_path,
     pairs = json.loads((out / "verdicts.json").read_text())["five"]["pairs"]
     assert all({"besicovitch", "weyl", "check", "hat", "banach-density"}
                <= set(entry) for entry in pairs.values())
+
+
+def test_scenarios_on_one_schedule_share_one_memo(tmp_path, count_builds):
+    # tm.phi and tm.pi both sample thuemorse complement pairs; on one
+    # schedule the run estimates each unordered pair once, in either order
+    counts = count_builds("thuemorse")
+    body = "factor = %s\nlo_exponent = 4\nmax_exponent = 6\nseed = 3\n"
+    path = tmp_path / "chain.ini"
+    path.write_text("".join(
+        "[scenario:%s]\noperation = classify\n" % name + body % name
+        for name in ("tm.phi", "tm.pi")))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    unordered = collections.Counter()
+    for (p, q), n in counts.items():
+        unordered[frozenset((p, q))] += n
+    assert unordered and set(unordered.values()) == {1}

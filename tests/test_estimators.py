@@ -206,14 +206,22 @@ def test_estimates_builds_once_for_the_requested_kinds(count_builds):
     assert sum(counts.values()) == 2  # bad requests build nothing
 
 
-def test_summary_memo_builds_each_ordered_pair_once(count_builds):
+def test_summary_memo_builds_each_unordered_pair_once(count_builds):
     counts = count_builds("toeplitz")
     _, x, y = PAIRS[1]
     memo = SummaryMemo(default_schedule(3))
     first = memo(x, y)
     assert memo(x, y) is first
-    assert memo(y, x).weyl.exact == first.weyl.exact
-    assert sorted(counts.values()) == [1, 1]
+    reversed_ = memo(y, x)
+    assert sum(counts.values()) == 1
+    for kind in ("check", "besicovitch", "weyl", "hat"):
+        a, b = getattr(first, kind), getattr(reversed_, kind)
+        assert (b.x, b.y) == (a.y, a.x) == (str(y), str(x)), kind
+        assert b.per_window == a.per_window, kind
+        assert (b.kind, b.value, b.exact, b.boundary_warning) \
+            == (a.kind, a.value, a.exact, a.boundary_warning), kind
+    assert memo(y, x) is reversed_
+    assert reversed_ == PairSummary.of(y, x, memo.schedule)
 
 
 def test_summary_memo_shared_by_threads():

@@ -181,22 +181,6 @@ def test_summaries_must_share_the_schedule():
         classify_pair(x, y, dyadic_schedule(6, 9), summaries=memo)
 
 
-def test_standalone_sequence_tests_run_only_the_weyl_pass(monkeypatch):
-    # without a memo, a weyl-only consumer skips the check/hat extremes pass
-    from weylab.profiles import DistanceProfile
-
-    def unneeded(*args):
-        raise AssertionError("extremes pass run for a weyl-only consumer")
-
-    fm = get_factor("tm.psi")
-    seq = fm.sequence_sampler(3, 1)[0]
-    expected = sequence_report(seq, SCHED, summaries=SummaryMemo(SCHED))
-    monkeypatch.setattr(DistanceProfile, "extremes", unneeded)
-    assert sequence_report(seq, SCHED) == expected
-    assert scan_property_M(fm, SCHED, seed=3, pair_count=4,
-                           sequence_count=1).holds
-
-
 def test_no_public_name_is_collected_as_a_test():
     import weylab
     assert [n for n in weylab.__all__ if n.startswith("test")] == []
