@@ -20,21 +20,38 @@ boundary_warning flag, a hint that the radius was too small to see the
 extreme.
 
 `estimates` computes any set of kinds from one profile build, and the
-single-kind functions call it with one kind.  Besicovitch, weyl and
-banach-density share one translate scan: besicovitch is the weyl scan at
-radius 0.  A PairSummary holds a pair's four classification kinds, and a
-SummaryMemo keeps one summary per unordered pair (estimates are
-bit-symmetric), so that a whole run builds each distinct pair once.
+single-kind functions call it with one kind.  Besicovitch and weyl share
+one translate scan (besicovitch is the weyl scan at radius 0), whose shape
+follows the profile:
+
+- 'exp2' and 'scaled' profiles (symbolic systems, constant and lifted
+  profiles) are scanned by constant runs.  A window sum is affine in the
+  translate between breakpoints, where a window edge crosses a run start,
+  so it is evaluated there and at the radius only.
+- 'float' profiles (shells62, interval61) are scanned one translate at a
+  time over per-sample prefix sums, until a narrow-limb engine replaces it.
+
+banach-density, for every kind, takes all translates of a window at once
+as a slice difference of int64 prefix counts of the samples below eps.
+The run and count scans pick their translate and boundary flag in one
+place, _best; check and hat read DistanceProfile.extremes.
+
+A PairSummary holds a pair's four classification kinds, and a SummaryMemo
+keeps one summary per unordered pair (estimates are bit-symmetric), so
+that a whole run builds each distinct pair once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .core import CrossSystemError, FolnerSchedule, FolnerWindow, Point
-from .profiles import SCALE, DistanceProfile, scaled_from_float
+from .profiles import SCALE, DistanceProfile
 
 ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
 
@@ -105,16 +122,16 @@ def _aggregate(kind, x, y, per_window, schedule) -> PseudometricEstimate:
     )
 
 
-def _scan_translates(prefix, base, wlo, whi, M, maximize):
-    """Extreme window sum over translates |a| <= M with the tie-break and
-    boundary bookkeeping described in the module docstring.  M = 0 gives
-    (window sum, 0, False)."""
+def _scan_translates(prefix, base, wlo, whi, M):
+    """Largest window sum over translates |a| <= M, one translate at a time,
+    with the tie-break and boundary bookkeeping described in the module
+    docstring.  M = 0 gives (window sum, 0, False)."""
     best = None
     best_a = 0
     any_interior = False
     for a in range(-M, M + 1):
         s = prefix[whi + a - base + 1] - prefix[wlo + a - base]
-        if best is None or (s > best if maximize else s < best):
+        if best is None or s > best:
             best = s
             best_a = a
             any_interior = abs(a) < M
@@ -127,18 +144,75 @@ def _scan_translates(prefix, base, wlo, whi, M, maximize):
     return best, best_a, boundary
 
 
+def _best(cand, sums, M, maximize):
+    """The extreme of a window sum over the translates |a| <= M, with the
+    tie-break and boundary bookkeeping of _scan_translates, from its values
+    sums[i] at the ascending translates cand[i] alone.  cand runs from -M to
+    M and the sum must be affine between consecutive candidates, so a piece
+    whose two ends both achieve the extreme is flat: every translate in it
+    achieves it too."""
+    best = sums.max() if maximize else sums.min()
+    hit = sums == best
+    flat = hit[:-1] & hit[1:]
+    left, right = cand[:-1][flat], cand[1:][flat]
+    achievers = cand[hit]
+    if np.any((left < 0) & (right > 0)):
+        a = 0
+    else:  # argmin keeps the first, so -a wins a tie with a
+        a = achievers[np.argmin(np.abs(achievers))]
+    interior = (np.any(np.abs(achievers) < M)
+                or np.any(right - left >= 2))  # a flat piece's inner translate
+    return int(best), int(a), bool(M > 0 and not interior)
+
+
+def _run_scan(profile):
+    """Window scan over the runs of an 'exp2' or 'scaled' profile.  The
+    prefix sum P is affine inside a run, so S(a) = P(u + a) - P(l + a) is
+    affine between breakpoints, where either window edge crosses a run
+    start: S is evaluated only there and at a = -M, M."""
+    starts, values, sums = profile.runs()
+
+    def prefix_at(i):
+        k = np.searchsorted(starts, i, "right") - 1
+        return sums[k] + (i - starts[k]).astype(object) * values[k]
+
+    def knots(edge, M):
+        i, j = np.searchsorted(starts, (edge - M, edge + M + 1))
+        return starts[i:j] - edge
+
+    def scan(wlo, whi, M):
+        l, u = wlo - profile.lo, whi - profile.lo + 1
+        # the two sorted knot lists merge in linear time under a stable sort
+        cand = np.sort(np.concatenate(([-M], knots(l, M), knots(u, M), [M])),
+                       kind="stable")
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+        return _best(cand, prefix_at(u + cand) - prefix_at(l + cand), M, True)
+
+    return scan
+
+
+def _count_scan(counts, base):
+    """Window scan of banach-density over int64 prefix counts: the counts of
+    all 2M + 1 translates are one slice difference."""
+    def scan(wlo, whi, M):
+        l, u = wlo - base, whi - base + 1
+        below = counts[u - M:u + M + 1] - counts[l - M:l + M + 1]
+        return _best(np.arange(-M, M + 1), below, M, False)
+
+    return scan
+
+
 # ---------------------------------------------------------------------------
 # per-window values of each kind, from one profile
 
 
-def _scan_windows(prefix, base, schedule, radii, maximize, unit):
-    """Per-window best translated sums over prefix, as multiples of unit.
-    besicovitch scans with every radius 0, weyl and banach-density with
-    the schedule's translate radii."""
+def _scan_windows(scan, schedule, radii, unit):
+    """Per-window best translated sums, as multiples of unit.  besicovitch
+    scans with every radius 0, weyl and banach-density with the schedule's
+    translate radii."""
     per = []
     for w, M in zip(schedule.windows, radii):
-        total, a, boundary = _scan_translates(prefix, base, w.lo, w.hi, M,
-                                              maximize)
+        total, a, boundary = scan(w.lo, w.hi, M)
         per.append(_window_value(w, M, a, Fraction(total, len(w) * unit),
                                  boundary))
     return per
@@ -178,7 +252,7 @@ def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
             if eps <= 0:
                 raise ValueError("eps must be positive")
     profile = pair_profile(x, y, *schedule.hull_range())
-    extremes = None
+    extremes = scan = None
     out = {}
     for kind in kinds:
         if kind in ("check", "hat"):
@@ -186,14 +260,15 @@ def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
                 extremes = _extreme_windows(profile, schedule)
             per = extremes[kind == "hat"]
         elif kind == "banach-density":
-            per = _scan_windows(profile.indicator_prefix(scaled_from_float(eps)),
-                                profile.lo, schedule, schedule.translate_radius,
-                                False, 1)
+            per = _scan_windows(_count_scan(profile.below_counts(eps), profile.lo),
+                                schedule, schedule.translate_radius, 1)
         else:
+            if scan is None:
+                scan = (_run_scan(profile) if profile.kind != "float" else
+                        partial(_scan_translates, profile.prefix(), profile.lo))
             radii = (schedule.translate_radius if kind == "weyl"
                      else [0] * len(schedule.windows))
-            per = _scan_windows(profile.prefix(), profile.lo, schedule, radii,
-                                True, SCALE)
+            per = _scan_windows(scan, schedule, radii, SCALE)
         out[kind] = _aggregate(kind, x, y, per, schedule)
     return out
 
@@ -243,9 +318,10 @@ def banach_density(x: Point, y: Point, eps: float,
 @dataclass(frozen=True)
 class PairSummary:
     """check, besicovitch, weyl and hat of one ordered pair on one schedule,
-    all from a single profile build and a single prefix.  The profile itself
-    is not kept: at a 2^16 hull its grid integers and prefix sums weigh tens
-    of megabytes."""
+    all from a single profile build and a single translate scan.  The
+    profile itself is not kept: at a 2^16 hull the per-sample grid integers
+    and prefix sums of a float profile weigh tens of megabytes, and even the
+    runs view of a symbolic one holds a big integer per run."""
 
     check: PseudometricEstimate
     besicovitch: PseudometricEstimate

@@ -10,6 +10,13 @@ values floor to 0, which is also what float arithmetic would report.
 Flooring onto the grid preserves the ultrametric triangle inequality of
 subshift metrics exactly (floor is monotone and commutes with max), so the
 property suites can assert window-level inequalities with zero tolerance.
+
+A profile offers its samples in two shapes.  'exp2' and 'scaled' profiles
+give a runs view (`runs`): the maximal constant runs, with exact prefix sums
+at run starts only, which the estimators scan.  'float' profiles give
+per-sample grid integers (`scaled`) and prefix sums (`prefix`); a narrow
+int64-limb form is planned for them.  `below_counts` gives int64 counts of
+the samples below a threshold for every kind.
 """
 
 from __future__ import annotations
@@ -59,8 +66,9 @@ class DistanceProfile:
 
     kind is 'exp2' (values 2^-e from an int64 exponent array), 'float'
     (a float64 array, each value exactly representable) or 'scaled'
-    (explicit grid integers).  Scaled values and prefix sums are built
-    lazily; both are plain Python ints so sums never round.
+    (explicit grid integers).  Scaled values, prefix sums and the runs
+    view are built lazily and cached; all hold plain Python ints, so sums
+    never round.
     """
 
     lo: int
@@ -70,6 +78,8 @@ class DistanceProfile:
     floats: Optional[np.ndarray] = None
     scaled_list: Optional[List[int]] = None
     _prefix: Optional[List[int]] = field(default=None, repr=False)
+    _runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, repr=False)
 
     # -- constructors -------------------------------------------------
 
@@ -126,6 +136,32 @@ class DistanceProfile:
             self._prefix = list(accumulate(self.scaled(), initial=0))
         return self._prefix
 
+    def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Maximal constant runs of an 'exp2' or 'scaled' profile, as
+        (starts, values, sums): starts holds each run's first sample index
+        and then len(self), values[k] is run k's grid value and sums[k] the
+        exact sum of the samples before starts[k].  The closing entry at
+        len(self) has value 0 and sums to the whole profile.  values and
+        sums are object arrays of Python ints; an 'exp2' profile builds one
+        grid integer per distinct exponent, none per sample."""
+        if self._runs is None:
+            if self.kind == "exp2":
+                keys = np.minimum(self.exps, SCALE_BITS + 1)  # equal on the grid
+            elif self.kind == "scaled":
+                keys = np.array(self.scaled_list, dtype=object)
+            else:
+                raise ValueError("float profiles have no runs view")
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            values = keys[starts]
+            if self.kind == "exp2":
+                distinct, index = np.unique(values, return_inverse=True)
+                values = np.array([scaled_from_exponent(e) for e in distinct.tolist()],
+                                  dtype=object)[index]
+            starts = np.append(starts, len(self))
+            sums = np.concatenate(([0], np.cumsum(values * np.diff(starts))))
+            self._runs = (starts, np.append(values, 0), sums)
+        return self._runs
+
     def range_sum(self, a: int, b: int) -> int:
         """Exact sum of scaled values over t in [a, b] (inclusive)."""
         if a < self.lo or b > self.hi or a > b:
@@ -176,6 +212,17 @@ class DistanceProfile:
         # compare on the grid: threshold_scaled / SCALE may not be a double
         flags = [1 if s < threshold_scaled else 0 for s in self.scaled()]
         return list(accumulate(flags, initial=0))
+
+    def below_counts(self, eps: float) -> np.ndarray:
+        """indicator_prefix(scaled_from_float(eps)) as an int64 array.
+        Float samples compare with eps as doubles, which is exact because
+        both sides are doubles; other kinds compare each run's grid value."""
+        if self.kind == "float":
+            below = self.floats < eps
+        else:
+            starts, values, _ = self.runs()
+            below = np.repeat(values[:-1] < scaled_from_float(eps), np.diff(starts))
+        return np.concatenate(([0], np.cumsum(below, dtype=np.int64)))
 
     def plus(self, other: "DistanceProfile") -> "DistanceProfile":
         """Termwise sum on the grid (the lifted-metric profile)."""

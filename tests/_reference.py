@@ -122,6 +122,18 @@ def linear_window_rows(x, y, schedule, kinds, eps=None):
     lo, hi = min(a for a, _ in ends), max(b for _, b in ends)
     dists = orbit_distances(x, y, lo, hi)
     values = [scaled(dists[t]) for t in range(lo, hi + 1)]
+    return _value_rows(values, lo, schedule, kinds, eps)
+
+
+def profile_window_rows(profile, schedule, kinds, eps=None):
+    """linear_window_rows over the grid values of an already built profile
+    (its scaled() list) instead of an orbit walk, so that it reaches 2^16
+    windows; what it checks is the scan, not the profile build."""
+    return _value_rows(profile.scaled(), profile.lo, schedule, kinds, eps)
+
+
+def _value_rows(values, lo, schedule, kinds, eps):
+    """Rows of each kind from the grid values of samples lo, lo + 1, ..."""
     prefix = [0]
     for v in values:
         prefix.append(prefix[-1] + v)

@@ -1,17 +1,22 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weylab.core import (CrossSystemError, Point, default_schedule,
                          dyadic_schedule, get_system)
 from weylab.estimators import (ESTIMATE_KINDS, PairSummary, SummaryMemo,
-                               banach_density, besicovitch, check, estimate,
-                               estimates, hat, weyl)
+                               _count_scan, _run_scan, banach_density,
+                               besicovitch, check, estimate, estimates, hat,
+                               pair_profile, weyl)
+from weylab.factors import lift_metric
+from weylab.profiles import INF_EXP, SCALE_BITS, DistanceProfile
 
-from _reference import linear_window_rows, naive_estimate
+from _reference import (_scan, linear_window_rows, naive_estimate,
+                        profile_window_rows, scaled)
 
 _ESTIMATORS = {"besicovitch": besicovitch, "weyl": weyl, "check": check,
                "hat": hat}
@@ -271,3 +276,99 @@ def test_profile_translation_consistency(z, g):
     b = system.pair_profile(x.payload, y.payload, -8 + g, 8 + g)
     assert [a.value_scaled(t) for t in range(-8, 9)] \
         == [b.value_scaled(t + g) for t in range(-8, 9)]
+
+
+def _lifted_fibre():
+    lifted = lift_metric("tm.psi")
+    return (Point(lifted, _pt("toeplitz", "addr=int:0 flag=plain").payload),
+            Point(lifted, _pt("toeplitz", "addr=int:7 flag=primed").payload))
+
+
+# profiles the run-length scan serves, at realistic window sizes: Toeplitz
+# fibres (about 2151 runs in 2^18 samples), the one-run tm.phi complement
+# pair, the dense sturm.pi pair (30,943 runs in 65,537 samples) and a lifted
+# graph metric, whose profile is a 'scaled' one
+RUN_PROFILE_PAIRS = [
+    ("toeplitz fibre 7", lambda: (_pt("toeplitz", "addr=int:7 flag=plain"),
+                                  _pt("toeplitz", "addr=int:7 flag=primed")),
+     dyadic_schedule(8, 16)),
+    ("toeplitz fibre -13", lambda: (_pt("toeplitz", "addr=int:-13 flag=plain"),
+                                    _pt("toeplitz", "addr=int:-13 flag=primed")),
+     dyadic_schedule(8, 16)),
+    ("tm.psi", lambda: (_pt("toeplitz", "addr=int:-256 flag=plain"),
+                        _pt("toeplitz", "addr=int:-256 flag=primed")),
+     dyadic_schedule(10, 14)),
+    ("tm.phi one run", lambda: (_pt("thuemorse", "addr=int:5 flag=plain bit=0"),
+                                _pt("thuemorse", "addr=int:5 flag=plain bit=1")),
+     dyadic_schedule(10, 14)),
+    ("sturm.pi dense", lambda: (_pt("sturmian", "orbit=0 side=upper"),
+                                _pt("sturmian", "orbit=1 side=upper")),
+     dyadic_schedule(10, 14)),
+    ("lifted tm.psi", _lifted_fibre, dyadic_schedule(8, 12)),
+]
+
+
+@pytest.mark.parametrize("label,pair,schedule", RUN_PROFILE_PAIRS,
+                         ids=[p[0] for p in RUN_PROFILE_PAIRS])
+def test_run_scans_match_per_sample_reference_at_scale(label, pair, schedule):
+    x, y = pair()
+    kinds = ("besicovitch", "weyl", "banach-density")
+    eps = 0.25  # a dyadic value, so samples tie with the threshold
+    profile = pair_profile(x, y, *schedule.hull_range())
+    assert profile.kind in ("exp2", "scaled")  # served by the runs view
+    got = estimates(x, y, schedule, kinds, eps)
+    want = profile_window_rows(profile, schedule, kinds, eps)
+    for kind in kinds:
+        assert [(len(wv.window), wv.translate, wv.exact, wv.boundary)
+                for wv in got[kind].per_window] == want[kind], (label, kind)
+
+
+def _grid(e):
+    """2^-e on the 2^-1074 grid, written independently of profiles.py."""
+    return 1 << (SCALE_BITS - e) if e <= SCALE_BITS else 0
+
+
+@st.composite
+def _scan_cases(draw):
+    """(exps, lo, wlo, whi, M, as_scaled) with the window and its translates
+    inside a short piecewise-constant profile."""
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from([-2, -1, 0, 1, 2, 3, 1074, 1075, 1100,
+                                   INF_EXP]),
+                  st.integers(min_value=1, max_value=5)),
+        min_size=1, max_size=8))
+    exps = [e for e, n in runs for _ in range(n)]
+    lo = draw(st.integers(min_value=-10, max_value=10))
+    hi = lo + len(exps) - 1
+    M = draw(st.integers(min_value=0, max_value=(len(exps) - 1) // 2))
+    wlo = draw(st.integers(min_value=lo + M, max_value=hi - M))
+    whi = draw(st.integers(min_value=wlo, max_value=hi - M))
+    return exps, lo, wlo, whi, M, draw(st.booleans())
+
+
+@given(_scan_cases(), st.sampled_from([0.25, 0.3, 1.0, 5e-324]))
+# one run: the only piece is flat and straddles translate 0
+@example((([3] * 9), 0, 3, 5, 3, False), 0.25)
+# the best sits at -M and M alone, a boundary tie
+@example(([0, 5, 5, 5, 5, 5, 0], 0, 3, 3, 3, False), 0.25)
+# a +-a tie inside the radius
+@example(([5, 0, 5, 5, 5, 0, 5], 0, 3, 3, 3, True), 0.25)
+# flat pieces reaching -M and M, each with an inner translate
+@example(([0, 0, 5, 5, 5, 0, 0], 0, 3, 3, 3, False), 0.25)
+# 2^-1075, 2^-1100 and distance 0 are one run on the grid
+@example(([1075, 1100, INF_EXP, 1074, 1075, INF_EXP, -1], 0, 3, 3, 2, False),
+         5e-324)
+@settings(max_examples=300, deadline=None)
+def test_best_from_run_and_count_scans_matches_reference(case, eps):
+    exps, lo, wlo, whi, M, as_scaled = case
+    values = [_grid(e) for e in exps]
+    profile = (DistanceProfile.from_scaled(lo, values) if as_scaled
+               else DistanceProfile.from_exponents(lo, exps))
+    prefix = list(accumulate(values, initial=0))
+    want = _scan(lambda a, b: prefix[b + 1 - lo] - prefix[a - lo],
+                 wlo, whi, M, True)
+    assert _run_scan(profile)(wlo, whi, M) == want
+    counts = list(accumulate((int(v < scaled(eps)) for v in values), initial=0))
+    want = _scan(lambda a, b: counts[b + 1 - lo] - counts[a - lo],
+                 wlo, whi, M, False)
+    assert _count_scan(profile.below_counts(eps), lo)(wlo, whi, M) == want

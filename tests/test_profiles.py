@@ -103,3 +103,51 @@ def test_exponent_profile_is_exact_powers():
 def test_exponent_profile_scaled_list_matches_per_sample_values(exps):
     prof = DistanceProfile.from_exponents(-2, np.array(exps))
     assert prof.scaled() == [scaled_from_exponent(e) for e in exps]
+
+
+# thresholds and samples that tie: eps itself, subnormals, the smallest
+# normal double and 0
+_TIES = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                         0.125, 0.25, 0.3, 1.0])
+_EXPONENTS = st.sampled_from([-1, 0, 1, 2, 3, 1073, 1074, 1075, 1100,
+                              INF_EXP])
+
+
+@given(st.lists(_TIES, min_size=1, max_size=30), _TIES.filter(bool))
+def test_below_counts_match_indicator_prefix_on_floats(values, eps):
+    prof = DistanceProfile.from_floats(-4, np.array(values))
+    counts = prof.below_counts(eps)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == prof.indicator_prefix(scaled_from_float(eps))
+
+
+@given(st.lists(_EXPONENTS, min_size=1, max_size=30), _TIES.filter(bool))
+def test_below_counts_match_indicator_prefix_on_exponents(exps, eps):
+    prof = DistanceProfile.from_exponents(7, np.array(exps))
+    cut = scaled_from_float(eps)
+    assert prof.below_counts(eps).tolist() == prof.indicator_prefix(cut)
+    scaled = DistanceProfile.from_scaled(7, prof.scaled())
+    assert scaled.below_counts(eps).tolist() == prof.indicator_prefix(cut)
+
+
+@given(st.lists(st.tuples(_EXPONENTS, st.integers(min_value=1, max_value=4)),
+                min_size=1, max_size=10))
+def test_runs_rebuild_samples_and_prefix(runs):
+    exps = [e for e, n in runs for _ in range(n)]
+    for prof in (DistanceProfile.from_exponents(0, np.array(exps)),
+                 DistanceProfile.from_scaled(0, [scaled_from_exponent(e)
+                                                 for e in exps])):
+        starts, values, sums = prof.runs()
+        assert starts[0] == 0 and starts[-1] == len(exps)
+        assert values[-1] == 0
+        lengths = np.diff(starts)
+        assert (lengths > 0).all()
+        assert all(a != b for a, b in zip(values[:-2], values[1:-1]))  # maximal
+        assert [v for v, n in zip(values, lengths) for _ in range(n)] \
+            == prof.scaled()
+        assert sums.tolist() == [prof.prefix()[i] for i in starts]
+
+
+def test_float_profiles_have_no_runs_view():
+    with pytest.raises(ValueError):
+        DistanceProfile.from_floats(0, np.array([0.5, 0.5])).runs()
