@@ -28,13 +28,15 @@ follows the profile:
   profiles) are scanned by constant runs.  A window sum is affine in the
   translate between breakpoints, where a window edge crosses a run start,
   so it is evaluated there and at the radius only.
-- 'float' profiles (shells62, interval61) are scanned one translate at a
-  time over per-sample prefix sums, until a narrow-limb engine replaces it.
+- 'float' profiles (shells62, interval61) are scanned on their int64
+  limbs: the sums of all translates of a window are one slice difference
+  per limb plus a carry, and the greatest is found limb by limb from the
+  top; only that one becomes a Python int.
 
 banach-density, for every kind, takes all translates of a window at once
 as a slice difference of int64 prefix counts of the samples below eps.
-The run and count scans pick their translate and boundary flag in one
-place, _best; check and hat read DistanceProfile.extremes.
+The run, limb and count scans pick their translate and boundary flag in
+one place, _best; check and hat read DistanceProfile.extremes.
 
 A PairSummary holds a pair's four classification kinds, and a SummaryMemo
 keeps one summary per unordered pair (estimates are bit-symmetric), so
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -122,37 +123,14 @@ def _aggregate(kind, x, y, per_window, schedule) -> PseudometricEstimate:
     )
 
 
-def _scan_translates(prefix, base, wlo, whi, M):
-    """Largest window sum over translates |a| <= M, one translate at a time,
-    with the tie-break and boundary bookkeeping described in the module
-    docstring.  M = 0 gives (window sum, 0, False)."""
-    best = None
-    best_a = 0
-    any_interior = False
-    for a in range(-M, M + 1):
-        s = prefix[whi + a - base + 1] - prefix[wlo + a - base]
-        if best is None or s > best:
-            best = s
-            best_a = a
-            any_interior = abs(a) < M
-        elif s == best:
-            if abs(a) < abs(best_a):
-                best_a = a
-            if abs(a) < M:
-                any_interior = True
-    boundary = (M > 0) and not any_interior
-    return best, best_a, boundary
-
-
-def _best(cand, sums, M, maximize):
-    """The extreme of a window sum over the translates |a| <= M, with the
-    tie-break and boundary bookkeeping of _scan_translates, from its values
-    sums[i] at the ascending translates cand[i] alone.  cand runs from -M to
-    M and the sum must be affine between consecutive candidates, so a piece
-    whose two ends both achieve the extreme is flat: every translate in it
-    achieves it too."""
-    best = sums.max() if maximize else sums.min()
-    hit = sums == best
+def _best(cand, hit, M):
+    """The translate and boundary flag of a window's extreme over the
+    translates |a| <= M, from the mask hit of the candidates cand (ascending,
+    from -M to M) that achieve it.  The window sum must be affine between
+    consecutive candidates, so a piece whose two ends both achieve the
+    extreme is flat: every translate in it achieves it too.  The translate
+    nearest 0 wins, negative first; the flag is set when every achiever
+    lies on |a| = M."""
     flat = hit[:-1] & hit[1:]
     left, right = cand[:-1][flat], cand[1:][flat]
     achievers = cand[hit]
@@ -162,7 +140,7 @@ def _best(cand, sums, M, maximize):
         a = achievers[np.argmin(np.abs(achievers))]
     interior = (np.any(np.abs(achievers) < M)
                 or np.any(right - left >= 2))  # a flat piece's inner translate
-    return int(best), int(a), bool(M > 0 and not interior)
+    return int(a), bool(M > 0 and not interior)
 
 
 def _run_scan(profile):
@@ -186,7 +164,34 @@ def _run_scan(profile):
         cand = np.sort(np.concatenate(([-M], knots(l, M), knots(u, M), [M])),
                        kind="stable")
         cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-        return _best(cand, prefix_at(u + cand) - prefix_at(l + cand), M, True)
+        sums = prefix_at(u + cand) - prefix_at(l + cand)
+        best = sums.max()
+        return (int(best), *_best(cand, sums == best, M))
+
+    return scan
+
+
+def _limb_scan(profile):
+    """Window scan over the int64 limbs of a 'float' profile.  The limb sums
+    of all 2M + 1 translates are one slice difference per limb; carried
+    into w-bit digits they compare as numbers do, from the top digit down.
+    Only the greatest sum is rebuilt as a Python int."""
+    cums, w, low = profile.limbs()
+
+    def scan(wlo, whi, M):
+        l, u = wlo - profile.lo, whi - profile.lo + 1
+        sums = [c[u - M:u + M + 1] - c[l - M:l + M + 1] for c in cums]
+        digits, carry = [], 0
+        for s in sums:
+            s = s + carry
+            digits.append(s & ((1 << w) - 1))
+            carry = s >> w
+        hit = np.ones(2 * M + 1, dtype=bool)
+        for d in [carry] + digits[::-1]:
+            hit &= d == d[hit].max()
+        a, boundary = _best(np.arange(-M, M + 1), hit, M)
+        total = sum(int(s[a + M]) << (w * k) for k, s in enumerate(sums))
+        return total << low, a, boundary
 
     return scan
 
@@ -197,7 +202,8 @@ def _count_scan(counts, base):
     def scan(wlo, whi, M):
         l, u = wlo - base, whi - base + 1
         below = counts[u - M:u + M + 1] - counts[l - M:l + M + 1]
-        return _best(np.arange(-M, M + 1), below, M, False)
+        best = below.min()
+        return (int(best), *_best(np.arange(-M, M + 1), below == best, M))
 
     return scan
 
@@ -264,8 +270,8 @@ def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
                                 schedule, schedule.translate_radius, 1)
         else:
             if scan is None:
-                scan = (_run_scan(profile) if profile.kind != "float" else
-                        partial(_scan_translates, profile.prefix(), profile.lo))
+                scan = (_limb_scan if profile.kind == "float"
+                        else _run_scan)(profile)
             radii = (schedule.translate_radius if kind == "weyl"
                      else [0] * len(schedule.windows))
             per = _scan_windows(scan, schedule, radii, SCALE)
@@ -319,9 +325,9 @@ def banach_density(x: Point, y: Point, eps: float,
 class PairSummary:
     """check, besicovitch, weyl and hat of one ordered pair on one schedule,
     all from a single profile build and a single translate scan.  The
-    profile itself is not kept: at a 2^16 hull the per-sample grid integers
-    and prefix sums of a float profile weigh tens of megabytes, and even the
-    runs view of a symbolic one holds a big integer per run."""
+    profile itself is not kept: at a 2^16 hull the samples and limb sums of
+    a float profile weigh megabytes, and the runs view of a symbolic one
+    holds a big integer per run."""
 
     check: PseudometricEstimate
     besicovitch: PseudometricEstimate
@@ -333,6 +339,21 @@ class PairSummary:
         return cls(**estimates(x, y, schedule,
                                ("check", "besicovitch", "weyl", "hat")))
 
+    @classmethod
+    def diagonal(cls, x: Point, schedule: FolnerSchedule) -> "PairSummary":
+        """PairSummary.of(x, x, schedule) without a profile build: every
+        sample is 0, so every translate achieves 0 and translate 0 wins,
+        while check and hat report each window's first sample."""
+        def zero(kind):
+            per = []
+            for w, M in zip(schedule.windows, schedule.translate_radius):
+                M = 0 if kind == "besicovitch" else M
+                at = w.lo - M if kind in ("check", "hat") else 0
+                per.append(_window_value(w, M, at, Fraction(0), False))
+            return _aggregate(kind, x, x, per, schedule)
+
+        return cls(*map(zero, ("check", "besicovitch", "weyl", "hat")))
+
     def swapped(self) -> "PairSummary":
         """The summary of (y, x): the same estimates, relabelled."""
         return PairSummary(*(replace(e, x=e.y, y=e.x)
@@ -342,9 +363,10 @@ class PairSummary:
 class SummaryMemo:
     """One PairSummary per unordered pair of points, for one schedule: every
     consumer in a run reads its estimates here, so each distinct pair is
-    built and scanned once, and (y, x) after (x, y) is only relabelled.
-    Only summaries are held, never a profile.  Threads may share a memo:
-    two that miss on one pair at once both compute it, with equal results."""
+    built and scanned once, (y, x) after (x, y) is only relabelled, and
+    (x, x) is never built.  Only summaries are held, never a profile.
+    Threads may share a memo: two that miss on one pair at once both
+    compute it, with equal results."""
 
     def __init__(self, schedule: FolnerSchedule):
         self.schedule = schedule
@@ -354,7 +376,11 @@ class SummaryMemo:
         summary = self._summaries.get((x, y))
         if summary is None:
             reverse = self._summaries.get((y, x))
-            summary = (PairSummary.of(x, y, self.schedule) if reverse is None
-                       else reverse.swapped())
+            if reverse is not None:
+                summary = reverse.swapped()
+            elif x == y:
+                summary = PairSummary.diagonal(x, self.schedule)
+            else:
+                summary = PairSummary.of(x, y, self.schedule)
             self._summaries[(x, y)] = summary
         return summary

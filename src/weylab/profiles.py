@@ -2,7 +2,7 @@
 
 Estimators need d(g.x, g.x') for every g in a window hull.  To keep window
 sums exact and order-independent we quantize every distance sample onto the
-grid 2^-SCALE_BITS as a Python integer.  SCALE_BITS = 1074 makes the floor
+grid 2^-SCALE_BITS as an integer.  SCALE_BITS = 1074 makes the floor
 map lossless on every nonnegative IEEE double (all of which are integer
 multiples of 2^-1074) and on every dyadic 2^-k with k <= 1074; smaller
 values floor to 0, which is also what float arithmetic would report.
@@ -11,12 +11,15 @@ Flooring onto the grid preserves the ultrametric triangle inequality of
 subshift metrics exactly (floor is monotone and commutes with max), so the
 property suites can assert window-level inequalities with zero tolerance.
 
-A profile offers its samples in two shapes.  'exp2' and 'scaled' profiles
-give a runs view (`runs`): the maximal constant runs, with exact prefix sums
-at run starts only, which the estimators scan.  'float' profiles give
-per-sample grid integers (`scaled`) and prefix sums (`prefix`); a narrow
-int64-limb form is planned for them.  `below_counts` gives int64 counts of
-the samples below a threshold for every kind.
+A profile offers its samples to the estimators in one of two shapes.
+'exp2' and 'scaled' profiles give a runs view (`runs`): the maximal constant
+runs, with exact prefix sums at run starts only.  'float' profiles give a
+limbs view (`limbs`): every grid integer, shifted down by the profile's
+lowest set bit, split into int64 limbs narrow enough that their prefix sums
+cannot overflow (a small superaccumulator), so no sample becomes a Python
+int.  `below_counts` gives int64 counts of the samples below a threshold for
+every kind.  The per-sample grid integers (`scaled`) and their prefix sums
+(`prefix`) remain for tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ def scaled_from_exponent(e: int) -> int:
 _EXP2_GRID = tuple(scaled_from_exponent(e) for e in range(SCALE_BITS + 2))
 
 
+def limb_bits(n: int) -> int:
+    """Width w of the limbs of an n-sample profile: n * 2^w <= 2^62, so a
+    limb's prefix sums, and a window's limb sum plus the carry from the limb
+    below (less than n), stay below 2^63."""
+    return 62 - (n - 1).bit_length()
+
+
 def float_from_scaled(s: int) -> float:
     return float(Fraction(s, SCALE))
 
@@ -66,9 +76,9 @@ class DistanceProfile:
 
     kind is 'exp2' (values 2^-e from an int64 exponent array), 'float'
     (a float64 array, each value exactly representable) or 'scaled'
-    (explicit grid integers).  Scaled values, prefix sums and the runs
-    view are built lazily and cached; all hold plain Python ints, so sums
-    never round.
+    (explicit grid integers).  Scaled values, prefix sums and the runs and
+    limbs views are built lazily and cached; sums are exact integers, so
+    they never round.
     """
 
     lo: int
@@ -79,6 +89,8 @@ class DistanceProfile:
     scaled_list: Optional[List[int]] = None
     _prefix: Optional[List[int]] = field(default=None, repr=False)
     _runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, repr=False)
+    _limbs: Optional[Tuple[List[np.ndarray], int, int]] = field(
         default=None, repr=False)
 
     # -- constructors -------------------------------------------------
@@ -91,8 +103,8 @@ class DistanceProfile:
     @classmethod
     def from_floats(cls, lo: int, values: np.ndarray) -> "DistanceProfile":
         values = np.asarray(values, dtype=np.float64)
-        if len(values) and float(values.min()) < 0.0:
-            raise ValueError("distance samples must be nonnegative")
+        if not np.all((values >= 0.0) & (values < np.inf)):  # NaN fails both
+            raise ValueError("distance samples must be finite and nonnegative")
         return cls(lo=lo, hi=lo + len(values) - 1, kind="float", floats=values)
 
     @classmethod
@@ -161,6 +173,35 @@ class DistanceProfile:
             sums = np.concatenate(([0], np.cumsum(values * np.diff(starts))))
             self._runs = (starts, np.append(values, 0), sums)
         return self._runs
+
+    def limbs(self) -> Tuple[List[np.ndarray], int, int]:
+        """A 'float' profile as (cums, w, low): sample i's grid integer is
+        the sum over k of d_k[i] << (w * k + low), with limb digits
+        0 <= d_k[i] < 2^w, w = limb_bits(len(self)) and low the profile's
+        lowest set bit, and cums[k] holds the int64 prefix sums of d_k with
+        a leading 0.  There is at least one limb, and enough to hold the
+        widest sample."""
+        if self._limbs is None:
+            if self.kind != "float":
+                raise ValueError("only float profiles have a limbs view")
+            # a double is sig * 2^(pos - SCALE_BITS) with sig < 2^53; -0.0 is 0
+            bits = self.floats.view(np.uint64) & np.uint64(2**63 - 1)
+            expo = (bits >> np.uint64(52)).astype(np.int64)
+            sig = np.where(expo > 0, bits & np.uint64(2**52 - 1) | np.uint64(2**52), bits)
+            pos, w = np.maximum(expo - 1, 0), limb_bits(len(self))
+            low = width = 0
+            if sig.any():
+                lowest = np.frexp((sig & (~sig + np.uint64(1))).astype(np.float64))[1]
+                low = int((pos + lowest - 1)[sig != 0].min())
+                width = int(np.frexp(self.floats.max())[1]) + SCALE_BITS - low
+            cums = []
+            for k in range(max(1, -(-width // w))):
+                rel = pos - low - w * k  # where bit 0 of sig lands in limb k
+                digit = ((sig << np.clip(rel, 0, 63).astype(np.uint64))
+                         >> np.clip(-rel, 0, 63).astype(np.uint64)) & np.uint64(2**w - 1)
+                cums.append(np.concatenate(([0], np.cumsum(digit.astype(np.int64)))))
+            self._limbs = (cums, w, low)
+        return self._limbs
 
     def range_sum(self, a: int, b: int) -> int:
         """Exact sum of scaled values over t in [a, b] (inclusive)."""

@@ -24,7 +24,7 @@ class CachedOrbit:
 
     def __init__(self, x0: float, step, step_back, derived=()):
         self.steps, self.derived = (step, step_back), derived
-        self.ends = [self._rows([x0]), self._rows([])]  # forward, backward
+        self.ends = [self._rows(np.array([x0])), self._rows(np.empty(0))]  # forward, backward
 
     @classmethod
     def get(cls, key, *args) -> "CachedOrbit":
@@ -32,8 +32,9 @@ class CachedOrbit:
             orbit = _STORE[key] = _STORE.pop(key, None) or cls(*args)
         return orbit
 
-    def _rows(self, xs) -> np.ndarray:
-        return np.array([xs] + [list(map(f, xs)) for f in self.derived], dtype=np.float64)
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([xs] + [np.fromiter(map(f, xs), np.float64, len(xs))
+                                for f in self.derived])
 
     def _grow(self, m: int) -> None:
         """Fill through index m; the caller holds _LOCK."""
@@ -42,11 +43,11 @@ class CachedOrbit:
         have, need = end.shape[1], -m if back else m + 1
         if need <= have:
             return
-        step, xs = self.steps[back], []
+        step, xs = self.steps[back], np.empty(max(need, 2 * have) - have)
         x = float(end[0, -1] if have else self.ends[0][0, 0])  # backward starts at x0
-        for _ in range(max(need, 2 * have) - have):
+        for i in range(len(xs)):
             x = step(x)
-            xs.append(x)
+            xs[i] = x
         self.ends[back] = np.concatenate([end, self._rows(xs)], axis=1)
         while cached_bytes() > ORBIT_CACHE_BYTES:
             _STORE.popitem(last=False)

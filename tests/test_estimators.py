@@ -3,20 +3,22 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylab.core import (CrossSystemError, Point, default_schedule,
-                         dyadic_schedule, get_system)
+                         dyadic_schedule, get_factor, get_system, system_ids)
 from weylab.estimators import (ESTIMATE_KINDS, PairSummary, SummaryMemo,
-                               _count_scan, _run_scan, banach_density,
-                               besicovitch, check, estimate, estimates, hat,
-                               pair_profile, weyl)
+                               _count_scan, _limb_scan, _run_scan,
+                               _scan_windows, banach_density, besicovitch,
+                               check, estimate, estimates, hat, pair_profile,
+                               weyl)
 from weylab.factors import lift_metric
-from weylab.profiles import INF_EXP, SCALE_BITS, DistanceProfile
+from weylab.profiles import INF_EXP, SCALE, SCALE_BITS, DistanceProfile
 
-from _reference import (_scan, linear_window_rows, naive_estimate,
-                        profile_window_rows, scaled)
+from _reference import (_scan, _value_rows, linear_window_rows,
+                        naive_estimate, profile_window_rows, scaled)
 
 _ESTIMATORS = {"besicovitch": besicovitch, "weyl": weyl, "check": check,
                "hat": hat}
@@ -229,6 +231,22 @@ def test_summary_memo_builds_each_unordered_pair_once(count_builds):
     assert reversed_ == PairSummary.of(y, x, memo.schedule)
 
 
+@pytest.mark.parametrize("system_id", system_ids())
+def test_summary_memo_serves_diagonal_pairs_without_a_build(system_id,
+                                                            count_builds):
+    rng = np.random.default_rng(5)
+    x = Point(system_id, get_system(system_id).sample_payloads(rng, 1)[0])
+    schedule = dyadic_schedule(2, 5)
+    counts = count_builds(system_id)
+    built = PairSummary.of(x, x, schedule)
+    assert sum(counts.values()) == 1
+    assert SummaryMemo(schedule)(x, x) == built
+    assert sum(counts.values()) == 1  # the memo built nothing
+    firsts = [w.lo - M for w, M in zip(schedule.windows,
+                                       schedule.translate_radius)]
+    assert [wv.translate for wv in built.hat.per_window] == firsts
+
+
 def test_summary_memo_shared_by_threads():
     schedule = dyadic_schedule(2, 5)
     pairs = [(x, y) for _, x, y in PAIRS[:6]]
@@ -372,3 +390,71 @@ def test_best_from_run_and_count_scans_matches_reference(case, eps):
     want = _scan(lambda a, b: counts[b + 1 - lo] - counts[a - lo],
                  wlo, whi, M, False)
     assert _count_scan(profile.below_counts(eps), lo)(wlo, whi, M) == want
+
+
+def test_float_estimates_build_no_per_sample_ints(monkeypatch):
+    def refuse(self):
+        raise AssertionError("per-sample grid integers built")
+
+    monkeypatch.setattr(DistanceProfile, "scaled", refuse)
+    monkeypatch.setattr(DistanceProfile, "prefix", refuse)
+    schedule = dyadic_schedule(8, 10)
+    for label, x, y in (PAIRS[8], PAIRS[7]):  # shells62, interval61
+        assert pair_profile(x, y, *schedule.hull_range()).kind == "float"
+        estimates(x, y, schedule, ESTIMATE_KINDS, 0.25)
+
+
+def _shells_pi_pair(index):
+    return lambda: get_factor("shells62.pi").pair_sampler(3, 10)[index]
+
+
+# profiles the limb scan serves, at realistic window sizes: a fixed and a
+# sampled shells62.pi pair (two limbs of 43 bits at 2^18 samples), a shell
+# pair straddling the fixed angle and interval61's two branches
+FLOAT_PROFILE_PAIRS = [
+    ("shells62.pi level 1", _shells_pi_pair(0), dyadic_schedule(13, 16)),
+    ("shells62.pi sampled", _shells_pi_pair(9), dyadic_schedule(12, 14)),
+    ("shell straddle", lambda: PAIRS[8][1:], dyadic_schedule(12, 15)),
+    ("interval branches", lambda: PAIRS[7][1:], dyadic_schedule(12, 15)),
+]
+
+
+@pytest.mark.parametrize("label,pair,schedule", FLOAT_PROFILE_PAIRS,
+                         ids=[p[0] for p in FLOAT_PROFILE_PAIRS])
+def test_limb_scans_match_per_sample_reference_at_scale(label, pair, schedule):
+    x, y = pair()
+    kinds = ("besicovitch", "weyl", "banach-density")
+    profile = pair_profile(x, y, *schedule.hull_range())
+    assert profile.kind == "float"
+    eps = float(np.median(profile.floats))  # a sample, so samples tie with it
+    got = estimates(x, y, schedule, kinds, eps)
+    want = profile_window_rows(profile, schedule, kinds, eps)
+    for kind in kinds:
+        assert [(len(wv.window), wv.translate, wv.exact, wv.boundary)
+                for wv in got[kind].per_window] == want[kind], (label, kind)
+
+
+# zeros, subnormals, values that tie, and spreads from 5e-324 up to the
+# largest double, which need 38 limbs of 56 bits
+_WIDE_FLOATS = st.sampled_from([0.0, 5e-324, 1e-310, 2.0 ** -1000, 0.25, 0.3,
+                                1.0, 3.0, 1e300, 1.7976931348623157e308])
+
+
+@given(st.lists(st.tuples(_WIDE_FLOATS, st.integers(min_value=1, max_value=9)),
+                min_size=1, max_size=12),
+       st.sampled_from([dyadic_schedule(1, 3), dyadic_schedule(2, 4, "left")]))
+@example([(5e-324, 1), (1.7976931348623157e308, 1), (0.0, 3)],
+         dyadic_schedule(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_limb_scan_matches_reference_on_wide_floats(runs, schedule):
+    lo, hi = schedule.hull_range()
+    values = [v for v, n in runs for _ in range(n)] * (hi - lo + 1)
+    values = values[:hi - lo + 1]  # the runs, repeated across the hull
+    scan = _limb_scan(DistanceProfile.from_floats(lo, np.array(values)))
+    want = _value_rows([scaled(v) for v in values], lo, schedule,
+                       ("besicovitch", "weyl"), None)
+    for kind, radii in (("besicovitch", [0] * len(schedule.windows)),
+                        ("weyl", schedule.translate_radius)):
+        assert [(len(wv.window), wv.translate, wv.exact, wv.boundary)
+                for wv in _scan_windows(scan, schedule, radii, SCALE)] \
+            == want[kind], kind

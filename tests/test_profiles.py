@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weylab.profiles import (INF_EXP, SCALE, SCALE_BITS, DistanceProfile,
-                             float_from_scaled, scaled_from_exponent,
-                             scaled_from_float)
+                             float_from_scaled, limb_bits,
+                             scaled_from_exponent, scaled_from_float)
 
 finite_dists = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 
@@ -151,3 +151,36 @@ def test_runs_rebuild_samples_and_prefix(runs):
 def test_float_profiles_have_no_runs_view():
     with pytest.raises(ValueError):
         DistanceProfile.from_floats(0, np.array([0.5, 0.5])).runs()
+
+
+@pytest.mark.parametrize("n", [1 << 16, 1 << 22, 1 << 26])
+def test_limb_width_leaves_int64_headroom(n):
+    w = limb_bits(n)
+    # a window's limb sum, plus a carry of at most n from the limb below
+    assert n * ((1 << w) - 1) + n < 1 << 63
+    assert n << (w + 1) > 1 << 62  # and no narrower than that needs
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.0 ** -1000,
+                                 0.3, 3.0, 1e300, 1.7976931348623157e308]),
+                min_size=1, max_size=40))
+def test_limbs_rebuild_grid_integers(values):
+    prof = DistanceProfile.from_floats(0, np.array(values))
+    cums, w, low = prof.limbs()
+    assert w == limb_bits(len(values))
+    rebuilt = [sum(int(c[i + 1] - c[i]) << (w * k + low)
+                   for k, c in enumerate(cums)) for i in range(len(values))]
+    assert rebuilt == [scaled_from_float(abs(v)) for v in values]
+    assert all(0 <= c[i + 1] - c[i] < 1 << w
+               for c in cums for i in range(len(values)))
+
+
+@pytest.mark.parametrize("bad", [-1e-9, float("inf"), float("nan")])
+def test_float_profiles_reject_negative_and_non_finite_samples(bad):
+    with pytest.raises(ValueError):
+        DistanceProfile.from_floats(0, np.array([0.5, bad]))
+
+
+def test_only_float_profiles_have_limbs():
+    with pytest.raises(ValueError):
+        DistanceProfile.from_exponents(0, np.array([1, 2])).limbs()
