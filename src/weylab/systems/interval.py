@@ -69,6 +69,14 @@ def step_back(y: float) -> float:
     return z
 
 
+def _walk(y: float, n: int, back: bool) -> np.ndarray:
+    """The n values after y under step, or under step_back."""
+    f, out = step_back if back else step, np.empty(n)
+    for i in range(n):
+        out[i] = y = f(y)
+    return out
+
+
 def _mirror_dist(same: bool, yp, yq, sqrt):
     """Plane distance of points over y-values, floats or arrays; sqrt to match."""
     if same:
@@ -81,7 +89,7 @@ class IntervalMirrorSystem(System):
     diameter = 2.0
 
     def _orbit(self, y0: float) -> CachedOrbit:
-        return CachedOrbit.get((self.system_id, y0), y0, step, step_back)
+        return CachedOrbit.get((self.system_id, y0), y0, _walk)
 
     def value(self, payload) -> float:
         return self._orbit(payload[1]).at(payload[2])[0]

@@ -1,8 +1,11 @@
 """Orbits of an invertible map of the line, cached as float64 arrays.
 
-Row 0 holds the points f^m(x0), further rows derived values of each point,
-all computed by the scalar functions.  Forward and backward arrays grow by
-doubling; the store drops least recently used orbits beyond ORBIT_CACHE_BYTES.
+Row 0 holds the points f^m(x0), filled by one walk per end: walk(x, n, back)
+returns the n points after x, forward or backward, as a float64 array.
+Further rows apply numpy ufuncs to those points (the shells use float64 sin
+and cos, which tests pin bit for bit against the scalar math functions).
+Forward and backward arrays grow by doubling; the store drops least recently
+used orbits beyond ORBIT_CACHE_BYTES.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ _LOCK = threading.Lock()  # guards the store and the growth of every orbit
 class CachedOrbit:
     """Rows at m in [-len(backward), len(forward)) of the orbit of x0."""
 
-    def __init__(self, x0: float, step, step_back, derived=()):
-        self.steps, self.derived = (step, step_back), derived
+    def __init__(self, x0: float, walk, derived=()):
+        self.walk, self.derived = walk, derived
         self.ends = [self._rows(np.array([x0])), self._rows(np.empty(0))]  # forward, backward
 
     @classmethod
@@ -33,8 +36,7 @@ class CachedOrbit:
         return orbit
 
     def _rows(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([xs] + [np.fromiter(map(f, xs), np.float64, len(xs))
-                                for f in self.derived])
+        return np.array([xs] + [f(xs) for f in self.derived])
 
     def _grow(self, m: int) -> None:
         """Fill through index m; the caller holds _LOCK."""
@@ -43,11 +45,8 @@ class CachedOrbit:
         have, need = end.shape[1], -m if back else m + 1
         if need <= have:
             return
-        step, xs = self.steps[back], np.empty(max(need, 2 * have) - have)
         x = float(end[0, -1] if have else self.ends[0][0, 0])  # backward starts at x0
-        for i in range(len(xs)):
-            x = step(x)
-            xs[i] = x
+        xs = self.walk(x, max(need, 2 * have) - have, back)
         self.ends[back] = np.concatenate([end, self._rows(xs)], axis=1)
         while cached_bytes() > ORBIT_CACHE_BYTES:
             _STORE.popitem(last=False)

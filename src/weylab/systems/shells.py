@@ -25,32 +25,44 @@ from .orbits import CachedOrbit
 TWO_PI = 2.0 * math.pi
 
 
-def _advance(t: float, eps: float) -> float:
-    return t + eps * (1.0 - math.cos(t))
-
-
-def _advance_back(t: float, eps: float) -> float:
-    """Solve s + eps*(1 - cos s) = t on [0, t]; g is nondecreasing."""
-    if t == 0.0:
-        return 0.0
-    lo, hi = max(0.0, t - 2.0 * eps), t
-    s = 0.5 * (lo + hi)
-    for _ in range(80):
-        f = s + eps * (1.0 - math.cos(s)) - t
-        if f > 0.0:
-            hi = s
-        elif f < 0.0:
-            lo = s
-        else:
-            return s
-        df = 1.0 + eps * math.sin(s)
-        sn = s - f / df if df > 1e-9 else 0.5 * (lo + hi)
-        if not lo <= sn <= hi:
-            sn = 0.5 * (lo + hi)
-        if sn == s:
-            return s
-        s = sn
-    return s
+def _walk(t: float, eps: float, n: int, back: bool) -> np.ndarray:
+    """The n angles after t under g(s) = s + eps*(1 - cos s), or under its
+    inverse: s in [0, t] with g(s) = t, by safeguarded Newton from the
+    midpoint of [max(0, t - 2 eps), t]; g is nondecreasing."""
+    cos, sin = math.cos, math.sin
+    out = np.empty(n)
+    put = out.data  # a memoryview, which stores a float faster than the array
+    if not back:
+        for i in range(n):
+            t = t + eps * (1.0 - cos(t))
+            put[i] = t
+        return out
+    two_eps = 2.0 * eps
+    for i in range(n):
+        if t == 0.0:  # the fixed angle
+            put[i] = t = 0.0
+            continue
+        lo, hi = t - two_eps, t
+        if not lo > 0.0:
+            lo = 0.0
+        s = 0.5 * (lo + hi)
+        for _ in range(80):
+            f = s + eps * (1.0 - cos(s)) - t
+            if f > 0.0:
+                hi = s
+            elif f < 0.0:
+                lo = s
+            else:
+                break
+            df = 1.0 + eps * sin(s)
+            sn = s - f / df if df > 1e-9 else 0.5 * (lo + hi)
+            if not lo <= sn <= hi:
+                sn = 0.5 * (lo + hi)
+            if sn == s:
+                break
+            s = sn
+        put[i] = t = s
+    return out
 
 
 def _dist(p, q, sqrt):
@@ -79,8 +91,8 @@ class ShellStackSystem(System):
         if level is None:
             return t0, math.sin(t0), math.cos(t0), 0.0
         eps = 1.0 / level
-        orbit = CachedOrbit.get((self.system_id, level, t0), t0, lambda t: _advance(t, eps),
-                                lambda t: _advance_back(t, eps), (math.sin, math.cos))
+        orbit = CachedOrbit.get((self.system_id, level, t0), t0,
+                                lambda t, n, back: _walk(t, eps, n, back), (np.sin, np.cos))
         t, s, c = orbit.at(off + a) if b is None else orbit.rows(off + a, off + b)
         return t, s, c, 1.0 / level
 

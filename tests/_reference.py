@@ -7,6 +7,7 @@ exactly), so agreement can be asserted as exact Fraction equality, including
 achieving translates and boundary flags.
 """
 
+import math
 from fractions import Fraction
 
 from weylab.core import Point, get_system
@@ -188,3 +189,88 @@ def naive_estimate(x, y, schedule, kind, eps=None):
                 idx = i
     warning = any(rows[i][3] for i in support)
     return rows[idx][2], rows, warning
+
+
+# -- scalar orbit steps ------------------------------------------------------
+# Verbatim copies of the per-point steps that the shells62 and interval61
+# orbit walks replaced; the walks must return the same floats bit for bit.
+
+
+def shell_advance(t: float, eps: float) -> float:
+    return t + eps * (1.0 - math.cos(t))
+
+
+def shell_advance_back(t: float, eps: float) -> float:
+    """Solve s + eps*(1 - cos s) = t on [0, t]; g is nondecreasing."""
+    if t == 0.0:
+        return 0.0
+    lo, hi = max(0.0, t - 2.0 * eps), t
+    s = 0.5 * (lo + hi)
+    for _ in range(80):
+        f = s + eps * (1.0 - math.cos(s)) - t
+        if f > 0.0:
+            hi = s
+        elif f < 0.0:
+            lo = s
+        else:
+            return s
+        df = 1.0 + eps * math.sin(s)
+        sn = s - f / df if df > 1e-9 else 0.5 * (lo + hi)
+        if not lo <= sn <= hi:
+            sn = 0.5 * (lo + hi)
+        if sn == s:
+            return s
+        s = sn
+    return s
+
+
+def interval_level(y: float) -> int:
+    """Index L with y in [1/(L+1), 1/L]; 0 and 1 are fixed endpoints."""
+    if not 0.0 <= y <= 1.0:
+        raise ValueError("interval payload needs y in [0, 1]")
+    if y == 0.0:
+        return 0  # conventional: fixed point, never iterated
+    return max(1, math.floor(1.0 / y))
+
+
+def interval_step(y: float) -> float:
+    if y in (0.0, 1.0):
+        return y
+    L = interval_level(y)
+    a, b = 1.0 / (L + 1), 1.0 / L
+    return y + (y - a) * (y - b)
+
+
+def interval_step_back(y: float) -> float:
+    """The z in [a, b] with step(z) = y, by safeguarded Newton."""
+    if y in (0.0, 1.0):
+        return y
+    L = interval_level(y)
+    a, b = 1.0 / (L + 1), 1.0 / L
+    lo, hi = y, b  # S moves left, so the preimage sits in [y, b]
+    z = 0.5 * (lo + hi)
+    for _ in range(80):
+        f = z + (z - a) * (z - b) - y
+        if f > 0.0:
+            hi = z
+        elif f < 0.0:
+            lo = z
+        else:
+            return z
+        df = 1.0 + (z - a) + (z - b)
+        zn = z - f / df if df > 0.0 else 0.5 * (lo + hi)
+        if not lo <= zn <= hi:
+            zn = 0.5 * (lo + hi)
+        if zn == z:
+            return z
+        z = zn
+    return z
+
+
+def step_walk(step, x, n):
+    """The n points after x under step, one call a point."""
+    out = []
+    for _ in range(n):
+        x = step(x)
+        out.append(x)
+    return out

@@ -304,8 +304,8 @@ def _lifted_fibre():
 
 # profiles the run-length scan serves, at realistic window sizes: Toeplitz
 # fibres (about 2151 runs in 2^18 samples), the one-run tm.phi complement
-# pair, the dense sturm.pi pair (30,943 runs in 65,537 samples) and a lifted
-# graph metric, whose profile is a 'scaled' one
+# pair, two dense sturm.pi pairs (30,943 and 50,066 runs in 65,537 samples)
+# and a lifted graph metric, whose profile is a 'scaled' one
 RUN_PROFILE_PAIRS = [
     ("toeplitz fibre 7", lambda: (_pt("toeplitz", "addr=int:7 flag=plain"),
                                   _pt("toeplitz", "addr=int:7 flag=primed")),
@@ -321,6 +321,9 @@ RUN_PROFILE_PAIRS = [
      dyadic_schedule(10, 14)),
     ("sturm.pi dense", lambda: (_pt("sturmian", "orbit=0 side=upper"),
                                 _pt("sturmian", "orbit=1 side=upper")),
+     dyadic_schedule(10, 14)),
+    ("sturm.pi densest", lambda: (_pt("sturmian", "orbit=62 side=upper"),
+                                  _pt("sturmian", "orbit=64 side=upper")),
      dyadic_schedule(10, 14)),
     ("lifted tm.psi", _lifted_fibre, dyadic_schedule(8, 12)),
 ]

@@ -8,14 +8,18 @@ from hypothesis import example, given, settings, strategies as st
 from weylab.core import Point, get_system
 from weylab.dyadic import DyadicInteger
 from weylab.profiles import scaled_from_float
+from weylab.systems import interval, shells
 from weylab.systems.interval import level_of, step, step_back
-from weylab.systems.shells import TWO_PI, _advance, _advance_back
+from weylab.systems.orbits import CachedOrbit
+from weylab.systems.shells import TWO_PI
 from weylab.systems.sturmian import A_UNITS, MOD, T_UNITS
 from weylab.systems.thuemorse import (PD_RULES, TM_RULES, complement,
                                       exchange_language,
                                       substitution_language,
                                       window_match_fraction)
 from weylab.systems.toeplitz import rule_word
+
+import _reference
 
 small_ints = st.integers(min_value=-200, max_value=200)
 
@@ -292,12 +296,15 @@ def test_interval_backward_orbit_climbs_to_plateau_top():
 # -- shell stack --------------------------------------------------------------
 
 
+def _advance(t, eps, back=False):
+    """One step of the shell orbit walk, forward or backward."""
+    return float(shells._walk(t, eps, 1, back)[0])
+
+
 def test_shell_advance_never_crosses_the_top():
-    t = 6.2
-    for _ in range(5000):
-        t = _advance(t, 1.0)
-        assert t < TWO_PI
-    assert TWO_PI - t < 1e-2
+    ts = shells._walk(6.2, 1.0, 5000, False)
+    assert ts.max() < TWO_PI
+    assert TWO_PI - ts[-1] < 1e-2
 
 
 @given(st.floats(min_value=0.0, max_value=6.28, allow_nan=False),
@@ -306,7 +313,7 @@ def test_shell_advance_never_crosses_the_top():
 def test_shell_advance_back_inverts(t, k):
     eps = 1.0 / k
     u = _advance(t, eps)
-    s = _advance_back(u, eps)
+    s = _advance(u, eps, back=True)
     # backward error: s maps back onto u up to the rounding of the map
     # itself (the final sum, and eps times the rounding of cos) plus one
     # step between neighbouring floats
@@ -381,15 +388,19 @@ def test_vectorized_profile_matches_scalar_walk_bit_for_bit(system_id, p, q, lo,
     assert np.array_equal(_bits(fast), _bits(slow))
 
 
-def test_cached_orbit_rows_match_plain_iteration():
-    from weylab.systems.orbits import CachedOrbit
+def _shell_walk(eps):
+    return lambda t, n, back: shells._walk(t, eps, n, back)
 
-    for key, x0, fwd, back in (
-        (("test", "interval"), 0.3, step, step_back),
-        (("test", "shell"), 2.0, lambda t: _advance(t, 0.5),
-         lambda t: _advance_back(t, 0.5)),
+
+def test_cached_orbit_rows_match_plain_iteration():
+    for key, x0, walk, fwd, back in (
+        (("test", "interval"), 0.3, interval._walk,
+         _reference.interval_step, _reference.interval_step_back),
+        (("test", "shell"), 2.0, _shell_walk(0.5),
+         lambda t: _reference.shell_advance(t, 0.5),
+         lambda t: _reference.shell_advance_back(t, 0.5)),
     ):
-        orbit = CachedOrbit.get(key, x0, fwd, back, (math.sin,))
+        orbit = CachedOrbit.get(key, x0, walk, (np.sin,))
         expect = {0: x0}
         for m in range(1, 301):
             expect[m] = fwd(expect[m - 1])
@@ -399,6 +410,69 @@ def test_cached_orbit_rows_match_plain_iteration():
             assert rows[0].tolist() == [expect[m] for m in range(a, b + 1)]
             assert rows[1].tolist() == [math.sin(expect[m]) for m in range(a, b + 1)]
         assert orbit.at(-42) == [expect[-42], math.sin(expect[-42])]
+
+
+def _assert_same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("level", [1, 2, 4, 8])
+def test_shell_walk_matches_scalar_steps_at_scale(level):
+    eps, n = 1.0 / level, 1 << 16
+    for t0 in (0.5 * math.pi, math.pi, 0.01, TWO_PI - 0.01):
+        orbit = CachedOrbit(t0, _shell_walk(eps), (np.sin, np.cos))
+        rows = orbit.rows(-n, n)
+        fwd = _reference.step_walk(lambda t: _reference.shell_advance(t, eps), t0, n)
+        back = _reference.step_walk(
+            lambda t: _reference.shell_advance_back(t, eps), t0, n)
+        angles = back[::-1] + [t0] + fwd
+        _assert_same_bits(rows[0], angles)
+        _assert_same_bits(rows[1], [math.sin(t) for t in angles])
+        _assert_same_bits(rows[2], [math.cos(t) for t in angles])
+
+
+@given(st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False),
+       st.integers(min_value=1, max_value=8))
+# g' = 1 + eps*sin vanishes at 3*pi/2 for k = 1: forward steps from near it,
+# and backward steps from near its image 3*pi/2 + 1
+@example(t=4.712890625, k=1)
+@example(t=5.71238898038469, k=1)
+@example(t=5.712, k=1)
+@settings(max_examples=300, deadline=None)
+def test_shell_walk_matches_scalar_steps_on_drawn_angles(t, k):
+    eps = 1.0 / k
+    for back, step in ((False, _reference.shell_advance),
+                       (True, _reference.shell_advance_back)):
+        want = _reference.step_walk(lambda s: step(s, eps), t, 8)
+        _assert_same_bits(shells._walk(t, eps, 8, back), want)
+
+
+def test_interval_walk_matches_scalar_steps_at_scale():
+    n = 1 << 14
+    for y0 in (0.6, 0.3, 0.11):  # levels 1, 3 and 9
+        rows = CachedOrbit(y0, interval._walk).rows(-n, n)
+        fwd = _reference.step_walk(_reference.interval_step, y0, n)
+        back = _reference.step_walk(_reference.interval_step_back, y0, n)
+        _assert_same_bits(rows[0], back[::-1] + [y0] + fwd)
+
+
+def test_numpy_trig_rows_match_math_bit_for_bit():
+    # the shell orbit rows come from numpy's float64 sin and cos; they must
+    # equal the scalar math functions on every orbit point shells-meq reads
+    # (both ends of its eight anchors) and on seeded angles in [-4 pi, 4 pi]
+    system, n = get_system("shells62"), 1 << 17
+    ts = np.random.default_rng(9).uniform(-4 * math.pi, 4 * math.pi, 10 ** 6)
+    rows = [(ts, np.sin(ts), np.cos(ts))]
+    for level in (1, 2, 4, 8):
+        for t0 in (0.5 * math.pi, math.pi):
+            rows.append(system._rows((level, t0, 0), -n, n - 1)[:3])
+    for ts, sin, cos in rows:
+        assert len(ts) in (10 ** 6, 2 * n)
+        _assert_same_bits(sin, np.fromiter(map(math.sin, ts), np.float64, len(ts)))
+        _assert_same_bits(cos, np.fromiter(map(math.cos, ts), np.float64, len(ts)))
 
 
 def test_concurrent_profiles_grow_both_ends_identically():
