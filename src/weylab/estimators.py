@@ -174,23 +174,26 @@ def _run_scan(profile):
 def _limb_scan(profile):
     """Window scan over the int64 limbs of a 'float' profile.  The limb sums
     of all 2M + 1 translates are one slice difference per limb; carried
-    into w-bit digits they compare as numbers do, from the top digit down.
-    Only the greatest sum is rebuilt as a Python int."""
+    into w-bit digits in place they compare as numbers do, from the top
+    digit down.  Only the greatest sum is rebuilt as a Python int, from its
+    digits and final carry."""
     cums, w, low = profile.limbs()
 
     def scan(wlo, whi, M):
         l, u = wlo - profile.lo, whi - profile.lo + 1
-        sums = [c[u - M:u + M + 1] - c[l - M:l + M + 1] for c in cums]
         digits, carry = [], 0
-        for s in sums:
-            s = s + carry
-            digits.append(s & ((1 << w) - 1))
+        for c in cums:
+            s = c[u - M:u + M + 1] - c[l - M:l + M + 1]
+            s += carry
             carry = s >> w
+            s &= (1 << w) - 1
+            digits.append(s)
+        digits.append(carry)
         hit = np.ones(2 * M + 1, dtype=bool)
-        for d in [carry] + digits[::-1]:
-            hit &= d == d[hit].max()
+        for d in digits[::-1]:  # every digit is >= 0
+            hit &= d == d.max(where=hit, initial=-1)
         a, boundary = _best(np.arange(-M, M + 1), hit, M)
-        total = sum(int(s[a + M]) << (w * k) for k, s in enumerate(sums))
+        total = sum(int(d[a + M]) << (w * k) for k, d in enumerate(digits))
         return total << low, a, boundary
 
     return scan

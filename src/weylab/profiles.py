@@ -184,22 +184,35 @@ class DistanceProfile:
         if self._limbs is None:
             if self.kind != "float":
                 raise ValueError("only float profiles have a limbs view")
-            # a double is sig * 2^(pos - SCALE_BITS) with sig < 2^53; -0.0 is 0
-            bits = self.floats.view(np.uint64) & np.uint64(2**63 - 1)
-            expo = (bits >> np.uint64(52)).astype(np.int64)
-            sig = np.where(expo > 0, bits & np.uint64(2**52 - 1) | np.uint64(2**52), bits)
-            pos, w = np.maximum(expo - 1, 0), limb_bits(len(self))
+            # a double is sig * 2^(pos - SCALE_BITS) with sig < 2^53; -0.0 is 0.
+            # Besides the limbs, sig, pos and one shift row are the only
+            # per-sample buffers (18 bytes a sample); numpy writes into them.
+            sig = self.floats.view(np.uint64) & np.uint64(2**63 - 1)
+            pos = (sig >> np.uint64(52)).astype(np.int16)  # the biased exponent
+            np.bitwise_and(sig, np.uint64(2**52 - 1), out=sig)
+            np.bitwise_or(sig, np.uint64(2**52), out=sig, where=pos > 0)
+            np.maximum(np.subtract(pos, 1, out=pos), 0, out=pos)
+            n, w = len(self), limb_bits(len(self))
             low = width = 0
             if sig.any():
                 lowest = np.frexp((sig & (~sig + np.uint64(1))).astype(np.float64))[1]
                 low = int((pos + lowest - 1)[sig != 0].min())
                 width = int(np.frexp(self.floats.max())[1]) + SCALE_BITS - low
+                del lowest  # before the limbs are built
+            shift = np.empty(n, np.int64)
             cums = []
             for k in range(max(1, -(-width // w))):
-                rel = pos - low - w * k  # where bit 0 of sig lands in limb k
-                digit = ((sig << np.clip(rel, 0, 63).astype(np.uint64))
-                         >> np.clip(-rel, 0, 63).astype(np.uint64)) & np.uint64(2**w - 1)
-                cums.append(np.concatenate(([0], np.cumsum(digit.astype(np.int64)))))
+                cum = np.zeros(n + 1, np.int64)  # digits of limb k, then their prefix sums
+                digit = cum[1:].view(np.uint64)
+                # where bit 0 of sig lands in limb k
+                rel = np.subtract(pos, low + w * k, out=shift, dtype=np.int64)
+                np.clip(rel, 0, 63, out=cum[1:])
+                np.left_shift(sig, digit, out=digit)
+                np.clip(np.negative(rel, out=rel), 0, 63, out=rel)
+                np.right_shift(digit, rel.view(np.uint64), out=digit)
+                np.bitwise_and(digit, np.uint64(2**w - 1), out=digit)
+                np.cumsum(cum[1:], out=cum[1:])
+                cums.append(cum)
             self._limbs = (cums, w, low)
         return self._limbs
 

@@ -92,7 +92,7 @@ class IntervalMirrorSystem(System):
         return CachedOrbit.get((self.system_id, y0), y0, _walk)
 
     def value(self, payload) -> float:
-        return self._orbit(payload[1]).at(payload[2])[0]
+        return self._orbit(payload[1]).at(payload[2])
 
     def act(self, payload, g: int):
         branch, y0, off = payload
@@ -102,7 +102,7 @@ class IntervalMirrorSystem(System):
         return _mirror_dist(p[0] == q[0], self.value(p), self.value(q), math.sqrt)
 
     def pair_profile(self, p, q, lo, hi):
-        yp, yq = (self._orbit(y0).rows(off + lo, off + hi)[0] for _, y0, off in (p, q))
+        yp, yq = (self._orbit(y0).rows(off + lo, off + hi) for _, y0, off in (p, q))
         return DistanceProfile.from_floats(lo, _mirror_dist(p[0] == q[0], yp, yq, np.sqrt))
 
     def parse_point(self, text: str):

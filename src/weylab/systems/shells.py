@@ -66,9 +66,19 @@ def _walk(t: float, eps: float, n: int, back: bool) -> np.ndarray:
 
 
 def _dist(p, q, sqrt):
-    """R^3 distance of (angle, sin, cos, height) floats or arrays; sqrt to match."""
-    dx, dy, dz = p[1] - q[1], q[2] - p[2], p[3] - q[3]
-    return sqrt(dx * dx + dy * dy + dz * dz)
+    """R^3 distance of (sin, cos, height) floats or arrays; sqrt to match.
+    Arrays are worked on in place: p's sine row and q's cosine row end up
+    holding the squares."""
+    dx, cp, hp = p
+    sq, dy, hq = q
+    dx -= sq  # a float rebinds, an array subtracts in place: the same rounding
+    dy -= cp
+    dz = hp - hq
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dx += dz * dz
+    return sqrt(dx)
 
 
 def _parse_level(text: str):
@@ -92,9 +102,12 @@ class ShellStackSystem(System):
             return t0, math.sin(t0), math.cos(t0), 0.0
         eps = 1.0 / level
         orbit = CachedOrbit.get((self.system_id, level, t0), t0,
-                                lambda t, n, back: _walk(t, eps, n, back), (np.sin, np.cos))
-        t, s, c = orbit.at(off + a) if b is None else orbit.rows(off + a, off + b)
-        return t, s, c, 1.0 / level
+                                lambda t, n, back: _walk(t, eps, n, back))
+        if b is None:
+            t = orbit.at(off + a)
+            return t, math.sin(t), math.cos(t), 1.0 / level
+        t = orbit.rows(off + a, off + b)
+        return t, np.sin(t), np.cos(t), 1.0 / level
 
     def angle(self, payload) -> float:
         return self._rows(payload, 0)[0]
@@ -104,14 +117,15 @@ class ShellStackSystem(System):
         return (level, t0, off + g)
 
     def dist(self, p, q) -> float:
-        return _dist(self._rows(p, 0), self._rows(q, 0), math.sqrt)
+        return _dist(self._rows(p, 0)[1:], self._rows(q, 0)[1:], math.sqrt)
 
     def pair_profile(self, p, q, lo, hi):
         if p[0] is None and q[0] is None:
             # identity shell: the distance is constant along the orbit
             return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
-        return DistanceProfile.from_floats(
-            lo, _dist(self._rows(p, lo, hi), self._rows(q, lo, hi), np.sqrt))
+        # [1:] lets each angle array go before the next rows are built
+        return DistanceProfile.from_floats(lo, _dist(
+            self._rows(p, lo, hi)[1:], self._rows(q, lo, hi)[1:], np.sqrt))
 
     def parse_point(self, text: str):
         level, t, off = parse_fields(text, {"level": None, "t": None, "off": "0"}).values()

@@ -2,8 +2,8 @@
 
 Every test funnels through _report, which prints ``ACCEPTANCE <n> PASS/FAIL``
 and collects the line for the terminal-summary section (see conftest.py), so
-the verdicts are visible in a plain ``pytest -v`` run.  Criteria with runtime
-budgets time themselves and fail when over budget.
+the verdicts are visible in a plain ``pytest -v`` run.  Every criterion
+prints its elapsed seconds; those with runtime budgets fail when over budget.
 """
 
 import functools
@@ -87,6 +87,7 @@ def test_criterion_2_interval_mirror_pair_values():
 # 3. shell stack dichotomy: summable fibres vs rigid limit circle
 
 def test_criterion_3_shell_stack_dichotomy():
+    t0 = time.monotonic()
     fib_sched = dyadic_schedule(9, 16)
     worst = 0.0
     for k in (1, 2, 4, 8):
@@ -109,14 +110,16 @@ def test_criterion_3_shell_stack_dichotomy():
     _report(3, ok,
             "fibre weyl <= %.4f < 0.05 (k <= 8), limit-circle weyl == d "
             "exactly: %s; small-d-small-D scan holds: %s; mean "
-            "equicontinuity fails with a shell-sequence witness: %s"
-            % (worst, rigid_exact, pm.holds, witnessed))
+            "equicontinuity fails with a shell-sequence witness: %s; %.1fs"
+            % (worst, rigid_exact, pm.holds, witnessed,
+               time.monotonic() - t0))
 
 
 # ---------------------------------------------------------------------------
 # 4. odometer-extension fibres are Banach proximal to working precision
 
 def test_criterion_4_toeplitz_fibres_nearly_vanish():
+    t0 = time.monotonic()
     sched = dyadic_schedule(8, 16)
     worst = 0.0
     for z in range(-10, 10):
@@ -125,7 +128,7 @@ def test_criterion_4_toeplitz_fibres_nearly_vanish():
         worst = max(worst, weyl(x, y, sched).value)
     ok = worst < 0.01
     _report(4, ok, "20 integer-address fibre pairs at 2^16: "
-            "worst weyl %.6f < 0.01" % worst)
+            "worst weyl %.6f < 0.01; %.1fs" % (worst, time.monotonic() - t0))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,7 @@ def _chain_classification(map_id):
 
 
 def test_criterion_5_chain_classification_table():
+    t0 = time.monotonic()
     phi = _chain_classification("tm.phi")
     psi = _chain_classification("tm.psi")
     pi = _chain_classification("tm.pi")
@@ -166,14 +170,16 @@ def test_criterion_5_chain_classification_table():
     ok = not wrong and not warnings
     _report(5, ok, "phi equicontinuous+distal, psi Banach proximal, "
             "pi Banach distal but neither distal nor mean equicontinuous "
-            "(mismatches: %s; warnings: %s)"
-            % (wrong or "none", list(warnings) or "none"))
+            "(mismatches: %s; warnings: %s); %.1fs"
+            % (wrong or "none", list(warnings) or "none",
+               time.monotonic() - t0))
 
 
 # ---------------------------------------------------------------------------
 # 6. the golden chain decomposes through its maximal equicontinuous leg
 
 def test_criterion_6_sturmian_decomposition_witness():
+    t0 = time.monotonic()
     rep = verify_decomposition("sturm.pi", "sturm.phi", "sturm.psi",
                                dyadic_schedule(8, 12), seed=5, pair_count=10,
                                sequence_count=3)
@@ -187,8 +193,9 @@ def test_criterion_6_sturmian_decomposition_witness():
                              seed=5, pair_count=12)
     ok = rep.passed and worst < 0.01 and eq.holds and eq.delta_equals_eps
     _report(6, ok, "decomposition verified: %s; coding fibre weyl <= %.6f "
-            "< 0.01; rotation equicontinuous with delta == eps: %s"
-            % (rep.passed, worst, eq.holds and eq.delta_equals_eps))
+            "< 0.01; rotation equicontinuous with delta == eps: %s; %.1fs"
+            % (rep.passed, worst, eq.holds and eq.delta_equals_eps,
+               time.monotonic() - t0))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +414,7 @@ def test_criterion_7_property_battery():
 # 8. the doubling-substitution language contains every observed window
 
 def test_criterion_8_substitution_language_cross_check():
+    t0 = time.monotonic()
     system = get_system("toeplitz")
     payload = system.parse_point("addr=int:0 flag=plain")
     radius = 1 << 18
@@ -427,5 +435,5 @@ def test_criterion_8_substitution_language_cross_check():
             "all windows of length <= 16 over +/-2^18 lie in the "
             "letter-exchanged doubling language (stable at half radius: %s); "
             "the unexchanged convention already fails at length 2 "
-            "(fraction %.3f), which settles the symbol-convention question"
-            % (stable, float(plain_two)))
+            "(fraction %.3f), which settles the symbol-convention question; "
+            "%.1fs" % (stable, float(plain_two), time.monotonic() - t0))

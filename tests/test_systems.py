@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -400,16 +401,18 @@ def test_cached_orbit_rows_match_plain_iteration():
          lambda t: _reference.shell_advance(t, 0.5),
          lambda t: _reference.shell_advance_back(t, 0.5)),
     ):
-        orbit = CachedOrbit.get(key, x0, walk, (np.sin,))
+        orbit = CachedOrbit.get(key, x0, walk)
         expect = {0: x0}
         for m in range(1, 301):
             expect[m] = fwd(expect[m - 1])
             expect[-m] = back(expect[1 - m])
         for a, b in ((0, 300), (-300, -1), (-300, 300), (-7, -7), (5, 5)):
             rows = orbit.rows(a, b)
-            assert rows[0].tolist() == [expect[m] for m in range(a, b + 1)]
-            assert rows[1].tolist() == [math.sin(expect[m]) for m in range(a, b + 1)]
-        assert orbit.at(-42) == [expect[-42], math.sin(expect[-42])]
+            assert rows.shape == (b - a + 1,)
+            assert rows.tolist() == [expect[m] for m in range(a, b + 1)]
+            rows[:] = -1.0  # the caller owns the returned array
+            assert orbit.rows(a, b).tolist() == [expect[m] for m in range(a, b + 1)]
+        assert type(orbit.at(-42)) is float and orbit.at(-42) == expect[-42]
 
 
 def _assert_same_bits(got, want):
@@ -420,11 +423,13 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("level", [1, 2, 4, 8])
-def test_shell_walk_matches_scalar_steps_at_scale(level):
-    eps, n = 1.0 / level, 1 << 16
+def test_shell_walk_matches_scalar_steps_at_scale(level, monkeypatch):
+    from weylab.systems import orbits
+
+    monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # every anchor walks cold
+    system, eps, n = get_system("shells62"), 1.0 / level, 1 << 16
     for t0 in (0.5 * math.pi, math.pi, 0.01, TWO_PI - 0.01):
-        orbit = CachedOrbit(t0, _shell_walk(eps), (np.sin, np.cos))
-        rows = orbit.rows(-n, n)
+        rows = system._rows((level, t0, 0), -n, n)
         fwd = _reference.step_walk(lambda t: _reference.shell_advance(t, eps), t0, n)
         back = _reference.step_walk(
             lambda t: _reference.shell_advance_back(t, eps), t0, n)
@@ -432,6 +437,7 @@ def test_shell_walk_matches_scalar_steps_at_scale(level):
         _assert_same_bits(rows[0], angles)
         _assert_same_bits(rows[1], [math.sin(t) for t in angles])
         _assert_same_bits(rows[2], [math.cos(t) for t in angles])
+        assert rows[3] == eps
 
 
 @given(st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False),
@@ -456,7 +462,7 @@ def test_interval_walk_matches_scalar_steps_at_scale():
         rows = CachedOrbit(y0, interval._walk).rows(-n, n)
         fwd = _reference.step_walk(_reference.interval_step, y0, n)
         back = _reference.step_walk(_reference.interval_step_back, y0, n)
-        _assert_same_bits(rows[0], back[::-1] + [y0] + fwd)
+        _assert_same_bits(rows, back[::-1] + [y0] + fwd)
 
 
 def test_numpy_trig_rows_match_math_bit_for_bit():
@@ -517,6 +523,58 @@ def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
     again = system.pair_profile(p, q, -4096, 4096)  # rebuilt past the cap
     assert orbits.cached_bytes() <= cap
     assert np.array_equal(_bits(again), _bits(before))
+
+
+def test_orbit_store_holds_one_float64_per_point(monkeypatch):
+    from weylab.systems import orbits
+
+    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
+    r = 1 << 12
+    get_system("shells62").pair_profile((2, 1.0, 0), (2, 2.0, 0), -r, r)
+    # each of the two anchors walks r points forward of its x0 and r back
+    assert len(orbits._STORE) == 2
+    assert orbits.cached_bytes() == 8 * 2 * (2 * r + 1)
+
+
+#: tracemalloc peak of one cold shell pair summary, in bytes per sample of
+#: its profile: 58 is measured (the orbits hold 16, the samples 8, the limb
+#: build 18 plus 8 per limb); one more full-length float64 buffer adds 8
+SHELL_PAIR_BYTES_PER_SAMPLE = 62
+
+
+def test_shell_pair_summary_working_set_is_bounded(monkeypatch):
+    import tracemalloc
+
+    from weylab.core import dyadic_schedule
+    from weylab.estimators import PairSummary
+    from weylab.systems import orbits
+
+    schedule = dyadic_schedule(13, 16)
+    lo, hi = schedule.hull_range()
+    x = Point("shells62", (2, 0.5 * math.pi, 0))
+    y = Point("shells62", (2, math.pi, 0))
+    # tracemalloc slows the walk's Python loop about eightfold, so the traced
+    # run replays the walks of an untraced one; each replay still allocates
+    # its output array under the trace
+    walks, walk = {}, shells._walk
+
+    def record(*args):
+        walks[args] = walk(*args)
+        return walks[args].copy()
+
+    monkeypatch.setattr(shells, "_walk", record)
+    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
+    want = PairSummary.of(x, y, schedule)
+    monkeypatch.setattr(shells, "_walk", lambda *args: walks[args].copy())
+    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
+    tracemalloc.start()
+    try:
+        got = PairSummary.of(x, y, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak / (hi - lo + 1) < SHELL_PAIR_BYTES_PER_SAMPLE, peak
 
 
 # -- parse/format roundtrips ---------------------------------------------------
