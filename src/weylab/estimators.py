@@ -25,9 +25,10 @@ one translate scan (besicovitch is the weyl scan at radius 0), whose shape
 follows the profile:
 
 - 'exp2' and 'scaled' profiles (symbolic systems, constant and lifted
-  profiles) are scanned by constant runs.  A window sum is affine in the
-  translate between breakpoints, where a window edge crosses a run start,
-  so it is evaluated there and at the radius only.
+  profiles; a 'scaled' one is stored as its runs) are scanned by constant
+  runs.  A window sum is affine in the translate between breakpoints,
+  where a window edge crosses a run start, so it is evaluated there and at
+  the radius only.
 - 'float' profiles (shells62, interval61) are scanned on their int64
   limbs: the sums of all translates of a window are one slice difference
   per limb plus a carry, and the greatest is found limb by limb from the
@@ -36,7 +37,8 @@ follows the profile:
 banach-density, for every kind, takes all translates of a window at once
 as a slice difference of int64 prefix counts of the samples below eps.
 The run, limb and count scans pick their translate and boundary flag in
-one place, _best; check and hat read DistanceProfile.extremes.
+one place, _best; check and hat read DistanceProfile.extremes.  No
+estimator calls the per-sample reference accessors (scaled, prefix).
 
 A PairSummary holds a pair's four classification kinds, and a SummaryMemo
 keeps one summary per unordered pair (estimates are bit-symmetric), so

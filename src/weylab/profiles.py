@@ -13,19 +13,20 @@ property suites can assert window-level inequalities with zero tolerance.
 
 A profile offers its samples to the estimators in one of two shapes.
 'exp2' and 'scaled' profiles give a runs view (`runs`): the maximal constant
-runs, with exact prefix sums at run starts only.  'float' profiles give a
-limbs view (`limbs`): every grid integer, shifted down by the profile's
-lowest set bit, split into int64 limbs narrow enough that their prefix sums
-cannot overflow (a small superaccumulator), so no sample becomes a Python
-int.  `below_counts` gives int64 counts of the samples below a threshold for
-every kind.  The per-sample grid integers (`scaled`) and their prefix sums
-(`prefix`) remain for tests and diagnostics.
+runs, with exact prefix sums at run starts only.  A 'scaled' profile is
+stored as its runs; an 'exp2' one builds them once from its exponents.
+'float' profiles give a limbs view (`limbs`): every grid integer, shifted
+down by the profile's lowest set bit, split into int64 limbs narrow enough
+that their prefix sums cannot overflow (a small superaccumulator), so no
+sample becomes a Python int.  `below_counts` gives int64 counts of the
+samples below a threshold for every kind.  No profile stores a per-sample
+grid integer: `scaled`, `prefix` and `indicator_prefix` build them on each
+call, as reference accessors for tests and diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Tuple
 
@@ -54,11 +55,6 @@ def scaled_from_exponent(e: int) -> int:
     return 1 << (SCALE_BITS - e)
 
 
-#: 2^-e on the grid for 0 <= e <= SCALE_BITS, then 0 for every larger e;
-#: 'exp2' profiles share these ints instead of allocating one per sample
-_EXP2_GRID = tuple(scaled_from_exponent(e) for e in range(SCALE_BITS + 2))
-
-
 def limb_bits(n: int) -> int:
     """Width w of the limbs of an n-sample profile: n * 2^w <= 2^62, so a
     limb's prefix sums, and a window's limb sum plus the carry from the limb
@@ -66,8 +62,18 @@ def limb_bits(n: int) -> int:
     return 62 - (n - 1).bit_length()
 
 
-def float_from_scaled(s: int) -> float:
-    return float(Fraction(s, SCALE))
+def _run_table(keys: np.ndarray, n: int, grid=None):
+    """The runs view (see DistanceProfile.runs) of the samples keys, with
+    the last run extended to n samples.  Keys are grid values, or map to
+    them through grid, which is called once per distinct key."""
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    values = keys[starts]
+    if grid is not None:
+        distinct, index = np.unique(values, return_inverse=True)
+        values = np.array([grid(e) for e in distinct.tolist()], dtype=object)[index]
+    starts = np.append(starts, n)
+    sums = np.concatenate(([0], np.cumsum(values * np.diff(starts))))
+    return starts, np.append(values, 0), sums
 
 
 @dataclass
@@ -76,9 +82,8 @@ class DistanceProfile:
 
     kind is 'exp2' (values 2^-e from an int64 exponent array), 'float'
     (a float64 array, each value exactly representable) or 'scaled'
-    (explicit grid integers).  Scaled values, prefix sums and the runs and
-    limbs views are built lazily and cached; sums are exact integers, so
-    they never round.
+    (grid integers, held as constant runs).  The runs and limbs views are
+    built lazily and cached; sums are exact integers, so they never round.
     """
 
     lo: int
@@ -86,8 +91,6 @@ class DistanceProfile:
     kind: str
     exps: Optional[np.ndarray] = None
     floats: Optional[np.ndarray] = None
-    scaled_list: Optional[List[int]] = None
-    _prefix: Optional[List[int]] = field(default=None, repr=False)
     _runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False)
     _limbs: Optional[Tuple[List[np.ndarray], int, int]] = field(
@@ -109,11 +112,14 @@ class DistanceProfile:
 
     @classmethod
     def from_scaled(cls, lo: int, scaled: List[int]) -> "DistanceProfile":
-        return cls(lo=lo, hi=lo + len(scaled) - 1, kind="scaled", scaled_list=list(scaled))
+        return cls(lo=lo, hi=lo + len(scaled) - 1, kind="scaled",
+                   _runs=_run_table(np.array(scaled, dtype=object), len(scaled)))
 
     @classmethod
     def constant(cls, lo: int, hi: int, scaled_value: int) -> "DistanceProfile":
-        return cls(lo=lo, hi=hi, kind="scaled", scaled_list=[scaled_value] * (hi - lo + 1))
+        """One run of scaled_value on [lo, hi]."""
+        return cls(lo=lo, hi=hi, kind="scaled", _runs=_run_table(
+            np.array([scaled_value], dtype=object), hi - lo + 1))
 
     # -- exact values ---------------------------------------------------
 
@@ -121,32 +127,16 @@ class DistanceProfile:
         return self.hi - self.lo + 1
 
     def scaled(self) -> List[int]:
-        if self.scaled_list is None:
-            if self.kind == "exp2" and len(self) and int(self.exps.min()) < 0:
-                self.scaled_list = [scaled_from_exponent(e) for e in self.exps.tolist()]
-            elif self.kind == "exp2":
-                clipped = np.minimum(self.exps, SCALE_BITS + 1).tolist()
-                self.scaled_list = list(map(_EXP2_GRID.__getitem__, clipped))
-            else:
-                m, e = np.frexp(self.floats)
-                mant = np.round(m * 9007199254740992.0).astype(np.int64)  # m * 2^53
-                shift = e.astype(np.int64) + (SCALE_BITS - 53)
-                out = []
-                for mi, sh in zip(mant.tolist(), shift.tolist()):
-                    if mi == 0:
-                        out.append(0)
-                    elif sh >= 0:
-                        out.append(mi << sh)
-                    else:
-                        out.append(mi >> (-sh))  # lossless: subnormal mantissas pad with zeros
-                self.scaled_list = out
-        return self.scaled_list
+        """Every sample's grid integer, built on each call: a reference
+        accessor, which no estimator uses."""
+        if self.kind == "float":
+            return [scaled_from_float(v) for v in self.floats.tolist()]
+        starts, values, _ = self.runs()
+        return np.repeat(values[:-1], np.diff(starts)).tolist()
 
     def prefix(self) -> List[int]:
         """Prefix sums: prefix[i] = sum of scaled values at t in [lo, lo+i)."""
-        if self._prefix is None:
-            self._prefix = list(accumulate(self.scaled(), initial=0))
-        return self._prefix
+        return list(accumulate(self.scaled(), initial=0))
 
     def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Maximal constant runs of an 'exp2' or 'scaled' profile, as
@@ -157,21 +147,10 @@ class DistanceProfile:
         sums are object arrays of Python ints; an 'exp2' profile builds one
         grid integer per distinct exponent, none per sample."""
         if self._runs is None:
-            if self.kind == "exp2":
-                keys = np.minimum(self.exps, SCALE_BITS + 1)  # equal on the grid
-            elif self.kind == "scaled":
-                keys = np.array(self.scaled_list, dtype=object)
-            else:
+            if self.kind != "exp2":
                 raise ValueError("float profiles have no runs view")
-            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            values = keys[starts]
-            if self.kind == "exp2":
-                distinct, index = np.unique(values, return_inverse=True)
-                values = np.array([scaled_from_exponent(e) for e in distinct.tolist()],
-                                  dtype=object)[index]
-            starts = np.append(starts, len(self))
-            sums = np.concatenate(([0], np.cumsum(values * np.diff(starts))))
-            self._runs = (starts, np.append(values, 0), sums)
+            keys = np.minimum(self.exps, SCALE_BITS + 1)  # equal on the grid
+            self._runs = _run_table(keys, len(self), scaled_from_exponent)
         return self._runs
 
     def limbs(self) -> Tuple[List[np.ndarray], int, int]:
@@ -216,23 +195,6 @@ class DistanceProfile:
             self._limbs = (cums, w, low)
         return self._limbs
 
-    def range_sum(self, a: int, b: int) -> int:
-        """Exact sum of scaled values over t in [a, b] (inclusive)."""
-        if a < self.lo or b > self.hi or a > b:
-            raise ValueError("range [%d, %d] outside profile [%d, %d]" % (a, b, self.lo, self.hi))
-        p = self.prefix()
-        return p[b + 1 - self.lo] - p[a - self.lo]
-
-    def value_scaled(self, t: int) -> int:
-        if t < self.lo or t > self.hi:
-            raise ValueError("t=%d outside profile [%d, %d]" % (t, self.lo, self.hi))
-        i = t - self.lo
-        if self.kind == "exp2":
-            return scaled_from_exponent(int(self.exps[i]))
-        if self.kind == "float":
-            return scaled_from_float(float(self.floats[i]))
-        return self.scaled_list[i]
-
     def extremes(self, a: int, b: int) -> Tuple[int, int, int, int]:
         """(min_scaled, argmin_t, max_scaled, argmax_t) over [a, b].
 
@@ -257,9 +219,13 @@ class DistanceProfile:
                 scaled_from_float(float(seg[kmin])), a + kmin,
                 scaled_from_float(float(seg[kmax])), a + kmax,
             )
-        seg = self.scaled_list[i:j]
+        # the first run reaching each extreme, its start clipped to a
+        starts, values, _ = self.runs()
+        k = int(np.searchsorted(starts, i, "right")) - 1
+        seg = values[k:np.searchsorted(starts, j)].tolist()
         mn, mx = min(seg), max(seg)
-        return mn, a + seg.index(mn), mx, a + seg.index(mx)
+        return (mn, a + max(int(starts[k + seg.index(mn)]) - i, 0),
+                mx, a + max(int(starts[k + seg.index(mx)]) - i, 0))
 
     def indicator_prefix(self, threshold_scaled: int) -> List[int]:
         """Prefix counts of samples strictly below the scaled threshold."""
@@ -270,18 +236,20 @@ class DistanceProfile:
     def below_counts(self, eps: float) -> np.ndarray:
         """indicator_prefix(scaled_from_float(eps)) as an int64 array.
         Float samples compare with eps as doubles, which is exact because
-        both sides are doubles; other kinds compare each run's grid value."""
+        both sides are doubles; other kinds compare each run's grid value.
+        The flags are written into the result and summed in place there."""
+        out = np.zeros(len(self) + 1, np.int64)
         if self.kind == "float":
-            below = self.floats < eps
+            np.less(self.floats, eps, out=out[1:])
         else:
             starts, values, _ = self.runs()
-            below = np.repeat(values[:-1] < scaled_from_float(eps), np.diff(starts))
-        return np.concatenate(([0], np.cumsum(below, dtype=np.int64)))
+            out[1:] = np.repeat(values[:-1] < scaled_from_float(eps), np.diff(starts))
+        np.cumsum(out[1:], out=out[1:])
+        return out
 
     def plus(self, other: "DistanceProfile") -> "DistanceProfile":
         """Termwise sum on the grid (the lifted-metric profile)."""
         if (self.lo, self.hi) != (other.lo, other.hi):
             raise ValueError("profiles cover different ranges")
-        a = self.scaled()
-        b = other.scaled()
-        return DistanceProfile.from_scaled(self.lo, [x + y for x, y in zip(a, b)])
+        return DistanceProfile.from_scaled(
+            self.lo, [x + y for x, y in zip(self.scaled(), other.scaled())])

@@ -106,15 +106,6 @@ def classify_pair(x: Point, y: Point, schedule: Optional[FolnerSchedule] = None,
             in_r = ix.payload == iy.payload
         else:
             in_r = dist(ix, iy) < tol.zero_tol
-    diagonal = x.system_id == y.system_id and x.payload == y.payload
-    if diagonal:
-        return PairVerdict(
-            x=str(x), y=str(y), diagonal=True, in_R_pi=in_r, d0=0.0,
-            check_value=0.0, besicovitch_value=0.0, weyl_value=0.0,
-            hat_value=0.0, banach_proximal=True, proximal=True,
-            distal=False, banach_distal=False, inconclusive=False,
-            boundary_warning=False,
-        )
     summary = summaries(x, y)
     e_check, e_weyl = summary.check, summary.weyl
     banach_proximal = e_weyl.value < tol.zero_tol
@@ -122,7 +113,7 @@ def classify_pair(x: Point, y: Point, schedule: Optional[FolnerSchedule] = None,
     distal = e_check.value > tol.sep_tol
     banach_distal = e_weyl.value > tol.sep_tol
     return PairVerdict(
-        x=str(x), y=str(y), diagonal=False, in_R_pi=in_r, d0=dist(x, y),
+        x=str(x), y=str(y), diagonal=x == y, in_R_pi=in_r, d0=dist(x, y),
         check_value=e_check.value,
         besicovitch_value=summary.besicovitch.value,
         weyl_value=e_weyl.value, hat_value=summary.hat.value,
@@ -194,22 +185,13 @@ def sequence_report(seq: PairSequence, schedule: Optional[FolnerSchedule] = None
     """
     summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
-    values = []
-    for a, b in seq.terms:
-        if a.payload == b.payload:
-            values.append(0.0)
-        else:
-            values.append(summaries(a, b).weyl.value)
+    values = [summaries(a, b).weyl.value for a, b in seq.terms]
     tail = values[len(values) // 2 :]
     abp = max(tail) < tol.zero_tol
     limit_bp = None
     limit_value = None
     if seq.limit is not None:
-        la, lb = seq.limit
-        if la.payload == lb.payload:
-            limit_value = 0.0
-        else:
-            limit_value = summaries(la, lb).weyl.value
+        limit_value = summaries(*seq.limit).weyl.value
         limit_bp = limit_value < tol.zero_tol
     return SequenceReport(abp, tuple(values), limit_bp, limit_value,
                           seq.description)

@@ -7,11 +7,9 @@ invariant under simultaneous addition.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core import System, register_system
 from ..dyadic import DyadicInteger, parse_dyadic
-from ..profiles import INF_EXP, DistanceProfile
+from ..profiles import DistanceProfile, scaled_from_exponent
 
 
 class OdometerSystem(System):
@@ -26,10 +24,8 @@ class OdometerSystem(System):
 
     def pair_profile(self, p, q, lo, hi):
         v = DyadicInteger(p.value - q.value).valuation()
-        e = INF_EXP if v is None else min(v, INF_EXP)
-        return DistanceProfile.from_exponents(
-            lo, np.full(hi - lo + 1, e, dtype=np.int64)
-        )
+        return DistanceProfile.constant(
+            lo, hi, 0 if v is None else scaled_from_exponent(v))
 
     def parse_point(self, text: str) -> DyadicInteger:
         return parse_dyadic(text)

@@ -278,9 +278,9 @@ def _battery_triangle(notes):
     for system_id, payloads in triples:
         pts = [Point(system_id, p) for p in payloads]
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2)):
-            pxz = pair_profile(pts[i], pts[k], lo, hi).range_sum(lo, hi)
-            pxy = pair_profile(pts[i], pts[j], lo, hi).range_sum(lo, hi)
-            pyz = pair_profile(pts[j], pts[k], lo, hi).range_sum(lo, hi)
+            pxz = pair_profile(pts[i], pts[k], lo, hi).prefix()[-1]
+            pxy = pair_profile(pts[i], pts[j], lo, hi).prefix()[-1]
+            pyz = pair_profile(pts[j], pts[k], lo, hi).prefix()[-1]
             if system_id in _EXP2_SYSTEMS:
                 good = pxz <= pxy + pyz
             else:

@@ -1,12 +1,16 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from weylab.core import Point, dyadic_schedule, get_system
+from weylab.estimators import pair_profile
 from weylab.profiles import (INF_EXP, SCALE, SCALE_BITS, DistanceProfile,
-                             float_from_scaled, limb_bits,
-                             scaled_from_exponent, scaled_from_float)
+                             limb_bits, scaled_from_exponent,
+                             scaled_from_float)
 
 finite_dists = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 
@@ -30,20 +34,17 @@ def test_scaled_from_exponent_matches_float_route():
 
 @given(finite_dists)
 def test_float_roundtrip(v):
-    assert float_from_scaled(scaled_from_float(v)) == v
+    assert float(Fraction(scaled_from_float(v), SCALE)) == v
 
 
 @given(st.lists(finite_dists, min_size=1, max_size=40),
        st.integers(min_value=-50, max_value=50))
 def test_range_sum_matches_bruteforce(values, lo):
-    hi = lo + len(values) - 1
     prof = DistanceProfile.from_floats(lo, np.array(values))
-    total = sum(scaled_from_float(v) for v in values)
-    assert prof.range_sum(lo, hi) == total
-    if len(values) >= 2:
-        mid = lo + len(values) // 2 - 1
-        assert prof.range_sum(lo, mid) + prof.range_sum(mid + 1, hi) == total
-    assert prof.value_scaled(hi) == scaled_from_float(values[-1])
+    scaled = [scaled_from_float(v) for v in values]
+    assert prof.scaled() == scaled
+    # every range sum [a, b] is prefix[b + 1 - lo] - prefix[a - lo]
+    assert prof.prefix() == list(accumulate(scaled, initial=0))
 
 
 @given(st.lists(finite_dists, min_size=1, max_size=40))
@@ -84,18 +85,18 @@ def test_constant_profile_and_plus():
     a = DistanceProfile.constant(-2, 2, scaled_from_float(0.25))
     b = DistanceProfile.from_floats(-2, np.array([0.0, 1.0, 0.5, 0.25, 2.0]))
     c = a.plus(b)
-    assert c.range_sum(-2, 2) == a.range_sum(-2, 2) + b.range_sum(-2, 2)
-    assert c.value_scaled(0) == scaled_from_float(0.75)
+    assert a.scaled() == [scaled_from_float(0.25)] * 5
+    assert c.scaled() == [x + y for x, y in zip(a.scaled(), b.scaled())]
+    assert c.prefix()[-1] == a.prefix()[-1] + b.prefix()[-1]
+    assert c.scaled()[2] == scaled_from_float(0.75)
     with pytest.raises(ValueError):
         a.plus(DistanceProfile.constant(-1, 3, 1))
 
 
 def test_exponent_profile_is_exact_powers():
     prof = DistanceProfile.from_exponents(0, np.array([0, 3, 1074, 2000]))
-    assert prof.value_scaled(0) == SCALE
-    assert prof.value_scaled(1) == SCALE >> 3
-    assert prof.value_scaled(2) == 1
-    assert prof.value_scaled(3) == 0  # underflows the grid to exact zero
+    # 2^-2000 underflows the grid to exact zero
+    assert prof.scaled() == [SCALE, SCALE >> 3, 1, 0]
 
 
 @pytest.mark.parametrize("exps", [[0, 3, 1074, 1075, 2000, INF_EXP],
@@ -146,6 +147,56 @@ def test_runs_rebuild_samples_and_prefix(runs):
         assert [v for v, n in zip(values, lengths) for _ in range(n)] \
             == prof.scaled()
         assert sums.tolist() == [prof.prefix()[i] for i in starts]
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 3, SCALE, SCALE + 1, 3 * SCALE]),
+                min_size=1, max_size=30), st.data())
+def test_scaled_extremes_match_list_at_first_t(values, data):
+    lo = -5
+    hi = lo + len(values) - 1
+    a = data.draw(st.integers(min_value=lo, max_value=hi))
+    b = data.draw(st.integers(min_value=a, max_value=hi))
+    seg = values[a - lo:b + 1 - lo]
+    assert DistanceProfile.from_scaled(lo, values).extremes(a, b) \
+        == (min(seg), a + seg.index(min(seg)), max(seg), a + seg.index(max(seg)))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_constant_profile_holds_one_run():
+    n = 1 << 20
+    (starts, values, sums), peak = _traced_peak(
+        lambda: DistanceProfile.constant(0, n - 1, SCALE >> 3).runs())
+    assert starts.tolist() == [0, n]
+    assert values.tolist() == [SCALE >> 3, 0]
+    assert sums.tolist() == [0, n * (SCALE >> 3)]
+    assert peak < 4096, peak
+
+
+#: tracemalloc peak of below_counts on an 'exp2' profile whose runs are
+#: built, in bytes per sample: the int64 result holds 8 and the per-sample
+#: flags 1; a full-length int64 temporary would add 8
+BELOW_COUNTS_BYTES_PER_SAMPLE = 10
+
+
+def test_below_counts_keep_no_full_length_temporary():
+    schedule = dyadic_schedule(8, 16)
+    x, y = (Point("toeplitz", get_system("toeplitz").parse_point(
+        "addr=int:7 flag=%s" % flag)) for flag in ("plain", "primed"))
+    prof = pair_profile(x, y, *schedule.hull_range())
+    assert prof.kind == "exp2"
+    prof.runs()  # cached, so not traced below
+    counts, peak = _traced_peak(lambda: prof.below_counts(2.0 ** -20))
+    assert counts.tolist() == prof.indicator_prefix(scaled_from_float(2.0 ** -20))
+    assert peak / len(prof) < BELOW_COUNTS_BYTES_PER_SAMPLE, peak
 
 
 def test_float_profiles_have_no_runs_view():

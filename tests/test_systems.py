@@ -44,7 +44,7 @@ def test_odometer_translation_and_distance():
     # profile is constant and equals the pointwise distance
     prof = system.pair_profile(p, system.parse_point("int:11"), -5, 5)
     d = scaled_from_float(system.dist(p, system.parse_point("int:11")))
-    assert all(prof.value_scaled(t) == d for t in range(-5, 6))
+    assert prof.scaled() == [d] * 11
 
 
 @given(small_ints, small_ints, small_ints)
