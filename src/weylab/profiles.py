@@ -14,7 +14,11 @@ property suites can assert window-level inequalities with zero tolerance.
 A profile offers its samples to the estimators in one of two shapes.
 'exp2' and 'scaled' profiles give a runs view (`runs`): the maximal constant
 runs, with exact prefix sums at run starts only.  A 'scaled' profile is
-stored as its runs; an 'exp2' one builds them once from its exponents.
+stored as its runs.  An 'exp2' profile (a subshift pair) is stored as its
+disagreement spans, the maximal ranges where the two points' letters
+differ; the value at t is 2^-e with e the distance from t to the nearest
+disagreement, so its runs and extremes are built from the spans in time
+linear in their number, with no per-sample array.
 'float' profiles give a limbs view (`limbs`): every grid integer, shifted
 down by the profile's lowest set bit, split into int64 limbs narrow enough
 that their prefix sums cannot overflow (a small superaccumulator), so no
@@ -36,6 +40,8 @@ SCALE_BITS = 1074
 SCALE = 1 << SCALE_BITS
 #: sentinel exponent meaning "no disagreement anywhere", i.e. distance 0
 INF_EXP = 1 << 30
+#: stands in for the missing disagreement beyond an outer gap
+_FAR = 1 << 62
 
 
 def scaled_from_float(x: float) -> int:
@@ -62,12 +68,15 @@ def limb_bits(n: int) -> int:
     return 62 - (n - 1).bit_length()
 
 
-def _run_table(keys: np.ndarray, n: int, grid=None):
+def _run_table(keys: np.ndarray, n: int, grid=None, at=None):
     """The runs view (see DistanceProfile.runs) of the samples keys, with
     the last run extended to n samples.  Keys are grid values, or map to
-    them through grid, which is called once per distinct key."""
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    values = keys[starts]
+    them through grid, which is called once per distinct key.  keys[k] is
+    the sample at at[k] (at 0, 1, ... by default); at must be sorted, start
+    at 0 and hold every run start, and may repeat a position."""
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    starts = np.flatnonzero(new) if at is None else at[new]
+    values = keys[new]
     if grid is not None:
         distinct, index = np.unique(values, return_inverse=True)
         values = np.array([grid(e) for e in distinct.tolist()], dtype=object)[index]
@@ -76,32 +85,47 @@ def _run_table(keys: np.ndarray, n: int, grid=None):
     return starts, np.append(values, 0), sums
 
 
+def _ragged_range(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The integers of the ranges [first[k], last[k]], one after another;
+    a range with last < first is empty."""
+    lengths = np.maximum(last - first + 1, 0)
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(first - offsets, lengths) + np.arange(lengths.sum())
+
+
 @dataclass
 class DistanceProfile:
     """Distance samples d(t) for t in [lo, hi], exact on the quantization grid.
 
-    kind is 'exp2' (values 2^-e from an int64 exponent array), 'float'
-    (a float64 array, each value exactly representable) or 'scaled'
-    (grid integers, held as constant runs).  The runs and limbs views are
-    built lazily and cached; sums are exact integers, so they never round.
+    kind is 'exp2' (values 2^-e, e the distance to the nearest of the
+    disagreement spans), 'float' (a float64 array, each value exactly
+    representable) or 'scaled' (grid integers, held as constant runs).  The
+    runs and limbs views are built lazily and cached; sums are exact
+    integers, so they never round.
     """
 
     lo: int
     hi: int
     kind: str
-    exps: Optional[np.ndarray] = None
+    spans: Optional[Tuple[np.ndarray, np.ndarray]] = None
     floats: Optional[np.ndarray] = None
     _runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False)
+    _gaps: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False)
     _limbs: Optional[Tuple[List[np.ndarray], int, int]] = field(
         default=None, repr=False)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_exponents(cls, lo: int, exps: np.ndarray) -> "DistanceProfile":
-        exps = np.asarray(exps, dtype=np.int64)
-        return cls(lo=lo, hi=lo + len(exps) - 1, kind="exp2", exps=exps)
+    def from_spans(cls, lo: int, hi: int, starts, ends) -> "DistanceProfile":
+        """The 'exp2' profile on [lo, hi] of a pair whose letters differ
+        exactly on the half-open spans [starts[k], ends[k]), given as
+        sample indices (t - lo): ascending, disjoint and not adjacent.  They
+        may reach beyond the range; disagreements outside the spans given
+        are not seen, and with none the distance is 0 everywhere."""
+        return cls(lo=lo, hi=hi, kind="exp2",
+                   spans=(np.asarray(starts, np.int64), np.asarray(ends, np.int64)))
 
     @classmethod
     def from_floats(cls, lo: int, values: np.ndarray) -> "DistanceProfile":
@@ -149,9 +173,42 @@ class DistanceProfile:
         if self._runs is None:
             if self.kind != "exp2":
                 raise ValueError("float profiles have no runs view")
-            keys = np.minimum(self.exps, SCALE_BITS + 1)  # equal on the grid
-            self._runs = _run_table(keys, len(self), scaled_from_exponent)
+            # runs start at 0, at each span and, in each gap, at the samples
+            # within SCALE_BITS + 1 of its left end or SCALE_BITS of its
+            # right end: between those the gap's samples are 0 on the grid
+            n, (starts, _) = len(self), self.spans
+            last, nxt, _, _ = self._gap_table()
+            rise = np.minimum(last + SCALE_BITS + 1, nxt - 1)
+            at = np.sort(np.concatenate((
+                [0], starts[(starts >= 0) & (starts < n)],
+                _ragged_range(np.maximum(last + 1, 0), np.minimum(rise, n - 1)),
+                _ragged_range(np.maximum(np.maximum(nxt - SCALE_BITS, rise + 1), 0),
+                              np.minimum(nxt - 1, n - 1)))))
+            keys = np.minimum(self._exponents_at(at), SCALE_BITS + 1)  # equal on the grid
+            self._runs = _run_table(keys, n, scaled_from_exponent, at)
         return self._runs
+
+    def _gap_table(self) -> Tuple[np.ndarray, ...]:
+        """(last, nxt, apex, height) of an 'exp2' profile, cached.  Gap k
+        holds the samples between the disagreements last[k] and nxt[k]
+        (+-_FAR beyond the outer spans); the exponent at t in it is
+        min(t - last[k], nxt[k] - t).  An inner gap's exponents rise by one
+        a sample to height first reached at apex, then fall."""
+        if self._gaps is None:
+            starts, ends = self.spans
+            last = np.concatenate(([-_FAR], ends - 1))
+            nxt = np.concatenate((starts, [_FAR]))
+            height = (nxt[1:-1] - last[1:-1]) // 2
+            self._gaps = (last, nxt, last[1:-1] + height, height)
+        return self._gaps
+
+    def _exponents_at(self, t: np.ndarray) -> np.ndarray:
+        """The exponents of an 'exp2' profile's samples at the indices t,
+        capped at INF_EXP; 0 inside a span."""
+        last, nxt, _, _ = self._gap_table()
+        k = np.searchsorted(self.spans[0], t, "right")  # in gap k or span k - 1
+        return np.where(t <= last[k], 0, np.minimum(
+            np.minimum(t - last[k], nxt[k] - t), INF_EXP))
 
     def limbs(self) -> Tuple[List[np.ndarray], int, int]:
         """A 'float' profile as (cums, w, low): sample i's grid integer is
@@ -204,13 +261,7 @@ class DistanceProfile:
             raise ValueError("range [%d, %d] outside profile [%d, %d]" % (a, b, self.lo, self.hi))
         i, j = a - self.lo, b - self.lo + 1
         if self.kind == "exp2":
-            seg = np.minimum(self.exps[i:j], INF_EXP)  # larger exponent = smaller value
-            kmax = int(np.argmax(seg))
-            kmin = int(np.argmin(seg))
-            return (
-                scaled_from_exponent(int(seg[kmax])), a + kmax,
-                scaled_from_exponent(int(seg[kmin])), a + kmin,
-            )
+            return self._span_extremes(i, j - 1)
         if self.kind == "float":
             seg = self.floats[i:j]
             kmin = int(np.argmin(seg))
@@ -226,6 +277,32 @@ class DistanceProfile:
         mn, mx = min(seg), max(seg)
         return (mn, a + max(int(starts[k + seg.index(mn)]) - i, 0),
                 mx, a + max(int(starts[k + seg.index(mx)]) - i, 0))
+
+    def _span_extremes(self, i: int, j: int) -> Tuple[int, int, int, int]:
+        """extremes over the samples [i, j] of an 'exp2' profile, read off
+        its spans.  Ties go to the smallest t of the largest and smallest
+        exponents, capped at INF_EXP: below the grid, samples tie on the
+        grid but not by exponent.  A gap's exponents rise, then fall, so its
+        smallest in the window is at a window end and its largest at a
+        window end or at its apex."""
+        starts, ends = self.spans
+        _, _, apex, height = self._gap_table()
+        ei, ej = self._exponents_at(np.array([i, j])).tolist()
+        k = int(np.searchsorted(ends, i, "right"))  # the first span ending after i
+        if k < len(starts) and starts[k] <= j:
+            top, top_t = 0, max(i, int(starts[k]))
+        else:
+            top, top_t = (ei, i) if ei <= ej else (ej, j)
+        low, low_t = ei, i
+        p, q = np.searchsorted(apex, (i, j + 1))
+        if q > p:
+            m = p + int(np.argmax(height[p:q]))
+            if height[m] > low:
+                low, low_t = int(height[m]), int(apex[m])
+        if ej > low:
+            low, low_t = ej, j
+        return (scaled_from_exponent(low), self.lo + low_t,
+                scaled_from_exponent(top), self.lo + top_t)
 
     def indicator_prefix(self, threshold_scaled: int) -> List[int]:
         """Prefix counts of samples strictly below the scaled threshold."""
@@ -251,5 +328,13 @@ class DistanceProfile:
         """Termwise sum on the grid (the lifted-metric profile)."""
         if (self.lo, self.hi) != (other.lo, other.hi):
             raise ValueError("profiles cover different ranges")
-        return DistanceProfile.from_scaled(
-            self.lo, [x + y for x, y in zip(self.scaled(), other.scaled())])
+        if "float" in (self.kind, other.kind):
+            return DistanceProfile.from_scaled(
+                self.lo, [x + y for x, y in zip(self.scaled(), other.scaled())])
+        # the sum is constant between the breakpoints of either side's runs
+        (sa, va, _), (sb, vb, _) = self.runs(), other.runs()
+        at = np.sort(np.concatenate((sa[:-1], sb[:-1])))
+        keys = (va[np.searchsorted(sa, at, "right") - 1]
+                + vb[np.searchsorted(sb, at, "right") - 1])
+        return DistanceProfile(lo=self.lo, hi=self.hi, kind="scaled",
+                               _runs=_run_table(keys, len(self), at=at))

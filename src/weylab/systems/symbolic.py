@@ -1,17 +1,22 @@
 """Shared machinery for binary subshifts under the shift action of Z.
 
 A subshift system only has to materialize letters on an integer range
-(coords); the metric 2^-min{|n| : x_n != y_n} and exact orbit distance
-profiles then reduce to nearest-disagreement scans, vectorized over the
-whole range at once.
+(coords).  A pair of points is described by its disagreement spans, the
+maximal ranges of positions where their letters differ; the metric
+2^-min{|n| : x_n != y_n} and exact orbit distance profiles are read off
+those spans, so a profile holds no per-sample array.  A system whose pairs
+differ in few places it can name without writing their letters overrides
+disagreements.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from ..core import System
-from ..profiles import INF_EXP, SCALE_BITS, DistanceProfile
+from ..profiles import SCALE_BITS, DistanceProfile
 
 # disagreements farther than the quantization depth contribute exactly zero,
 # both on the scaled grid and after rounding to float
@@ -25,36 +30,30 @@ class SymbolicSystem(System):
         """Letters x_n for n in [lo, hi], as a uint8 array."""
         raise NotImplementedError
 
+    def disagreements(self, p, q, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(starts, ends): the maximal half-open spans [starts[k], ends[k])
+        of positions in [lo, hi] where the letters of p and q differ, as
+        ascending int64 arrays.  Compares the letters once; the span edges
+        are read from an int8 mask of the disagreements."""
+        mask = np.zeros(hi - lo + 3, np.int8)
+        np.not_equal(self.coords(p, lo, hi), self.coords(q, lo, hi),
+                     out=mask[1:-1].view(bool))
+        edges = np.flatnonzero(mask[1:] != mask[:-1]) + lo
+        return edges[0::2], edges[1::2]
+
     def dist(self, p, q) -> float:
         if p == q:
             return 0.0
-        a = self.coords(p, -SCALE_BITS, SCALE_BITS)
-        b = self.coords(q, -SCALE_BITS, SCALE_BITS)
-        diff = np.nonzero(a != b)[0]
-        if diff.size == 0:
+        starts, ends = self.disagreements(p, q, -SCALE_BITS, SCALE_BITS)
+        if starts.size == 0:
             # distinct points agreeing out to the grid depth: below float
             # resolution either way
             return 0.0
-        k = int(np.min(np.abs(diff - SCALE_BITS)))
+        # |n| of the disagreement nearest 0: 0 inside a span, else the
+        # nearer end of the nearest span on either side
+        k = int(np.min(np.maximum(np.maximum(starts, 1 - ends), 0)))
         return 2.0 ** (-k)
 
     def pair_profile(self, p, q, lo: int, hi: int) -> DistanceProfile:
-        a = self.coords(p, lo - _PAD, hi + _PAD)
-        b = self.coords(q, lo - _PAD, hi + _PAD)
-        disagree = np.nonzero(a != b)[0].astype(np.int64)
-        ts = np.arange(hi - lo + 1, dtype=np.int64) + _PAD
-        if disagree.size == 0:
-            return DistanceProfile.from_exponents(
-                lo, np.full(ts.size, INF_EXP, dtype=np.int64)
-            )
-        idx = np.searchsorted(disagree, ts)
-        left = np.where(
-            idx > 0, ts - disagree[np.maximum(idx - 1, 0)], np.int64(INF_EXP)
-        )
-        right = np.where(
-            idx < disagree.size,
-            disagree[np.minimum(idx, disagree.size - 1)] - ts,
-            np.int64(INF_EXP),
-        )
-        exps = np.minimum(np.minimum(left, right), np.int64(INF_EXP))
-        return DistanceProfile.from_exponents(lo, exps)
+        starts, ends = self.disagreements(p, q, lo - _PAD, hi + _PAD)
+        return DistanceProfile.from_spans(lo, hi, starts - lo, ends - lo)

@@ -68,6 +68,18 @@ class ToeplitzSystem(SymbolicSystem):
         addr, flag = payload
         return rule_word(addr.value.numerator, addr.value.denominator, flag, lo, hi)
 
+    def disagreements(self, p, q, lo, hi):
+        """Points at one address differ at most in one slot, the argument 0
+        (position -addr), and only when the address is an integer and the
+        flags differ; other pairs compare their letters."""
+        (addr, flag), (other, other_flag) = p, q
+        if addr != other:
+            return super().disagreements(p, q, lo, hi)
+        at = np.zeros(0, np.int64)
+        if flag != other_flag and addr.is_integer() and lo <= -addr.as_int() <= hi:
+            at = np.array([-addr.as_int()], np.int64)
+        return at, at + 1
+
     def parse_point(self, text: str):
         addr, flag = parse_fields(text, {"addr": None, "flag": "plain"}).values()
         return make_toeplitz_payload(parse_dyadic(addr), _parse_flag(flag))

@@ -10,6 +10,8 @@ achieving translates and boundary flags.
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from weylab.core import Point, get_system
 
 SCALE_BITS = 1074
@@ -274,3 +276,93 @@ def step_walk(step, x, n):
         x = step(x)
         out.append(x)
     return out
+
+
+# -- per-sample exponent profiles ---------------------------------------------
+# Verbatim copies of the subshift profile build (one int64 exponent per
+# sample), its runs view and its 'exp2' extremes, which disagreement spans
+# replaced; a spans profile must give the same runs, counts and extremes.
+
+INF_EXP = 1 << 30
+_PAD = SCALE_BITS + 2
+
+
+def exponent_grid(e: int) -> int:
+    """2^-e on the 2^-1074 grid, 0 beyond it."""
+    if e >= INF_EXP or e > SCALE_BITS:
+        return 0
+    return 1 << (SCALE_BITS - e)
+
+
+def letter_exponents(a, b, lo, hi):
+    """Exponents of the samples t in [lo, hi] from the letters a and b of
+    two points on [lo - _PAD, hi + _PAD]: the distance from t to the
+    nearest disagreement there, INF_EXP with none."""
+    disagree = np.nonzero(a != b)[0].astype(np.int64)
+    ts = np.arange(hi - lo + 1, dtype=np.int64) + _PAD
+    if disagree.size == 0:
+        return np.full(ts.size, INF_EXP, dtype=np.int64)
+    idx = np.searchsorted(disagree, ts)
+    left = np.where(
+        idx > 0, ts - disagree[np.maximum(idx - 1, 0)], np.int64(INF_EXP)
+    )
+    right = np.where(
+        idx < disagree.size,
+        disagree[np.minimum(idx, disagree.size - 1)] - ts,
+        np.int64(INF_EXP),
+    )
+    return np.minimum(np.minimum(left, right), np.int64(INF_EXP))
+
+
+def pair_exponents(system, p, q, lo, hi):
+    """letter_exponents of the pair's letters, read through coords."""
+    return letter_exponents(system.coords(p, lo - _PAD, hi + _PAD),
+                            system.coords(q, lo - _PAD, hi + _PAD), lo, hi)
+
+
+def exponent_runs(exps):
+    """(starts, values, sums) of DistanceProfile.runs, from the exponents."""
+    keys = np.minimum(exps, SCALE_BITS + 1)  # equal on the grid
+    n = len(exps)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    values = keys[starts]
+    distinct, index = np.unique(values, return_inverse=True)
+    values = np.array([exponent_grid(e) for e in distinct.tolist()],
+                      dtype=object)[index]
+    starts = np.append(starts, n)
+    sums = np.concatenate(([0], np.cumsum(values * np.diff(starts))))
+    return starts, np.append(values, 0), sums
+
+
+def exponent_below_counts(exps, eps):
+    """Prefix counts of the samples whose grid value is below scaled(eps)."""
+    cut = scaled(eps)
+    below = np.array([exponent_grid(e) < cut for e in range(SCALE_BITS + 2)])
+    return np.concatenate(([0], np.cumsum(below[np.minimum(exps, SCALE_BITS + 1)])))
+
+
+def exponent_extremes(exps, lo, a, b):
+    """DistanceProfile.extremes(a, b) of the exponents exps of [lo, ...]."""
+    i, j = a - lo, b - lo + 1
+    seg = np.minimum(exps[i:j], INF_EXP)  # larger exponent = smaller value
+    kmax = int(np.argmax(seg))
+    kmin = int(np.argmin(seg))
+    return (
+        exponent_grid(int(seg[kmax])), a + kmax,
+        exponent_grid(int(seg[kmin])), a + kmin,
+    )
+
+
+def coords_dist(system, p, q):
+    """SymbolicSystem.dist, from the letters on [-SCALE_BITS, SCALE_BITS]."""
+    if p == q:
+        return 0.0
+    a = system.coords(p, -SCALE_BITS, SCALE_BITS)
+    b = system.coords(q, -SCALE_BITS, SCALE_BITS)
+    diff = np.nonzero(a != b)[0]
+    if diff.size == 0:
+        # distinct points agreeing out to the grid depth: below float
+        # resolution either way
+        return 0.0
+    k = int(np.min(np.abs(diff - SCALE_BITS)))
+    return 2.0 ** (-k)

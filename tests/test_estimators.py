@@ -17,8 +17,10 @@ from weylab.estimators import (ESTIMATE_KINDS, PairSummary, SummaryMemo,
 from weylab.factors import lift_metric
 from weylab.profiles import INF_EXP, SCALE, SCALE_BITS, DistanceProfile
 
-from _reference import (_scan, _value_rows, linear_window_rows,
-                        naive_estimate, profile_window_rows, scaled)
+from _reference import (_scan, _value_rows, exponent_below_counts,
+                        exponent_extremes, exponent_runs, linear_window_rows,
+                        naive_estimate, pair_exponents, profile_window_rows,
+                        scaled)
 
 _ESTIMATORS = {"besicovitch": besicovitch, "weyl": weyl, "check": check,
                "hat": hat}
@@ -345,6 +347,39 @@ def test_run_scans_match_per_sample_reference_at_scale(label, pair, schedule):
                 for wv in got[kind].per_window] == want[kind], (label, kind)
 
 
+# subshift pairs whose 'exp2' profiles are built from disagreement spans:
+# the symbolic pairs above, a Thue-Morse complement pair (one span over the
+# whole hull) and a half-line pair (one span over half of it)
+SPAN_PROFILE_PAIRS = [p for p in RUN_PROFILE_PAIRS if p[0] != "lifted tm.psi"] + [
+    ("tm complement", lambda: (_pt("thuemorse", "addr=int:0 flag=plain bit=0"),
+                               _pt("thuemorse", "addr=int:0 flag=plain bit=1")),
+     dyadic_schedule(12, 16)),
+    ("tm half-line", lambda: (_pt("thuemorse", "addr=int:3 flag=plain bit=0"),
+                              _pt("thuemorse", "addr=int:3 flag=primed bit=0")),
+     dyadic_schedule(12, 16)),
+]
+
+
+@pytest.mark.parametrize("label,pair,schedule", SPAN_PROFILE_PAIRS,
+                         ids=[p[0] for p in SPAN_PROFILE_PAIRS])
+def test_span_profiles_match_exponent_reference_at_scale(label, pair, schedule):
+    x, y = pair()
+    lo, hi = schedule.hull_range()
+    profile = pair_profile(x, y, lo, hi)
+    exps = pair_exponents(x.system(), x.payload, y.payload, lo, hi)
+    assert profile.kind == "exp2"
+    for got, want in zip(profile.runs(), exponent_runs(exps)):
+        assert got.tolist() == want.tolist(), label
+    for eps in (0.25, 2.0 ** -20):
+        assert profile.below_counts(eps).tolist() \
+            == exponent_below_counts(exps, eps).tolist(), label
+    for w, M in zip(schedule.windows, schedule.translate_radius):
+        for a, b in ((w.lo - M, w.hi + M), (w.lo - M + 1, w.hi + M - 1)):
+            if a <= b:
+                assert profile.extremes(a, b) \
+                    == exponent_extremes(exps, lo, a, b), (label, a, b)
+
+
 def _grid(e):
     """2^-e on the 2^-1074 grid, written independently of profiles.py."""
     return 1 << (SCALE_BITS - e) if e <= SCALE_BITS else 0
@@ -352,8 +387,8 @@ def _grid(e):
 
 @st.composite
 def _scan_cases(draw):
-    """(exps, lo, wlo, whi, M, as_scaled) with the window and its translates
-    inside a short piecewise-constant profile."""
+    """(exps, lo, wlo, whi, M) with the window and its translates inside a
+    short piecewise-constant profile."""
     runs = draw(st.lists(
         st.tuples(st.sampled_from([-2, -1, 0, 1, 2, 3, 1074, 1075, 1100,
                                    INF_EXP]),
@@ -365,27 +400,26 @@ def _scan_cases(draw):
     M = draw(st.integers(min_value=0, max_value=(len(exps) - 1) // 2))
     wlo = draw(st.integers(min_value=lo + M, max_value=hi - M))
     whi = draw(st.integers(min_value=wlo, max_value=hi - M))
-    return exps, lo, wlo, whi, M, draw(st.booleans())
+    return exps, lo, wlo, whi, M
 
 
 @given(_scan_cases(), st.sampled_from([0.25, 0.3, 1.0, 5e-324]))
 # one run: the only piece is flat and straddles translate 0
-@example((([3] * 9), 0, 3, 5, 3, False), 0.25)
+@example((([3] * 9), 0, 3, 5, 3), 0.25)
 # the best sits at -M and M alone, a boundary tie
-@example(([0, 5, 5, 5, 5, 5, 0], 0, 3, 3, 3, False), 0.25)
+@example(([0, 5, 5, 5, 5, 5, 0], 0, 3, 3, 3), 0.25)
 # a +-a tie inside the radius
-@example(([5, 0, 5, 5, 5, 0, 5], 0, 3, 3, 3, True), 0.25)
+@example(([5, 0, 5, 5, 5, 0, 5], 0, 3, 3, 3), 0.25)
 # flat pieces reaching -M and M, each with an inner translate
-@example(([0, 0, 5, 5, 5, 0, 0], 0, 3, 3, 3, False), 0.25)
+@example(([0, 0, 5, 5, 5, 0, 0], 0, 3, 3, 3), 0.25)
 # 2^-1075, 2^-1100 and distance 0 are one run on the grid
-@example(([1075, 1100, INF_EXP, 1074, 1075, INF_EXP, -1], 0, 3, 3, 2, False),
+@example(([1075, 1100, INF_EXP, 1074, 1075, INF_EXP, -1], 0, 3, 3, 2),
          5e-324)
 @settings(max_examples=300, deadline=None)
 def test_best_from_run_and_count_scans_matches_reference(case, eps):
-    exps, lo, wlo, whi, M, as_scaled = case
+    exps, lo, wlo, whi, M = case
     values = [_grid(e) for e in exps]
-    profile = (DistanceProfile.from_scaled(lo, values) if as_scaled
-               else DistanceProfile.from_exponents(lo, exps))
+    profile = DistanceProfile.from_scaled(lo, values)
     prefix = list(accumulate(values, initial=0))
     want = _scan(lambda a, b: prefix[b + 1 - lo] - prefix[a - lo],
                  wlo, whi, M, True)

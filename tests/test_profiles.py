@@ -12,6 +12,9 @@ from weylab.profiles import (INF_EXP, SCALE, SCALE_BITS, DistanceProfile,
                              limb_bits, scaled_from_exponent,
                              scaled_from_float)
 
+from _reference import (_PAD, exponent_below_counts, exponent_extremes,
+                        exponent_runs, letter_exponents)
+
 finite_dists = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 
 
@@ -64,9 +67,10 @@ def test_extremes_match_bruteforce(values):
     "exp2 extremes break ties between samples below the grid by exponent, "
     "not by smallest t; mending it moves the bytes of check series"))
 def test_exponent_extremes_tie_below_the_grid_at_smallest_t():
-    # 2^-1100 and 2^-1200 both floor to 0 on the 2^-1074 grid
-    prof = DistanceProfile.from_exponents(0, np.array([1100, 3, 1200]))
-    assert prof.extremes(0, 2)[:2] == (0, 0)
+    # one disagreement at 0: every sample in [1100, 1300], 2^-1100 to
+    # 2^-1300, floors to 0 on the 2^-1074 grid
+    prof = DistanceProfile.from_spans(0, 2999, [0], [1])
+    assert prof.extremes(1100, 1300)[:2] == (0, 1100)
 
 
 @given(st.lists(finite_dists, min_size=1, max_size=40), finite_dists)
@@ -93,17 +97,58 @@ def test_constant_profile_and_plus():
         a.plus(DistanceProfile.constant(-1, 3, 1))
 
 
+@st.composite
+def _run_profiles(draw, lo, n):
+    """A profile on [lo, lo + n - 1] of each kind: grid integers, a
+    constant, disagreement spans or floats."""
+    kind = draw(st.sampled_from(["scaled", "constant", "exp2", "float"]))
+    if kind == "scaled":
+        return DistanceProfile.from_scaled(lo, draw(st.lists(
+            st.sampled_from([0, 1, 3, SCALE >> 2, SCALE]), min_size=n, max_size=n)))
+    if kind == "constant":
+        return DistanceProfile.constant(lo, lo + n - 1,
+                                        draw(st.sampled_from([0, 1, SCALE])))
+    if kind == "float":
+        return DistanceProfile.from_floats(lo, np.array(draw(st.lists(
+            st.sampled_from([0.0, 5e-324, 0.25, 1.0]), min_size=n, max_size=n))))
+    edges = sorted(draw(st.sets(st.integers(-3, n + 3), max_size=8)))
+    edges = edges[:len(edges) // 2 * 2]
+    return DistanceProfile.from_spans(lo, lo + n - 1, edges[0::2], edges[1::2])
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(-5, 5), st.data())
+def test_plus_matches_per_sample_sum(n, lo, data):
+    a, b = (data.draw(_run_profiles(lo, n)) for _ in "ab")
+    total = a.plus(b)
+    assert (total.lo, total.hi, total.kind) == (lo, lo + n - 1, "scaled")
+    assert total.scaled() == [x + y for x, y in zip(a.scaled(), b.scaled())]
+    starts, values, sums = total.runs()
+    assert all(x != y for x, y in zip(values[:-2], values[1:-1]))  # maximal
+    prefix = total.prefix()
+    assert sums.tolist() == [prefix[i] for i in starts]
+
+
 def test_exponent_profile_is_exact_powers():
-    prof = DistanceProfile.from_exponents(0, np.array([0, 3, 1074, 2000]))
-    # 2^-2000 underflows the grid to exact zero
-    assert prof.scaled() == [SCALE, SCALE >> 3, 1, 0]
+    values = DistanceProfile.from_spans(0, 2000, [0], [1]).scaled()
+    # 2^-t at t; 2^-1075 and beyond underflow the grid to exact zero
+    assert [values[t] for t in (0, 3, 1074, 1075, 2000)] == [SCALE, SCALE >> 3, 1, 0, 0]
 
 
-@pytest.mark.parametrize("exps", [[0, 3, 1074, 1075, 2000, INF_EXP],
-                                  [2, -1, 1074, INF_EXP]])
-def test_exponent_profile_scaled_list_matches_per_sample_values(exps):
-    prof = DistanceProfile.from_exponents(-2, np.array(exps))
-    assert prof.scaled() == [scaled_from_exponent(e) for e in exps]
+def _nearest_disagreement(spans, t):
+    """Distance from t to the nearest position of the spans, INF_EXP with
+    none, written out per sample."""
+    return min((max(s - t, t - (e - 1), 0) for s, e in spans), default=INF_EXP)
+
+
+@pytest.mark.parametrize("spans", [[], [(0, 1)], [(-1100, -1099)],
+                                   [(5, 9), (2200, 2201)], [(-3, 2500)],
+                                   [(-1076, -1075), (1, 2), (3, 4), (2600, 2700)]])
+def test_exponent_profile_scaled_list_matches_per_sample_values(spans):
+    lo, hi = -2, 2500
+    prof = DistanceProfile.from_spans(lo, hi, [s - lo for s, _ in spans],
+                                      [e - lo for _, e in spans])
+    assert prof.scaled() == [scaled_from_exponent(_nearest_disagreement(spans, t))
+                             for t in range(lo, hi + 1)]
 
 
 # thresholds and samples that tie: eps itself, subnormals, the smallest
@@ -124,29 +169,95 @@ def test_below_counts_match_indicator_prefix_on_floats(values, eps):
 
 @given(st.lists(_EXPONENTS, min_size=1, max_size=30), _TIES.filter(bool))
 def test_below_counts_match_indicator_prefix_on_exponents(exps, eps):
-    prof = DistanceProfile.from_exponents(7, np.array(exps))
+    values = [scaled_from_exponent(e) for e in exps]
+    prof = DistanceProfile.from_scaled(7, values)
     cut = scaled_from_float(eps)
     assert prof.below_counts(eps).tolist() == prof.indicator_prefix(cut)
-    scaled = DistanceProfile.from_scaled(7, prof.scaled())
-    assert scaled.below_counts(eps).tolist() == prof.indicator_prefix(cut)
+    assert prof.indicator_prefix(cut) == list(accumulate(
+        (int(v < cut) for v in values), initial=0))
+
+
+#: gap and span lengths around the ramps of a gap (1074 samples each way)
+#: and its plateau of zeros
+_SPAN_LENGTHS = st.sampled_from([1, 2, 3, 4, 1073, 1074, 1075, 1076,
+                                 2148, 2149, 2150, 2151, 2152, 2500])
+
+
+@st.composite
+def _span_profiles(draw):
+    """(profile, exps): a spans profile on a drawn range, and the per-sample
+    exponents letter_exponents gives for the same disagreements.  The
+    spans reach into the padding that a subshift build sees."""
+    n = draw(st.integers(min_value=1, max_value=3000))
+    lo = draw(st.integers(min_value=-20, max_value=20))
+    mask = np.zeros(n + 2 * _PAD, np.uint8)
+    # the end of a span before the first, which may clip to the padding
+    pos = draw(st.integers(min_value=-3 * _PAD, max_value=n + _PAD))
+    starts, ends = [], []
+    for gap, span in draw(st.lists(st.tuples(_SPAN_LENGTHS, _SPAN_LENGTHS),
+                                   max_size=6)):
+        start = max(pos + gap, -_PAD)
+        end = min(start + span, n + _PAD)
+        if start >= end:
+            break
+        starts.append(start)
+        ends.append(end)
+        mask[start + _PAD:end + _PAD] = 1
+        pos = end
+    profile = DistanceProfile.from_spans(lo, lo + n - 1, starts, ends)
+    return profile, letter_exponents(np.zeros_like(mask), mask, lo, lo + n - 1)
+
+
+@given(_span_profiles(), st.data())
+def test_span_profiles_match_per_sample_exponents(case, data):
+    prof, exps = case
+    starts, values, sums = prof.runs()
+    want = exponent_runs(exps)
+    assert starts.tolist() == want[0].tolist()
+    assert values.tolist() == want[1].tolist()
+    assert sums.tolist() == want[2].tolist()
+    for eps in (0.25, 0.3, 1.0, 5e-324):
+        assert prof.below_counts(eps).tolist() \
+            == exponent_below_counts(exps, eps).tolist()
+    windows = [(prof.lo, prof.hi)] + [
+        tuple(sorted(data.draw(st.integers(prof.lo, prof.hi)) for _ in "ab"))
+        for _ in range(8)]
+    for a, b in windows:
+        assert prof.extremes(a, b) == exponent_extremes(exps, prof.lo, a, b)
+
+
+def test_span_extremes_match_reference_on_every_window():
+    # disagreements 10 and 8 apart, a block and one more: exponents tie
+    # across windows, e.g. 4 at t = 6 (falling) and at the next gap's apex
+    # t = 14, and the two ends of a window inside one gap
+    lo, hi = -5, 40
+    mask = np.zeros(hi - lo + 1 + 2 * _PAD, np.uint8)
+    for t in (0, 10, 18, 19, 20, 30):
+        mask[t - lo + _PAD] = 1
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0])))) - _PAD
+    prof = DistanceProfile.from_spans(lo, hi, edges[0::2], edges[1::2])
+    exps = letter_exponents(np.zeros_like(mask), mask, lo, hi)
+    for a in range(lo, hi + 1):
+        for b in range(a, hi + 1):
+            assert prof.extremes(a, b) == exponent_extremes(exps, lo, a, b), (a, b)
 
 
 @given(st.lists(st.tuples(_EXPONENTS, st.integers(min_value=1, max_value=4)),
-                min_size=1, max_size=10))
-def test_runs_rebuild_samples_and_prefix(runs):
+                min_size=1, max_size=10), _span_profiles())
+def test_runs_rebuild_samples_and_prefix(runs, spans):
     exps = [e for e, n in runs for _ in range(n)]
-    for prof in (DistanceProfile.from_exponents(0, np.array(exps)),
-                 DistanceProfile.from_scaled(0, [scaled_from_exponent(e)
-                                                 for e in exps])):
+    for prof in (spans[0], DistanceProfile.from_scaled(
+            0, [scaled_from_exponent(e) for e in exps])):
         starts, values, sums = prof.runs()
-        assert starts[0] == 0 and starts[-1] == len(exps)
+        assert starts[0] == 0 and starts[-1] == len(prof)
         assert values[-1] == 0
         lengths = np.diff(starts)
         assert (lengths > 0).all()
         assert all(a != b for a, b in zip(values[:-2], values[1:-1]))  # maximal
         assert [v for v, n in zip(values, lengths) for _ in range(n)] \
             == prof.scaled()
-        assert sums.tolist() == [prof.prefix()[i] for i in starts]
+        prefix = prof.prefix()
+        assert sums.tolist() == [prefix[i] for i in starts]
 
 
 @given(st.lists(st.sampled_from([0, 1, 2, 3, SCALE, SCALE + 1, 3 * SCALE]),
@@ -199,6 +310,22 @@ def test_below_counts_keep_no_full_length_temporary():
     assert peak / len(prof) < BELOW_COUNTS_BYTES_PER_SAMPLE, peak
 
 
+#: tracemalloc bound on building a Toeplitz fibre profile and its runs at
+#: dyadic_schedule(8, 16), 262,145 samples: its 2151 runs hold about 0.6 MB
+#: of big integers, and a per-sample int64 array would add 2 MB
+FIBRE_BUILD_PEAK_BYTES = 1 << 20
+
+
+def test_fibre_profile_build_holds_no_per_sample_array():
+    schedule = dyadic_schedule(8, 16)
+    x, y = (Point("toeplitz", get_system("toeplitz").parse_point(
+        "addr=int:7 flag=%s" % flag)) for flag in ("plain", "primed"))
+    (starts, _, _), peak = _traced_peak(
+        lambda: pair_profile(x, y, *schedule.hull_range()).runs())
+    assert len(starts) == 2152  # 2151 runs and the closing entry
+    assert peak < FIBRE_BUILD_PEAK_BYTES, peak
+
+
 def test_float_profiles_have_no_runs_view():
     with pytest.raises(ValueError):
         DistanceProfile.from_floats(0, np.array([0.5, 0.5])).runs()
@@ -234,4 +361,4 @@ def test_float_profiles_reject_negative_and_non_finite_samples(bad):
 
 def test_only_float_profiles_have_limbs():
     with pytest.raises(ValueError):
-        DistanceProfile.from_exponents(0, np.array([1, 2])).limbs()
+        DistanceProfile.from_spans(0, 1, [0], [1]).limbs()

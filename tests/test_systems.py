@@ -18,7 +18,8 @@ from weylab.systems.thuemorse import (PD_RULES, TM_RULES, complement,
                                       exchange_language,
                                       substitution_language,
                                       window_match_fraction)
-from weylab.systems.toeplitz import rule_word
+from weylab.systems.symbolic import SymbolicSystem
+from weylab.systems.toeplitz import make_toeplitz_payload, rule_word
 
 import _reference
 
@@ -132,6 +133,54 @@ def test_toeplitz_fractional_address_has_no_singular_site():
     assert a == b  # flag is canonicalized away off the integer orbit
     with pytest.raises(ValueError):
         system.parse_point("addr=int:0 flag=sideways")
+
+
+_ADDRESSES = st.one_of(
+    st.integers(min_value=-3000, max_value=3000).map(DyadicInteger.from_int),
+    st.builds(DyadicInteger.from_fraction, st.integers(-500, 500),
+              st.integers(0, 40).map(lambda k: 2 * k + 1)))
+
+
+@given(_ADDRESSES, st.integers(0, 1), st.integers(0, 1),
+       st.one_of(st.none(), _ADDRESSES), st.integers(-2500, 2500),
+       st.integers(0, 3000))
+# the singular slot -addr at either end of the range, and just outside it
+@example(DyadicInteger.from_int(5), 0, 1, None, -5, 10)
+@example(DyadicInteger.from_int(5), 1, 0, None, -15, 10)
+@example(DyadicInteger.from_int(5), 0, 1, None, -4, 10)
+@example(DyadicInteger.from_int(-7), 1, 0, None, -3, 9)
+def test_toeplitz_disagreements_match_letter_comparison(addr, flag, other_flag,
+                                                        other, lo, width):
+    system = get_system("toeplitz")
+    p = make_toeplitz_payload(addr, flag)
+    q = make_toeplitz_payload(addr if other is None else other, other_flag)
+    got = system.disagreements(p, q, lo, lo + width)
+    want = SymbolicSystem.disagreements(system, p, q, lo, lo + width)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert all(a.dtype == np.int64 for a in got)
+
+
+def _drawn_pairs(system_id, seed):
+    """Payload pairs of a subshift: two sampled points, and fibre-like
+    pairs that differ at one slot or on a half-line."""
+    system = get_system(system_id)
+    p, q = system.sample_payloads(np.random.default_rng(seed), 2)
+    pairs = [(p, q), (p, p)]
+    if system_id in ("toeplitz", "thuemorse"):
+        addr = p[0].add_int(seed % 2300 - 1150)  # -addr inside or beyond the grid depth
+        pairs.append((make_toeplitz_payload(addr, 0) + p[2:],
+                      make_toeplitz_payload(addr, 1) + p[2:]))
+    if system_id == "sturmian":
+        pairs.append(((p[0], 0), (p[0], 1)))
+    return system, pairs
+
+
+@given(st.sampled_from(["toeplitz", "thuemorse", "sturmian"]),
+       st.integers(min_value=0, max_value=10**6))
+def test_symbolic_dist_matches_letter_rule_bit_for_bit(system_id, seed):
+    system, pairs = _drawn_pairs(system_id, seed)
+    for p, q in pairs:
+        assert system.dist(p, q).hex() == _reference.coords_dist(system, p, q).hex()
 
 
 # -- parity extension -------------------------------------------------------
