@@ -328,13 +328,5 @@ class DistanceProfile:
         """Termwise sum on the grid (the lifted-metric profile)."""
         if (self.lo, self.hi) != (other.lo, other.hi):
             raise ValueError("profiles cover different ranges")
-        if "float" in (self.kind, other.kind):
-            return DistanceProfile.from_scaled(
-                self.lo, [x + y for x, y in zip(self.scaled(), other.scaled())])
-        # the sum is constant between the breakpoints of either side's runs
-        (sa, va, _), (sb, vb, _) = self.runs(), other.runs()
-        at = np.sort(np.concatenate((sa[:-1], sb[:-1])))
-        keys = (va[np.searchsorted(sa, at, "right") - 1]
-                + vb[np.searchsorted(sb, at, "right") - 1])
-        return DistanceProfile(lo=self.lo, hi=self.hi, kind="scaled",
-                               _runs=_run_table(keys, len(self), at=at))
+        return DistanceProfile.from_scaled(
+            self.lo, [x + y for x, y in zip(self.scaled(), other.scaled())])
