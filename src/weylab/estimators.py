@@ -27,18 +27,18 @@ follows the profile:
 - 'exp2' and 'scaled' profiles (symbolic systems, constant and lifted
   profiles; a 'scaled' one is stored as its runs) are scanned by constant
   runs.  A window sum is affine in the translate between breakpoints,
-  where a window edge crosses a run start, so it is evaluated there and at
-  the radius only.
+  where a window edge crosses a run start; it is evaluated exactly at the
+  breakpoints that can hold the maximum and at the radius only.
 - 'float' profiles (shells62, interval61) are scanned on their int64
   limbs: the sums of all translates of a window are one slice difference
   per limb plus a carry, and the greatest is found limb by limb from the
   top; only that one becomes a Python int.
 
-banach-density, for every kind, takes all translates of a window at once
-as a slice difference of int64 prefix counts of the samples below eps.
-The run, limb and count scans pick their translate and boundary flag in
-one place, _best; check and hat read DistanceProfile.extremes.  No
-estimator calls the per-sample reference accessors (scaled, prefix).
+banach-density, for every kind, runs the same run scan on the runs of the
+0/1 flags of the samples at or above eps (DistanceProfile.flag_runs).  The
+run and limb scans pick their translate and boundary flag in one place,
+_best; check and hat read DistanceProfile.extremes.  No estimator calls
+the per-sample reference accessors (scaled, prefix).
 
 A PairSummary holds a pair's four classification kinds, and a SummaryMemo
 keeps one summary per unordered pair (estimates are bit-symmetric), so
@@ -145,30 +145,39 @@ def _best(cand, hit, M):
     return int(a), bool(M > 0 and not interior)
 
 
-def _run_scan(profile):
-    """Window scan over the runs of an 'exp2' or 'scaled' profile.  The
-    prefix sum P is affine inside a run, so S(a) = P(u + a) - P(l + a) is
-    affine between breakpoints, where either window edge crosses a run
-    start: S is evaluated only there and at a = -M, M."""
-    starts, values, sums = profile.runs()
-
-    def prefix_at(i):
-        k = np.searchsorted(starts, i, "right") - 1
-        return sums[k] + (i - starts[k]).astype(object) * values[k]
+def _run_scan(runs, base):
+    """Window scan over a runs view (starts, values, sums) whose first
+    sample is at base.  S(a) = P(u + a) - P(l + a), P the prefix sum, is
+    affine between breakpoints, where a window edge crosses a run start,
+    with slope v(u + a) - v(l + a).  Only a breakpoint whose left piece
+    does not fall and whose right piece does not rise can hold the
+    maximum: S is evaluated exactly there and at a = -M, M."""
+    starts, values, sums = runs
 
     def knots(edge, M):
         i, j = np.searchsorted(starts, (edge - M, edge + M + 1))
         return starts[i:j] - edge
 
     def scan(wlo, whi, M):
-        l, u = wlo - profile.lo, whi - profile.lo + 1
+        l, u = wlo - base, whi - base + 1
         # the two sorted knot lists merge in linear time under a stable sort
         cand = np.sort(np.concatenate(([-M], knots(l, M), knots(u, M), [M])),
                        kind="stable")
         cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-        sums = prefix_at(u + cand) - prefix_at(l + cand)
-        best = sums.max()
-        return (int(best), *_best(cand, sums == best, M))
+        ku = np.searchsorted(starts, u + cand, "right") - 1
+        kl = np.searchsorted(starts, l + cand, "right") - 1
+        # the samples entering and leaving the window along piece k
+        vu, vl = values[ku[:-1]], values[kl[:-1]]
+        keep = np.ones(len(cand), bool)
+        keep[1:-1] = (vu[:-1] >= vl[:-1]) & (vu[1:] <= vl[1:])
+        at = np.flatnonzero(keep)
+        ku, kl, a = ku[at], kl[at], cand[at]
+        sums_at = (sums[ku] + (u + a - starts[ku]) * values[ku]
+                   - sums[kl] - (l + a - starts[kl]) * values[kl])
+        best = sums_at.max()
+        hit = np.zeros(len(cand), bool)
+        hit[at[sums_at == best]] = True
+        return (int(best), *_best(cand, hit, M))
 
     return scan
 
@@ -201,29 +210,20 @@ def _limb_scan(profile):
     return scan
 
 
-def _count_scan(counts, base):
-    """Window scan of banach-density over int64 prefix counts: the counts of
-    all 2M + 1 translates are one slice difference."""
-    def scan(wlo, whi, M):
-        l, u = wlo - base, whi - base + 1
-        below = counts[u - M:u + M + 1] - counts[l - M:l + M + 1]
-        best = below.min()
-        return (int(best), *_best(np.arange(-M, M + 1), below == best, M))
-
-    return scan
-
-
 # ---------------------------------------------------------------------------
 # per-window values of each kind, from one profile
 
 
-def _scan_windows(scan, schedule, radii, unit):
+def _scan_windows(scan, schedule, radii, unit, below=False):
     """Per-window best translated sums, as multiples of unit.  besicovitch
     scans with every radius 0, weyl and banach-density with the schedule's
-    translate radii."""
+    translate radii.  With below, a window reports its length less the
+    best sum (banach-density: the fewest samples below eps)."""
     per = []
     for w, M in zip(schedule.windows, radii):
         total, a, boundary = scan(w.lo, w.hi, M)
+        if below:
+            total = len(w) - total
         per.append(_window_value(w, M, a, Fraction(total, len(w) * unit),
                                  boundary))
     return per
@@ -271,12 +271,13 @@ def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
                 extremes = _extreme_windows(profile, schedule)
             per = extremes[kind == "hat"]
         elif kind == "banach-density":
-            per = _scan_windows(_count_scan(profile.below_counts(eps), profile.lo),
-                                schedule, schedule.translate_radius, 1)
+            per = _scan_windows(_run_scan(profile.flag_runs(eps), profile.lo),
+                                schedule, schedule.translate_radius, 1,
+                                below=True)
         else:
             if scan is None:
-                scan = (_limb_scan if profile.kind == "float"
-                        else _run_scan)(profile)
+                scan = (_limb_scan(profile) if profile.kind == "float"
+                        else _run_scan(profile.runs(), profile.lo))
             radii = (schedule.translate_radius if kind == "weyl"
                      else [0] * len(schedule.windows))
             per = _scan_windows(scan, schedule, radii, SCALE)

@@ -22,10 +22,10 @@ linear in their number, with no per-sample array.
 'float' profiles give a limbs view (`limbs`): every grid integer, shifted
 down by the profile's lowest set bit, split into int64 limbs narrow enough
 that their prefix sums cannot overflow (a small superaccumulator), so no
-sample becomes a Python int.  `below_counts` gives int64 counts of the
-samples below a threshold for every kind.  No profile stores a per-sample
-grid integer: `scaled`, `prefix` and `indicator_prefix` build them on each
-call, as reference accessors for tests and diagnostics.
+sample becomes a Python int.  `flag_runs` gives, for every kind, the runs
+view of the 0/1 flags of the samples at or above a threshold.  No profile
+stores a per-sample grid integer: `scaled`, `prefix` and `indicator_prefix`
+build them on each call, as reference accessors for tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -310,19 +310,16 @@ class DistanceProfile:
         flags = [1 if s < threshold_scaled else 0 for s in self.scaled()]
         return list(accumulate(flags, initial=0))
 
-    def below_counts(self, eps: float) -> np.ndarray:
-        """indicator_prefix(scaled_from_float(eps)) as an int64 array.
-        Float samples compare with eps as doubles, which is exact because
-        both sides are doubles; other kinds compare each run's grid value.
-        The flags are written into the result and summed in place there."""
-        out = np.zeros(len(self) + 1, np.int64)
+    def flag_runs(self, eps: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The runs view of the 0/1 flags of the samples at or above eps,
+        as int64 values and sums: one pass over a float profile's samples,
+        which compare with eps as doubles (exact, both sides are doubles),
+        or one grid compare per run of a runs profile."""
         if self.kind == "float":
-            np.less(self.floats, eps, out=out[1:])
-        else:
-            starts, values, _ = self.runs()
-            out[1:] = np.repeat(values[:-1] < scaled_from_float(eps), np.diff(starts))
-        np.cumsum(out[1:], out=out[1:])
-        return out
+            return _run_table(self.floats >= eps, len(self))
+        starts, values, _ = self.runs()
+        return _run_table(values[:-1] >= scaled_from_float(eps), len(self),
+                          at=starts[:-1])
 
     def plus(self, other: "DistanceProfile") -> "DistanceProfile":
         """Termwise sum on the grid (the lifted-metric profile)."""

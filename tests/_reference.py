@@ -353,6 +353,96 @@ def exponent_extremes(exps, lo, a, b):
     )
 
 
+# -- all-breakpoint scans -----------------------------------------------------
+# Verbatim copies of the run scan that evaluated every breakpoint, the
+# banach-density scan over int64 prefix counts of all 2M + 1 translates, the
+# DistanceProfile.below_counts that fed it, and their shared tie-break; the
+# pruned run scan must give the same translate, sum and boundary flag.
+
+
+def _best(cand, hit, M):
+    """The translate and boundary flag of a window's extreme over the
+    translates |a| <= M, from the mask hit of the candidates cand (ascending,
+    from -M to M) that achieve it.  The window sum must be affine between
+    consecutive candidates, so a piece whose two ends both achieve the
+    extreme is flat: every translate in it achieves it too.  The translate
+    nearest 0 wins, negative first; the flag is set when every achiever
+    lies on |a| = M."""
+    flat = hit[:-1] & hit[1:]
+    left, right = cand[:-1][flat], cand[1:][flat]
+    achievers = cand[hit]
+    if np.any((left < 0) & (right > 0)):
+        a = 0
+    else:  # argmin keeps the first, so -a wins a tie with a
+        a = achievers[np.argmin(np.abs(achievers))]
+    interior = (np.any(np.abs(achievers) < M)
+                or np.any(right - left >= 2))  # a flat piece's inner translate
+    return int(a), bool(M > 0 and not interior)
+
+
+def _run_scan(profile):
+    """Window scan over the runs of an 'exp2' or 'scaled' profile.  The
+    prefix sum P is affine inside a run, so S(a) = P(u + a) - P(l + a) is
+    affine between breakpoints, where either window edge crosses a run
+    start: S is evaluated only there and at a = -M, M."""
+    starts, values, sums = profile.runs()
+
+    def prefix_at(i):
+        k = np.searchsorted(starts, i, "right") - 1
+        return sums[k] + (i - starts[k]).astype(object) * values[k]
+
+    def knots(edge, M):
+        i, j = np.searchsorted(starts, (edge - M, edge + M + 1))
+        return starts[i:j] - edge
+
+    def scan(wlo, whi, M):
+        l, u = wlo - profile.lo, whi - profile.lo + 1
+        # the two sorted knot lists merge in linear time under a stable sort
+        cand = np.sort(np.concatenate(([-M], knots(l, M), knots(u, M), [M])),
+                       kind="stable")
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+        sums = prefix_at(u + cand) - prefix_at(l + cand)
+        best = sums.max()
+        return (int(best), *_best(cand, sums == best, M))
+
+    return scan
+
+
+def _count_scan(counts, base):
+    """Window scan of banach-density over int64 prefix counts: the counts of
+    all 2M + 1 translates are one slice difference."""
+    def scan(wlo, whi, M):
+        l, u = wlo - base, whi - base + 1
+        below = counts[u - M:u + M + 1] - counts[l - M:l + M + 1]
+        best = below.min()
+        return (int(best), *_best(np.arange(-M, M + 1), below == best, M))
+
+    return scan
+
+
+def below_counts(profile, eps):
+    """indicator_prefix(scaled_from_float(eps)) as an int64 array.
+    Float samples compare with eps as doubles, which is exact because
+    both sides are doubles; other kinds compare each run's grid value.
+    The flags are written into the result and summed in place there."""
+    out = np.zeros(len(profile) + 1, np.int64)
+    if profile.kind == "float":
+        np.less(profile.floats, eps, out=out[1:])
+    else:
+        starts, values, _ = profile.runs()
+        out[1:] = np.repeat(values[:-1] < scaled(eps), np.diff(starts))
+    np.cumsum(out[1:], out=out[1:])
+    return out
+
+
+def below_prefix(flag_runs):
+    """Prefix counts of the samples below eps, expanded from the runs view
+    (starts, values, sums) of the 0/1 flags of the samples at or above it."""
+    starts, values, _ = flag_runs
+    flags = np.repeat(values[:-1], np.diff(starts))
+    return np.concatenate(([0], np.cumsum(1 - flags)))
+
+
 def coords_dist(system, p, q):
     """SymbolicSystem.dist, from the letters on [-SCALE_BITS, SCALE_BITS]."""
     if p == q:

@@ -336,6 +336,62 @@ def test_bundled_scenarios_reproduce_baseline_digests(tmp_path, name,
     assert hashlib.sha256(data).hexdigest()[:16] == BASELINE_DIGESTS[name]
 
 
+# banach-density bytes, which no bundled scenario writes: all five kinds on
+# Toeplitz fibres (runs), a dense sturm.pi pair (about one run a sample)
+# and a shell pair (floats) at eps = 0.25, and the other dense sturm.pi
+# pair at eps = 0.75, where its worst translates move
+DENSITY_SCENARIOS = """
+[scenario:fibres]
+operation = estimate
+system = toeplitz
+pairs =
+    addr=int:7 flag=plain | addr=int:7 flag=primed
+    addr=int:-13 flag=plain | addr=int:-13 flag=primed
+    addr=int:0 flag=plain | addr=int:0 flag=primed
+lo_exponent = 8
+max_exponent = 13
+kinds = besicovitch weyl check hat banach-density
+eps = 0.25
+
+[scenario:sturm]
+operation = estimate
+system = sturmian
+pair = orbit=62 side=upper | orbit=64 side=upper
+lo_exponent = 8
+max_exponent = 13
+kinds = besicovitch weyl check hat banach-density
+eps = 0.25
+
+[scenario:shells]
+operation = estimate
+system = shells62
+pair = level=1 t=0.3 | level=1 t=4.0
+lo_exponent = 8
+max_exponent = 13
+kinds = besicovitch weyl check hat banach-density
+eps = 0.25
+
+[scenario:sturm-eps]
+operation = estimate
+system = sturmian
+pair = orbit=0 side=upper | orbit=1 side=upper
+lo_exponent = 8
+max_exponent = 13
+kinds = banach-density
+eps = 0.75
+"""
+
+
+def test_banach_density_scenario_reproduces_its_digest(tmp_path):
+    path = tmp_path / "density.ini"
+    path.write_text(DENSITY_SCENARIOS)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    data = (out / "results.csv").read_bytes() \
+        + (out / "verdicts.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == "8d814f55daf01ac9"
+
+
 def test_estimate_builds_one_profile_per_pair_for_all_kinds(tmp_path,
                                                             count_builds):
     counts = count_builds("toeplitz")

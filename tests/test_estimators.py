@@ -10,17 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 from weylab.core import (CrossSystemError, Point, default_schedule,
                          dyadic_schedule, get_factor, get_system, system_ids)
 from weylab.estimators import (ESTIMATE_KINDS, PairSummary, SummaryMemo,
-                               _count_scan, _limb_scan, _run_scan,
-                               _scan_windows, banach_density, besicovitch,
-                               check, estimate, estimates, hat, pair_profile,
-                               weyl)
+                               _limb_scan, _run_scan, _scan_windows,
+                               banach_density, besicovitch, check, estimate,
+                               estimates, hat, pair_profile, weyl)
 from weylab.factors import lift_metric
 from weylab.profiles import INF_EXP, SCALE, SCALE_BITS, DistanceProfile
 
-from _reference import (_scan, _value_rows, exponent_below_counts,
-                        exponent_extremes, exponent_runs, linear_window_rows,
-                        naive_estimate, pair_exponents, profile_window_rows,
-                        scaled)
+import _reference
+from _reference import (_scan, _value_rows, below_prefix,
+                        exponent_below_counts, exponent_extremes,
+                        exponent_runs, linear_window_rows, naive_estimate,
+                        pair_exponents, profile_window_rows, scaled)
 
 _ESTIMATORS = {"besicovitch": besicovitch, "weyl": weyl, "check": check,
                "hat": hat}
@@ -371,7 +371,7 @@ def test_span_profiles_match_exponent_reference_at_scale(label, pair, schedule):
     for got, want in zip(profile.runs(), exponent_runs(exps)):
         assert got.tolist() == want.tolist(), label
     for eps in (0.25, 2.0 ** -20):
-        assert profile.below_counts(eps).tolist() \
+        assert below_prefix(profile.flag_runs(eps)).tolist() \
             == exponent_below_counts(exps, eps).tolist(), label
     for w, M in zip(schedule.windows, schedule.translate_radius):
         for a, b in ((w.lo - M, w.hi + M), (w.lo - M + 1, w.hi + M - 1)):
@@ -404,7 +404,7 @@ def _scan_cases(draw):
 
 
 @given(_scan_cases(), st.sampled_from([0.25, 0.3, 1.0, 5e-324]))
-# one run: the only piece is flat and straddles translate 0
+# one run: every piece is flat, and the one through translate 0 wins
 @example((([3] * 9), 0, 3, 5, 3), 0.25)
 # the best sits at -M and M alone, a boundary tie
 @example(([0, 5, 5, 5, 5, 5, 0], 0, 3, 3, 3), 0.25)
@@ -412,6 +412,10 @@ def _scan_cases(draw):
 @example(([5, 0, 5, 5, 5, 0, 5], 0, 3, 3, 3), 0.25)
 # flat pieces reaching -M and M, each with an inner translate
 @example(([0, 0, 5, 5, 5, 0, 0], 0, 3, 3, 3), 0.25)
+# a flat maximal piece from -3 to -1 between two kept breakpoints
+@example(([5, 5, 5, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5], 0, 6, 7, 4), 0.25)
+# a peak at -2 that the pieces on both sides fall away from
+@example(([5, 5, 2, 1, 0, 2, 3, 5, 5, 5, 5], 0, 5, 6, 3), 0.25)
 # 2^-1075, 2^-1100 and distance 0 are one run on the grid
 @example(([1075, 1100, INF_EXP, 1074, 1075, INF_EXP, -1], 0, 3, 3, 2),
          5e-324)
@@ -423,11 +427,17 @@ def test_best_from_run_and_count_scans_matches_reference(case, eps):
     prefix = list(accumulate(values, initial=0))
     want = _scan(lambda a, b: prefix[b + 1 - lo] - prefix[a - lo],
                  wlo, whi, M, True)
-    assert _run_scan(profile)(wlo, whi, M) == want
+    assert _run_scan(profile.runs(), lo)(wlo, whi, M) == want
     counts = list(accumulate((int(v < scaled(eps)) for v in values), initial=0))
-    want = _scan(lambda a, b: counts[b + 1 - lo] - counts[a - lo],
-                 wlo, whi, M, False)
-    assert _count_scan(profile.below_counts(eps), lo)(wlo, whi, M) == want
+    below, a, boundary = _scan(lambda a, b: counts[b + 1 - lo] - counts[a - lo],
+                               wlo, whi, M, False)
+    # the same samples as doubles (2^-e is one, or 0 below the grid), so
+    # that float samples tie with eps too
+    floats = DistanceProfile.from_floats(lo, np.array([2.0 ** -e for e in exps]))
+    for prof in (profile, floats):
+        # the most samples at or above eps are the fewest below it
+        assert _run_scan(prof.flag_runs(eps), lo)(wlo, whi, M) \
+            == (whi - wlo + 1 - below, a, boundary), prof.kind
 
 
 def test_float_estimates_build_no_per_sample_ints(monkeypatch):
@@ -470,6 +480,45 @@ def test_limb_scans_match_per_sample_reference_at_scale(label, pair, schedule):
     for kind in kinds:
         assert [(len(wv.window), wv.translate, wv.exact, wv.boundary)
                 for wv in got[kind].per_window] == want[kind], (label, kind)
+
+
+# the pruned run scan against the all-breakpoint run scan and the count scan
+# over all 2M + 1 translates that it replaced, at 2^12-2^16 windows: every
+# run and span pair above, and a shells62.pi and an interval61 pair, whose
+# float profiles scan banach-density on flag runs too (their besicovitch and
+# weyl stay on limbs, checked above).  The lifted pair stops at 2^14: its
+# profile is summed per sample
+PRUNED_SCAN_PAIRS = [
+    (label, pair, dyadic_schedule(12, 14 if label == "lifted tm.psi" else 16))
+    for label, pair, _ in RUN_PROFILE_PAIRS + SPAN_PROFILE_PAIRS[-2:]
+] + [p for p in FLOAT_PROFILE_PAIRS if p[0] in ("shells62.pi level 1",
+                                                "interval branches")]
+
+
+@pytest.mark.parametrize("label,pair,schedule", PRUNED_SCAN_PAIRS,
+                         ids=[p[0] for p in PRUNED_SCAN_PAIRS])
+def test_pruned_scans_match_all_breakpoint_scans_at_scale(label, pair,
+                                                          schedule):
+    x, y = pair()
+    profile = pair_profile(x, y, *schedule.hull_range())
+    radii = schedule.translate_radius
+
+    def rows(per_window):
+        return [(wv.translate, wv.exact, wv.boundary) for wv in per_window]
+
+    want = {}
+    if profile.kind != "float":
+        scan = _reference._run_scan(profile)
+        want["besicovitch"] = rows(_scan_windows(
+            scan, schedule, [0] * len(radii), SCALE))
+        want["weyl"] = rows(_scan_windows(scan, schedule, radii, SCALE))
+    for eps in (0.25, 0.01, 5e-324):
+        counts = _reference.below_counts(profile, eps)
+        want["banach-density"] = rows(_scan_windows(
+            _reference._count_scan(counts, profile.lo), schedule, radii, 1))
+        got = estimates(x, y, schedule, tuple(want), eps)
+        for kind in want:
+            assert rows(got[kind].per_window) == want[kind], (label, kind, eps)
 
 
 # zeros, subnormals, values that tie, and spreads from 5e-324 up to the

@@ -12,8 +12,8 @@ from weylab.profiles import (INF_EXP, SCALE, SCALE_BITS, DistanceProfile,
                              limb_bits, scaled_from_exponent,
                              scaled_from_float)
 
-from _reference import (_PAD, exponent_below_counts, exponent_extremes,
-                        exponent_runs, letter_exponents)
+from _reference import (_PAD, below_prefix, exponent_below_counts,
+                        exponent_extremes, exponent_runs, letter_exponents)
 
 finite_dists = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 
@@ -159,20 +159,34 @@ _EXPONENTS = st.sampled_from([-1, 0, 1, 2, 3, 1073, 1074, 1075, 1100,
                               INF_EXP])
 
 
+def _flag_counts(prof, eps):
+    """Prefix counts of the samples below eps, from prof.flag_runs(eps),
+    after checking that it is a runs view: maximal runs of 0/1 flags, as
+    int64 values with exact sums at run starts."""
+    starts, values, sums = runs = prof.flag_runs(eps)
+    assert starts[0] == 0 and starts[-1] == len(prof)
+    assert (np.diff(starts) > 0).all()
+    assert values.dtype == sums.dtype == np.int64
+    assert set(values[:-1].tolist()) <= {0, 1} and values[-1] == 0
+    assert (values[1:-1] != values[:-2]).all()  # maximal
+    assert sums.tolist() == [0] + np.cumsum(
+        values[:-1] * np.diff(starts)).tolist()
+    return below_prefix(runs).tolist()
+
+
 @given(st.lists(_TIES, min_size=1, max_size=30), _TIES.filter(bool))
-def test_below_counts_match_indicator_prefix_on_floats(values, eps):
+def test_flag_runs_match_indicator_prefix_on_floats(values, eps):
     prof = DistanceProfile.from_floats(-4, np.array(values))
-    counts = prof.below_counts(eps)
-    assert counts.dtype == np.int64
-    assert counts.tolist() == prof.indicator_prefix(scaled_from_float(eps))
+    assert _flag_counts(prof, eps) \
+        == prof.indicator_prefix(scaled_from_float(eps))
 
 
 @given(st.lists(_EXPONENTS, min_size=1, max_size=30), _TIES.filter(bool))
-def test_below_counts_match_indicator_prefix_on_exponents(exps, eps):
+def test_flag_runs_match_indicator_prefix_on_exponents(exps, eps):
     values = [scaled_from_exponent(e) for e in exps]
     prof = DistanceProfile.from_scaled(7, values)
     cut = scaled_from_float(eps)
-    assert prof.below_counts(eps).tolist() == prof.indicator_prefix(cut)
+    assert _flag_counts(prof, eps) == prof.indicator_prefix(cut)
     assert prof.indicator_prefix(cut) == list(accumulate(
         (int(v < cut) for v in values), initial=0))
 
@@ -217,7 +231,7 @@ def test_span_profiles_match_per_sample_exponents(case, data):
     assert values.tolist() == want[1].tolist()
     assert sums.tolist() == want[2].tolist()
     for eps in (0.25, 0.3, 1.0, 5e-324):
-        assert prof.below_counts(eps).tolist() \
+        assert _flag_counts(prof, eps) \
             == exponent_below_counts(exps, eps).tolist()
     windows = [(prof.lo, prof.hi)] + [
         tuple(sorted(data.draw(st.integers(prof.lo, prof.hi)) for _ in "ab"))
@@ -292,22 +306,24 @@ def test_constant_profile_holds_one_run():
     assert peak < 4096, peak
 
 
-#: tracemalloc peak of below_counts on an 'exp2' profile whose runs are
-#: built, in bytes per sample: the int64 result holds 8 and the per-sample
-#: flags 1; a full-length int64 temporary would add 8
-BELOW_COUNTS_BYTES_PER_SAMPLE = 10
+#: tracemalloc peak of flag_runs on an 'exp2' profile whose runs are built,
+#: in bytes per run of the profile: the fibre below peaks at 3.5, one flag
+#: byte a run and a runs view of the few maximal flag runs; one byte a
+#: sample would add 122 a run (2151 runs in 262,145 samples)
+FLAG_RUNS_BYTES_PER_RUN = 16
 
 
-def test_below_counts_keep_no_full_length_temporary():
+def test_flag_runs_are_bounded_by_the_run_count():
     schedule = dyadic_schedule(8, 16)
     x, y = (Point("toeplitz", get_system("toeplitz").parse_point(
         "addr=int:7 flag=%s" % flag)) for flag in ("plain", "primed"))
     prof = pair_profile(x, y, *schedule.hull_range())
     assert prof.kind == "exp2"
-    prof.runs()  # cached, so not traced below
-    counts, peak = _traced_peak(lambda: prof.below_counts(2.0 ** -20))
-    assert counts.tolist() == prof.indicator_prefix(scaled_from_float(2.0 ** -20))
-    assert peak / len(prof) < BELOW_COUNTS_BYTES_PER_SAMPLE, peak
+    runs = len(prof.runs()[0]) - 1  # cached, so not traced below
+    flags, peak = _traced_peak(lambda: prof.flag_runs(2.0 ** -20))
+    assert below_prefix(flags).tolist() \
+        == prof.indicator_prefix(scaled_from_float(2.0 ** -20))
+    assert peak / runs < FLAG_RUNS_BYTES_PER_RUN, peak
 
 
 #: tracemalloc bound on building a Toeplitz fibre profile and its runs at
