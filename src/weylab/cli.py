@@ -13,8 +13,8 @@ document; a verdict without its series is considered a bug.
 Exit codes: 0 clean run, 2 verdict-level failure (a failed decomposition
 check or language check), 1 usage error, reported as one "error:" line: an
 unparseable file, an unknown key or bad value, a malformed point literal, a
-bad schedule or bad tolerances, a count or sequences below 1, a missing or
-negative seed, a word length outside 1..62.
+bad schedule or bad tolerances, an empty kinds list, a count or sequences
+below 1, a missing or negative seed, a word length outside 1..62.
 Verdict failures never masquerade as usage errors.
 """
 
@@ -130,6 +130,13 @@ def _parse_positive(text: str) -> int:
     return value
 
 
+def _parse_kinds(text: str) -> Tuple[str, ...]:
+    kinds = tuple(text.replace(",", " ").split())
+    if not kinds:
+        raise ValueError("expected at least one kind")
+    return kinds
+
+
 def _parse_operation(text: str) -> str:
     if text.strip() not in OPERATIONS:
         raise ValueError("unknown operation %r (expected one of %s)"
@@ -146,7 +153,7 @@ _CONVERTERS = {
     "pairs": _parse_pairs,
     "tolerances": _parse_tolerances,
     "eps": float,
-    "kinds": lambda text: tuple(text.replace(",", " ").split()),
+    "kinds": _parse_kinds,
     "decomposition": lambda text: tuple(text.split()),
     "exchanged": _parse_bool,
     "family": str.strip,

@@ -13,10 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .profiles import DistanceProfile
-
-#: elements of the acting group; identity 0, inverse negation
-GroupElement = int
+from .profiles import DistanceProfile, scaled_from_float
 
 
 class WeylabError(Exception):
@@ -151,6 +148,9 @@ class System:
     Subclasses provide the action on payloads, the metric, and (usually) a
     fast exact pair_profile; the base implementation walks the orbit one
     step at a time, which is the reference route the tests compare against.
+    A system that acts by isometries derives from IsometricSystem instead.
+    Diagonal pairs never reach pair_profile: estimators.pair_profile
+    answers them with the zero profile.
     """
 
     system_id: str = ""
@@ -181,6 +181,14 @@ class System:
     def sample_payloads(self, rng, count: int) -> List[Any]:
         """Deterministic test points for the property batteries."""
         raise NotImplementedError
+
+
+class IsometricSystem(System):
+    """A system acting by isometries: d(g.p, g.q) = d(p, q) for every g, so
+    a pair's profile is one run of its distance."""
+
+    def pair_profile(self, p: Any, q: Any, lo: int, hi: int) -> DistanceProfile:
+        return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
 
 
 def parse_fields(text: str, keys: Dict[str, Optional[str]]) -> Dict[str, str]:
@@ -262,9 +270,12 @@ class FactorMap:
 
     Fibre samplers are part of the map: seeded, deterministic generators of
     pairs in R(pi) (pair_sampler) and of convergent pair sequences inside
-    R(pi) with declared limits (sequence_sampler).  exact_fibres says whether
-    image equality is decidable exactly on payloads; otherwise membership in
-    R(pi) is thresholded by the caller.
+    R(pi) with declared limits (sequence_sampler).  A pair sampler returns
+    its fixed pairs and then seeded draws until it holds count pairs; when
+    the fixed pairs outnumber count it returns them all.  A sequence sampler
+    returns at most count sequences.  exact_fibres says whether image
+    equality is decidable exactly on payloads; otherwise membership in R(pi)
+    is thresholded by the caller.
     """
 
     map_id: str

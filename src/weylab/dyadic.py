@@ -150,9 +150,6 @@ class DyadicInteger:
             return NotImplemented
         return self.add_int(g)
 
-    def difference(self, other: "DyadicInteger") -> Fraction:
-        return self.value - other.value
-
     def dist(self, other: "DyadicInteger") -> float:
         """2^(-v2(difference)); the number of shared leading digits sets the scale."""
         diff = self.value - other.value

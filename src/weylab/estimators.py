@@ -20,15 +20,18 @@ boundary_warning flag, a hint that the radius was too small to see the
 extreme.
 
 `estimates` computes any set of kinds from one profile build, and the
-single-kind functions call it with one kind.  Besicovitch and weyl share
-one translate scan (besicovitch is the weyl scan at radius 0), whose shape
+single-kind functions call it with one kind.  A diagonal pair (x, x) is
+not built by its system: pair_profile answers it with the one-run zero
+profile, which the same scans below read.  Besicovitch and weyl share one
+translate scan (besicovitch is the weyl scan at radius 0), whose shape
 follows the profile:
 
-- 'exp2' and 'scaled' profiles (symbolic systems, constant and lifted
-  profiles; a 'scaled' one is stored as its runs) are scanned by constant
-  runs.  A window sum is affine in the translate between breakpoints,
-  where a window edge crosses a run start; it is evaluated exactly at the
-  breakpoints that can hold the maximum and at the radius only.
+- 'exp2' and 'scaled' profiles (symbolic systems, diagonal pairs,
+  isometric systems and lifted profiles; a 'scaled' one is stored as its
+  runs) are scanned by constant runs.  A window sum is affine in the
+  translate between breakpoints, where a window edge crosses a run start;
+  it is evaluated exactly at the breakpoints that can hold the maximum and
+  at the radius only.
 - 'float' profiles (shells62, interval61) are scanned on their int64
   limbs: the sums of all translates of a window are one slice difference
   per limb plus a carry, and the greatest is found limb by limb from the
@@ -42,7 +45,8 @@ the per-sample reference accessors (scaled, prefix).
 
 A PairSummary holds a pair's four classification kinds, and a SummaryMemo
 keeps one summary per unordered pair (estimates are bit-symmetric), so
-that a whole run builds each distinct pair once.
+that a whole run builds each distinct off-diagonal pair once and scans one
+diagonal pair per schedule.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
 
 def pair_profile(x: Point, y: Point, lo: int, hi: int) -> DistanceProfile:
     """Exact distance profile of the pair on [lo, hi], built on every call.
+    A diagonal pair is the one-run zero profile, with no system build.
 
     Callers that need several estimates of one pair take them from one
     PairSummary rather than building the profile again.
@@ -69,6 +74,8 @@ def pair_profile(x: Point, y: Point, lo: int, hi: int) -> DistanceProfile:
         raise CrossSystemError(
             "cannot profile %r against %r" % (x.system_id, y.system_id)
         )
+    if x == y:
+        return DistanceProfile.constant(lo, hi, 0)
     return x.system().pair_profile(x.payload, y.payload, lo, hi)
 
 
@@ -345,48 +352,38 @@ class PairSummary:
         return cls(**estimates(x, y, schedule,
                                ("check", "besicovitch", "weyl", "hat")))
 
-    @classmethod
-    def diagonal(cls, x: Point, schedule: FolnerSchedule) -> "PairSummary":
-        """PairSummary.of(x, x, schedule) without a profile build: every
-        sample is 0, so every translate achieves 0 and translate 0 wins,
-        while check and hat report each window's first sample."""
-        def zero(kind):
-            per = []
-            for w, M in zip(schedule.windows, schedule.translate_radius):
-                M = 0 if kind == "besicovitch" else M
-                at = w.lo - M if kind in ("check", "hat") else 0
-                per.append(_window_value(w, M, at, Fraction(0), False))
-            return _aggregate(kind, x, x, per, schedule)
-
-        return cls(*map(zero, ("check", "besicovitch", "weyl", "hat")))
-
-    def swapped(self) -> "PairSummary":
-        """The summary of (y, x): the same estimates, relabelled."""
-        return PairSummary(*(replace(e, x=e.y, y=e.x)
+    def relabelled(self, x: Point, y: Point) -> "PairSummary":
+        """The same estimates, labelled as the pair (x, y): the summary of
+        (y, x) for the reverse of a pair, or of any diagonal pair for
+        another diagonal one on the same schedule."""
+        return PairSummary(*(replace(e, x=str(x), y=str(y))
                              for e in vars(self).values()))
 
 
 class SummaryMemo:
     """One PairSummary per unordered pair of points, for one schedule: every
     consumer in a run reads its estimates here, so each distinct pair is
-    built and scanned once, (y, x) after (x, y) is only relabelled, and
-    (x, x) is never built.  Only summaries are held, never a profile.
+    built and scanned once and (y, x) after (x, y) is only relabelled.
+    Every diagonal pair on one schedule has the same estimates, so the
+    first one is scanned (on the zero profile, with no system build) and
+    later ones relabel it.  Only summaries are held, never a profile.
     Threads may share a memo: two that miss on one pair at once both
     compute it, with equal results."""
 
     def __init__(self, schedule: FolnerSchedule):
         self.schedule = schedule
         self._summaries: Dict[Tuple[Point, Point], PairSummary] = {}
+        self._diagonal: Optional[PairSummary] = None
 
     def __call__(self, x: Point, y: Point) -> PairSummary:
         summary = self._summaries.get((x, y))
         if summary is None:
-            reverse = self._summaries.get((y, x))
-            if reverse is not None:
-                summary = reverse.swapped()
-            elif x == y:
-                summary = PairSummary.diagonal(x, self.schedule)
+            held = self._diagonal if x == y else self._summaries.get((y, x))
+            if held is not None:
+                summary = held.relabelled(x, y)
             else:
                 summary = PairSummary.of(x, y, self.schedule)
+                if x == y:
+                    self._diagonal = summary
             self._summaries[(x, y)] = summary
         return summary

@@ -25,6 +25,9 @@ from .relations import (MeanEquicontinuityReport, ModulusReport, PairVerdict,
                         scan_equicontinuity, scan_mean_equicontinuity,
                         scan_property_M, summaries_for)
 
+#: source points on which verify_decomposition checks pi = psi o phi
+COMPOSITION_SAMPLE_POINTS = 20
+
 # ---------------------------------------------------------------------------
 # function families and the induced truncated metrics
 
@@ -296,11 +299,11 @@ def verify_decomposition(pi_id: str, phi_id: str, psi_id: str,
                          tolerances: Optional[Tolerances] = None,
                          seed: int = 0, pair_count: int = 24,
                          sequence_count: int = 4,
-                         sample_points: int = 20,
                          summaries: Optional[SummaryMemo] = None
                          ) -> DecompositionReport:
     """Check pi = psi o phi with phi topo-isomorphic (Banach proximal) and
-    psi equicontinuous, on samples."""
+    psi equicontinuous, on samples; the composition is checked on
+    COMPOSITION_SAMPLE_POINTS source points."""
     pi, phi, psi = get_factor(pi_id), get_factor(phi_id), get_factor(psi_id)
     if phi.source != pi.source or psi.target != pi.target \
             or phi.target != psi.source:
@@ -310,7 +313,7 @@ def verify_decomposition(pi_id: str, phi_id: str, psi_id: str,
     rng = np.random.default_rng(seed)
     source = get_system(pi.source)
     composition_ok = True
-    for payload in source.sample_payloads(rng, sample_points):
+    for payload in source.sample_payloads(rng, COMPOSITION_SAMPLE_POINTS):
         x = Point(pi.source, payload)
         if psi.apply(phi.apply(x)).payload != pi.apply(x).payload:
             composition_ok = False

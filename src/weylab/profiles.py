@@ -56,7 +56,7 @@ def scaled_from_float(x: float) -> int:
 
 def scaled_from_exponent(e: int) -> int:
     """Exact image of 2^-e, floored to 0 beyond the grid."""
-    if e >= INF_EXP or e > SCALE_BITS:
+    if e > SCALE_BITS:
         return 0
     return 1 << (SCALE_BITS - e)
 

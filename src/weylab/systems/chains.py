@@ -37,15 +37,6 @@ def _pt(system_id, payload):
     return Point(system_id, payload)
 
 
-def _extend_with(pairs, extra_iter, count):
-    pairs = list(pairs)
-    for pair in extra_iter:
-        if len(pairs) >= count:
-            break
-        pairs.append(pair)
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # parity chain
 
@@ -65,14 +56,11 @@ def _tm_phi_pairs(seed: int, count: int):
         pairs.append((x, _pt("thuemorse", complement(x.payload))))
     x = _tm_point(2, 1, 1)
     pairs.append((x, x))  # diagonal
-
-    def extras():
-        while True:
-            x = _tm_point(int(rng.integers(-50, 50)), int(rng.integers(0, 2)),
-                          int(rng.integers(0, 2)))
-            yield (x, _pt("thuemorse", complement(x.payload)))
-
-    return _extend_with(pairs, extras(), count)
+    while len(pairs) < count:
+        x = _tm_point(int(rng.integers(-50, 50)), int(rng.integers(0, 2)),
+                      int(rng.integers(0, 2)))
+        pairs.append((x, _pt("thuemorse", complement(x.payload))))
+    return pairs
 
 
 def _tm_shift_limit(base: Point, exponents) -> Point:
@@ -120,13 +108,10 @@ def _tm_psi_pairs(seed: int, count: int):
     pairs.append((_toep_point(-256, 0), _toep_point(-256, 1)))
     x = _toep_point(3, 0)
     pairs.append((x, x))
-
-    def extras():
-        while True:
-            z = int(rng.integers(-300, 300))
-            yield (_toep_point(z, 0), _toep_point(z, 1))
-
-    return _extend_with(pairs, extras(), count)
+    while len(pairs) < count:
+        z = int(rng.integers(-300, 300))
+        pairs.append((_toep_point(z, 0), _toep_point(z, 1)))
+    return pairs
 
 
 def _tm_psi_sequences(seed: int, count: int):
@@ -162,14 +147,11 @@ def _tm_pi_pairs(seed: int, count: int):
             )
         )
     pairs.append((u, u))
-
-    def extras():
-        while True:
-            z = int(rng.integers(-50, 50))
-            u = _tm_point(z, 0, int(rng.integers(0, 2)))
-            yield (u, _pt("thuemorse", (u.payload[0], 1, u.payload[2])))
-
-    return _extend_with(pairs, extras(), count)
+    while len(pairs) < count:
+        z = int(rng.integers(-50, 50))
+        u = _tm_point(z, 0, int(rng.integers(0, 2)))
+        pairs.append((u, _pt("thuemorse", (u.payload[0], 1, u.payload[2]))))
+    return pairs
 
 
 def _tm_pi_sequences(seed: int, count: int):
@@ -215,13 +197,10 @@ def _sturm_phi_pairs(seed: int, count: int):
              for k in (0, 1, -1, 5, 13, -21)]
     x = _sturm_point(2, 0)
     pairs.append((x, x))
-
-    def extras():
-        while True:
-            k = int(rng.integers(-100, 100))
-            yield (_sturm_point(k, 0), _sturm_point(k, 1))
-
-    return _extend_with(pairs, extras(), count)
+    while len(pairs) < count:
+        k = int(rng.integers(-100, 100))
+        pairs.append((_sturm_point(k, 0), _sturm_point(k, 1)))
+    return pairs
 
 
 def _sturm_phi_sequences(seed: int, count: int):
@@ -247,14 +226,11 @@ def _sturm_psi_pairs(seed: int, count: int):
         pairs.append((_rot_point(u), _rot_point(u + int(arc * MOD))))
     x = _rot_point(7 * A_UNITS)
     pairs.append((x, x))
-
-    def extras():
-        while True:
-            u = int(rng.integers(0, MOD, dtype=np.uint64))
-            arc = 0.15 + 0.35 * float(rng.random())
-            yield (_rot_point(u), _rot_point(u + int(arc * MOD)))
-
-    return _extend_with(pairs, extras(), count)
+    while len(pairs) < count:
+        u = int(rng.integers(0, MOD, dtype=np.uint64))
+        arc = 0.15 + 0.35 * float(rng.random())
+        pairs.append((_rot_point(u), _rot_point(u + int(arc * MOD))))
+    return pairs
 
 
 def _sturm_psi_sequences(seed: int, count: int):
@@ -285,13 +261,10 @@ def _sturm_pi_pairs(seed: int, count: int):
     )
     x = _sturm_point(1, 1)
     pairs.append((x, x))
-
-    def extras():
-        while True:
-            k = int(rng.integers(-100, 100))
-            yield (_sturm_point(k, 0), _sturm_point(k + 2, 0))
-
-    return _extend_with(pairs, extras(), count)
+    while len(pairs) < count:
+        k = int(rng.integers(-100, 100))
+        pairs.append((_sturm_point(k, 0), _sturm_point(k + 2, 0)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +285,12 @@ def _shells_pi_pairs(seed: int, count: int):
     pairs.append((_shell_point(None, 1.0), _shell_point(None, 1.3)))
     x = _shell_point(2, 2.0)
     pairs.append((x, x))
-
-    def extras():
-        while True:
-            k = (1, 2, 4, 8)[int(rng.integers(0, 4))]
-            t1 = float(0.3 + 5.0 * rng.random())
-            t2 = float(0.3 + 5.0 * rng.random())
-            yield (_shell_point(k, t1), _shell_point(k, t2))
-
-    return _extend_with(pairs, extras(), count)
+    while len(pairs) < count:
+        k = (1, 2, 4, 8)[int(rng.integers(0, 4))]
+        t1 = float(0.3 + 5.0 * rng.random())
+        t2 = float(0.3 + 5.0 * rng.random())
+        pairs.append((_shell_point(k, t1), _shell_point(k, t2)))
+    return pairs
 
 
 def _shells_pi_sequences(seed: int, count: int):

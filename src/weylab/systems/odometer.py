@@ -7,12 +7,11 @@ invariant under simultaneous addition.
 
 from __future__ import annotations
 
-from ..core import System, register_system
+from ..core import IsometricSystem, register_system
 from ..dyadic import DyadicInteger, parse_dyadic
-from ..profiles import DistanceProfile, scaled_from_exponent
 
 
-class OdometerSystem(System):
+class OdometerSystem(IsometricSystem):
     system_id = "odometer"
     diameter = 1.0
 
@@ -21,11 +20,6 @@ class OdometerSystem(System):
 
     def dist(self, p: DyadicInteger, q: DyadicInteger) -> float:
         return p.dist(q)
-
-    def pair_profile(self, p, q, lo, hi):
-        v = DyadicInteger(p.value - q.value).valuation()
-        return DistanceProfile.constant(
-            lo, hi, 0 if v is None else scaled_from_exponent(v))
 
     def parse_point(self, text: str) -> DyadicInteger:
         return parse_dyadic(text)

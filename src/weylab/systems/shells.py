@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ..core import System, parse_fields, register_system
+from ..core import IsometricSystem, System, parse_fields, register_system
 from ..profiles import DistanceProfile, scaled_from_float
 from .orbits import CachedOrbit
 
@@ -150,7 +150,7 @@ class ShellStackSystem(System):
         return out
 
 
-class ShellBaseSystem(System):
+class ShellBaseSystem(IsometricSystem):
     """Heights {1/k} with the limit 0, trivial action, absolute difference."""
 
     system_id = "shellbase62"
@@ -163,9 +163,6 @@ class ShellBaseSystem(System):
         zp = 0.0 if p is None else 1.0 / p
         zq = 0.0 if q is None else 1.0 / q
         return abs(zp - zq)
-
-    def pair_profile(self, p, q, lo, hi):
-        return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
 
     def parse_point(self, text: str):
         return _parse_level(parse_fields(text, {"level": None})["level"])

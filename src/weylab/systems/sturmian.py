@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from ..core import System, parse_fields, register_system
-from ..profiles import DistanceProfile, scaled_from_float
+from ..core import IsometricSystem, parse_fields, register_system
 from .symbolic import SymbolicSystem
 
 UNITS_BITS = 64
@@ -30,7 +29,7 @@ T_UNITS = MOD - A_UNITS  # fixed-point image of 1 - alpha
 assert A_UNITS % 2 == 1  # odd: the orbit of 0 hits 0 and T_UNITS exactly once
 
 
-class RotationSystem(System):
+class RotationSystem(IsometricSystem):
     system_id = "rotation"
     diameter = 0.5
 
@@ -40,9 +39,6 @@ class RotationSystem(System):
     def dist(self, p: int, q: int) -> float:
         delta = (p - q) % MOD
         return min(delta, MOD - delta) / MOD
-
-    def pair_profile(self, p, q, lo, hi):
-        return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
 
     def parse_point(self, text: str) -> int:
         text = text.strip()
@@ -102,7 +98,7 @@ class SturmianSystem(SymbolicSystem):
         ]
 
 
-class PointSystem(System):
+class PointSystem(IsometricSystem):
     system_id = "point"
     diameter = 0.0
 
@@ -111,9 +107,6 @@ class PointSystem(System):
 
     def dist(self, p, q) -> float:
         return 0.0
-
-    def pair_profile(self, p, q, lo, hi):
-        return DistanceProfile.constant(lo, hi, 0)
 
     def parse_point(self, text: str):
         if text.strip() != "pt":

@@ -224,6 +224,8 @@ _BAD_INPUTS = {
                                   "family = sideways\n"), ()),
     "max-exponent-0": (_estimate("odometer", "int:0 | int:1")
                        .replace("max_exponent = 2", "max_exponent = 0"), ()),
+    "kinds-empty": (_estimate("odometer", "int:0 | int:1")
+                    .replace("kinds = weyl", "kinds ="), ()),
     "seed-negative": (_SAMPLED + "seed = -1\n", ()),
     "seed-flag-negative": (_SAMPLED + "seed = 3\n", ("--seed", "-1")),
     "word-length-80": (_LANGUAGE + "max_word_length = 80\n", ()),

@@ -30,6 +30,12 @@ def _pt(system_id, text):
     return Point(system_id, get_system(system_id).parse_point(text))
 
 
+def _rows(per_window):
+    """(window length, translate, exact, boundary) of each window value."""
+    return [(len(wv.window), wv.translate, wv.exact, wv.boundary)
+            for wv in per_window]
+
+
 # pairs chosen to exercise every boundary/tie case the scanner has:
 # constant profiles, single-site disagreements, half-line disagreements
 # (all achievers on the translate boundary), and float-valued metrics
@@ -187,8 +193,7 @@ def test_pair_summary_matches_single_estimators_at_scale(label, x, y):
     together = estimates(x, y, schedule, ESTIMATE_KINDS, eps)
     reference = linear_window_rows(x, y, schedule, ESTIMATE_KINDS, eps)
     for kind in ESTIMATE_KINDS:
-        got = [(len(wv.window), wv.translate, wv.exact, wv.boundary)
-               for wv in together[kind].per_window]
+        got = _rows(together[kind].per_window)
         want = reference[kind]
         if (label, kind) == ("toeplitz fibre", "check"):
             # its zero minimum is reached below the grid, where the
@@ -236,17 +241,35 @@ def test_summary_memo_builds_each_unordered_pair_once(count_builds):
 @pytest.mark.parametrize("system_id", system_ids())
 def test_summary_memo_serves_diagonal_pairs_without_a_build(system_id,
                                                             count_builds):
-    rng = np.random.default_rng(5)
-    x = Point(system_id, get_system(system_id).sample_payloads(rng, 1)[0])
-    schedule = dyadic_schedule(2, 5)
-    counts = count_builds(system_id)
-    built = PairSummary.of(x, x, schedule)
-    assert sum(counts.values()) == 1
-    assert SummaryMemo(schedule)(x, x) == built
-    assert sum(counts.values()) == 1  # the memo built nothing
-    firsts = [w.lo - M for w, M in zip(schedule.windows,
-                                       schedule.translate_radius)]
-    assert [wv.translate for wv in built.hat.per_window] == firsts
+    payloads = get_system(system_id).sample_payloads(
+        np.random.default_rng(5), 4)
+    x = Point(system_id, payloads[0])
+    # a second diagonal point: another of this system's, or the odometer's
+    # for a system with a single point
+    z = next((Point(system_id, p) for p in payloads if p != x.payload),
+             _pt("odometer", "int:1"))
+    builds = [count_builds(sid) for sid in system_ids()]
+    eps = 0.25
+    for schedule in (dyadic_schedule(2, 5), dyadic_schedule(2, 5, "left")):
+        memo = SummaryMemo(schedule)
+        summary = PairSummary.of(x, x, schedule)
+        together = estimates(x, x, schedule, ESTIMATE_KINDS, eps)
+        assert memo(x, x) == summary
+        second = memo(z, z)
+        assert not any(builds), schedule.family
+        assert second == PairSummary.of(z, z, schedule)
+        assert memo(x, x) == summary
+        for point, got in ((x, summary), (z, second)):
+            for kind in ("check", "besicovitch", "weyl", "hat"):
+                est = getattr(got, kind)
+                assert (est.x, est.y) == (str(point), str(point)), kind
+        # window by window against the orbit walk through System.dist
+        reference = linear_window_rows(x, x, schedule, ESTIMATE_KINDS, eps)
+        for kind in ESTIMATE_KINDS:
+            assert _rows(together[kind].per_window) == reference[kind], kind
+            if kind != "banach-density":
+                assert getattr(summary, kind) == together[kind], kind
+    assert not any(builds)
 
 
 def test_summary_memo_shared_by_threads():
@@ -343,8 +366,7 @@ def test_run_scans_match_per_sample_reference_at_scale(label, pair, schedule):
     got = estimates(x, y, schedule, kinds, eps)
     want = profile_window_rows(profile, schedule, kinds, eps)
     for kind in kinds:
-        assert [(len(wv.window), wv.translate, wv.exact, wv.boundary)
-                for wv in got[kind].per_window] == want[kind], (label, kind)
+        assert _rows(got[kind].per_window) == want[kind], (label, kind)
 
 
 # subshift pairs whose 'exp2' profiles are built from disagreement spans:
@@ -478,8 +500,7 @@ def test_limb_scans_match_per_sample_reference_at_scale(label, pair, schedule):
     got = estimates(x, y, schedule, kinds, eps)
     want = profile_window_rows(profile, schedule, kinds, eps)
     for kind in kinds:
-        assert [(len(wv.window), wv.translate, wv.exact, wv.boundary)
-                for wv in got[kind].per_window] == want[kind], (label, kind)
+        assert _rows(got[kind].per_window) == want[kind], (label, kind)
 
 
 # the pruned run scan against the all-breakpoint run scan and the count scan
@@ -542,6 +563,5 @@ def test_limb_scan_matches_reference_on_wide_floats(runs, schedule):
                        ("besicovitch", "weyl"), None)
     for kind, radii in (("besicovitch", [0] * len(schedule.windows)),
                         ("weyl", schedule.translate_radius)):
-        assert [(len(wv.window), wv.translate, wv.exact, wv.boundary)
-                for wv in _scan_windows(scan, schedule, radii, SCALE)] \
+        assert _rows(_scan_windows(scan, schedule, radii, SCALE)) \
             == want[kind], kind

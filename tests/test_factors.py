@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from weylab.core import (CompositionError, FactorMap, FolnerWindow, Point,
-                         dyadic_schedule, get_factor, get_system)
+                         dyadic_schedule, factor_ids, get_factor,
+                         get_system)
 from weylab.estimators import weyl
 from weylab.factors import (FunctionFamily, classify_factor_map,
                             d_family, d_family_fraction, domination_check,
@@ -152,3 +154,43 @@ def test_classification_builds_each_pair_once(count_builds):
     assert counts
     assert all(p != q for p, q in counts)
     assert set(counts.values()) == {1}
+
+
+def _sampler_digest(sampler, seed, count):
+    def points(pair):
+        return tuple((p.system_id, p.payload) for p in pair)
+
+    lines = []
+    for item in sampler(seed, count):
+        if isinstance(item, tuple):
+            lines.append(repr(points(item)))
+        else:  # a PairSequence
+            lines.append(repr((tuple(map(points, item.terms)),
+                               item.limit and points(item.limit),
+                               item.description)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# count 40 reaches the seeded draws of tm.psi and tm.pi, whose fixed lists
+# hold 23 and 18 pairs; a sampler returns every fixed pair even when they
+# outnumber count
+SAMPLER_DIGESTS = {
+    "shells62.pi": "22ea7f19f1c55272",
+    "sturm.phi": "cf34e3c8dc9e2800",
+    "sturm.pi": "0ec111a91cf56971",
+    "sturm.psi": "dbc12349bcbb43ee",
+    "tm.phi": "4b64e022105b199e",
+    "tm.pi": "78ff432f6806fae2",
+    "tm.psi": "8fbe4478e2f3fd5b",
+}
+
+
+@pytest.mark.parametrize("map_id", factor_ids())
+def test_samplers_reproduce_their_digests(map_id):
+    fm = get_factor(map_id)
+    got = {(kind, seed, count): _sampler_digest(sampler, seed, count)
+           for kind, sampler in (("pairs", fm.pair_sampler),
+                                 ("sequences", fm.sequence_sampler))
+           for seed in (0, 3, 17) for count in (1, 5, 12, 40)}
+    digest = hashlib.sha256(repr(sorted(got.items())).encode()).hexdigest()
+    assert digest[:16] == SAMPLER_DIGESTS[map_id]

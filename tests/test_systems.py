@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylab.core import Point, get_system
+from weylab.core import IsometricSystem, Point, System, get_system, system_ids
 from weylab.dyadic import DyadicInteger
 from weylab.profiles import scaled_from_float
 from weylab.systems import interval, shells
@@ -61,6 +61,29 @@ def test_odometer_translation_is_isometric(n, m, g):
     p, q = DyadicInteger.from_int(n), DyadicInteger.from_int(m)
     assert system.dist(system.act(p, g), system.act(q, g)) \
         == system.dist(p, q)
+
+
+# odometer pairs whose difference has 2-adic valuation 1073..1075 and 1100:
+# the last two lie below the grid, where the distance floors to 0
+_DEEP_ODOMETER_PAIRS = [
+    (DyadicInteger.from_int(3), DyadicInteger.from_int(3 + (1 << v)))
+    for v in (1073, 1074, 1075, 1100)
+] + [(DyadicInteger.from_fraction(1 << 1100, 3), DyadicInteger.from_int(0))]
+
+
+@pytest.mark.parametrize("system_id", [
+    sid for sid in system_ids() if isinstance(get_system(sid), IsometricSystem)])
+def test_isometric_profiles_match_the_orbit_walk(system_id):
+    system = get_system(system_id)
+    payloads = system.sample_payloads(np.random.default_rng(11), 6)
+    pairs = [(p, q) for p in payloads for q in payloads]
+    if system_id == "odometer":
+        assert [system.dist(p, q) for p, q in _DEEP_ODOMETER_PAIRS] \
+            == [2.0 ** -1073, 2.0 ** -1074, 0.0, 0.0, 0.0]
+        pairs += _DEEP_ODOMETER_PAIRS
+    for p, q in pairs:
+        walked = System.pair_profile(system, p, q, -20, 20)
+        assert system.pair_profile(p, q, -20, 20).scaled() == walked.scaled()
 
 
 # -- toeplitz ---------------------------------------------------------------
