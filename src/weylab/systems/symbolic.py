@@ -6,7 +6,8 @@ maximal ranges of positions where their letters differ; the metric
 2^-min{|n| : x_n != y_n} and exact orbit distance profiles are read off
 those spans, so a profile holds no per-sample array.  A system whose pairs
 differ in few places it can name without writing their letters overrides
-disagreements.
+disagreements: Toeplitz and Thue-Morse points at one address read their
+spans (one slot, or one half-line or the whole line) off the payloads.
 """
 
 from __future__ import annotations

@@ -2,8 +2,15 @@
 
 A point over Toeplitz payload (addr, flag) with difference word y is the
 binary sequence x with x_{n+1} = x_n XOR y_n, pinned down by the letter at
-position 0.  Letters on a range come from one cumulative sum of the y word
-anchored at 0, so coords is exact and O(range).
+position 0: x_n = bit XOR parity(y_0 + ... + y_{n-1}).  Letters on a range
+come from one cumulative sum of the y word anchored at 0, so coords is exact
+and O(range).
+
+Two points at one address need no letters: their y words differ at most in
+the singular slot k0 = -addr, so they differ on (bit XOR bit') XOR T, where
+T is [k0 + 1, oo) if k0 >= 0, (-oo, k0] if k0 < 0, and empty if there is no
+singular slot.  That is one half-line, the whole line or nothing, so
+disagreements reads it off the payloads.
 
 Also hosts the small substitution-language helpers used to cross-check
 letter statistics against fixed points of binary substitutions.
@@ -16,7 +23,8 @@ import numpy as np
 from ..core import parse_fields, register_system
 from ..dyadic import DyadicInteger, count_even_valuations_range, parse_dyadic
 from .symbolic import SymbolicSystem
-from .toeplitz import _parse_flag, make_toeplitz_payload, rule_word
+from .toeplitz import (_parse_flag, make_toeplitz_payload, rule_word,
+                       singular_slot)
 
 TM_RULES = {"0": "01", "1": "10"}
 PD_RULES = {"0": "01", "1": "00"}
@@ -68,6 +76,23 @@ class ThueMorseSystem(SymbolicSystem):
         parity = (cum - cum[-base]) & 1
         xs = (np.uint8(bit) ^ parity.astype(np.uint8))
         return xs[lo - base : hi - base + 1]
+
+    def disagreements(self, p, q, lo, hi):
+        """Points at one address differ on one half-line cut after the
+        singular slot, on its complement, on every position or on none
+        (module docstring); other pairs compare their letters."""
+        (addr, flag, bit), (other, other_flag, other_bit) = p, q
+        if addr != other:
+            return super().disagreements(p, q, lo, hi)
+        k0 = singular_slot(addr, flag, other_flag)
+        flip = bit != other_bit
+        if k0 is None:  # the y words agree
+            start, end = lo, (hi + 1 if flip else lo)
+        else:  # T: the side of the cut k0 + 1 away from 0
+            cut = min(max(k0 + 1, lo), hi + 1)
+            start, end = (cut, hi + 1) if (k0 >= 0) != flip else (lo, cut)
+        n = int(end > start)
+        return np.full(n, start, np.int64), np.full(n, end, np.int64)
 
     def parse_point(self, text: str):
         keys = {"addr": None, "flag": "plain", "bit": "0"}

@@ -57,6 +57,15 @@ def make_toeplitz_payload(addr: DyadicInteger, flag: int):
     return (addr, flag)
 
 
+def singular_slot(addr: DyadicInteger, flag: int, other_flag: int):
+    """The slot -addr where the argument of f vanishes, if two points at
+    one address differ there: the address is an integer and the flags
+    differ.  None otherwise; such points have the same letters."""
+    if flag != other_flag and addr.is_integer():
+        return -addr.as_int()
+    return None
+
+
 class ToeplitzSystem(SymbolicSystem):
     system_id = "toeplitz"
 
@@ -69,15 +78,15 @@ class ToeplitzSystem(SymbolicSystem):
         return rule_word(addr.value.numerator, addr.value.denominator, flag, lo, hi)
 
     def disagreements(self, p, q, lo, hi):
-        """Points at one address differ at most in one slot, the argument 0
-        (position -addr), and only when the address is an integer and the
-        flags differ; other pairs compare their letters."""
+        """Points at one address differ at most in their singular slot;
+        other pairs compare their letters."""
         (addr, flag), (other, other_flag) = p, q
         if addr != other:
             return super().disagreements(p, q, lo, hi)
+        k0 = singular_slot(addr, flag, other_flag)
         at = np.zeros(0, np.int64)
-        if flag != other_flag and addr.is_integer() and lo <= -addr.as_int() <= hi:
-            at = np.array([-addr.as_int()], np.int64)
+        if k0 is not None and lo <= k0 <= hi:
+            at = np.array([k0], np.int64)
         return at, at + 1
 
     def parse_point(self, text: str):

@@ -371,13 +371,23 @@ def test_run_scans_match_per_sample_reference_at_scale(label, pair, schedule):
 
 # subshift pairs whose 'exp2' profiles are built from disagreement spans:
 # the symbolic pairs above, a Thue-Morse complement pair (one span over the
-# whole hull) and a half-line pair (one span over half of it)
+# whole hull), a left and a right half-line pair (one span over part of it)
+# and the complement of a half-line, so each case of the Thue-Morse payload
+# rule is compared with the letters
 SPAN_PROFILE_PAIRS = [p for p in RUN_PROFILE_PAIRS if p[0] != "lifted tm.psi"] + [
     ("tm complement", lambda: (_pt("thuemorse", "addr=int:0 flag=plain bit=0"),
                                _pt("thuemorse", "addr=int:0 flag=plain bit=1")),
      dyadic_schedule(12, 16)),
     ("tm half-line", lambda: (_pt("thuemorse", "addr=int:3 flag=plain bit=0"),
                               _pt("thuemorse", "addr=int:3 flag=primed bit=0")),
+     dyadic_schedule(12, 16)),
+    ("tm right half-line",
+     lambda: (_pt("thuemorse", "addr=int:-5 flag=plain bit=0"),
+              _pt("thuemorse", "addr=int:-5 flag=primed bit=0")),
+     dyadic_schedule(12, 16)),
+    ("tm half-line complement",
+     lambda: (_pt("thuemorse", "addr=int:-5 flag=plain bit=0"),
+              _pt("thuemorse", "addr=int:-5 flag=primed bit=1")),
      dyadic_schedule(12, 16)),
 ]
 
@@ -511,7 +521,8 @@ def test_limb_scans_match_per_sample_reference_at_scale(label, pair, schedule):
 # profile is summed per sample
 PRUNED_SCAN_PAIRS = [
     (label, pair, dyadic_schedule(12, 14 if label == "lifted tm.psi" else 16))
-    for label, pair, _ in RUN_PROFILE_PAIRS + SPAN_PROFILE_PAIRS[-2:]
+    for label, pair, _ in RUN_PROFILE_PAIRS + [
+        p for p in SPAN_PROFILE_PAIRS if p[0] in ("tm complement", "tm half-line")]
 ] + [p for p in FLOAT_PROFILE_PAIRS if p[0] in ("shells62.pi level 1",
                                                 "interval branches")]
 

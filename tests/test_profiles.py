@@ -11,6 +11,7 @@ from weylab.estimators import pair_profile
 from weylab.profiles import (INF_EXP, SCALE, SCALE_BITS, DistanceProfile,
                              limb_bits, scaled_from_exponent,
                              scaled_from_float)
+from weylab.systems.thuemorse import ThueMorseSystem
 
 from _reference import (_PAD, below_prefix, exponent_below_counts,
                         exponent_extremes, exponent_runs, letter_exponents)
@@ -340,6 +341,42 @@ def test_fibre_profile_build_holds_no_per_sample_array():
         lambda: pair_profile(x, y, *schedule.hull_range()).runs())
     assert len(starts) == 2152  # 2151 runs and the closing entry
     assert peak < FIBRE_BUILD_PEAK_BYTES, peak
+
+
+# same-address Thue-Morse pairs: a left half-line, its complement, and the
+# whole line (the parity complement)
+_TM_FIBRE_PAIRS = [("flag=plain bit=0", "flag=primed bit=0"),
+                   ("flag=plain bit=0", "flag=primed bit=1"),
+                   ("flag=plain bit=0", "flag=plain bit=1")]
+
+
+@pytest.mark.parametrize("a,b", _TM_FIBRE_PAIRS)
+def test_thuemorse_fibre_profile_build_holds_no_per_sample_array(a, b):
+    schedule = dyadic_schedule(8, 16)
+    x, y = (Point("thuemorse", get_system("thuemorse").parse_point(
+        "addr=int:7 " + rest)) for rest in (a, b))
+    _, peak = _traced_peak(
+        lambda: pair_profile(x, y, *schedule.hull_range()).runs())
+    assert peak < FIBRE_BUILD_PEAK_BYTES, peak
+
+
+def test_same_address_thuemorse_pairs_write_no_letters(monkeypatch):
+    def no_letters(self, payload, lo, hi):
+        raise AssertionError("letters written for a same-address pair")
+
+    monkeypatch.setattr(ThueMorseSystem, "coords", no_letters)
+    system = get_system("thuemorse")
+    lo, hi = dyadic_schedule(4, 10).hull_range()
+    # the half-line pair differs from the slot -addr outwards; off the
+    # integers the flag is canonicalized away, so that pair is diagonal
+    for addr, half_line in (("int:-5", 2.0 ** -6), ("int:0", 0.5),
+                            ("int:3", 2.0 ** -3), ("frac:1/3", 0.0)):
+        for (a, b), want in zip(_TM_FIBRE_PAIRS, (half_line, 1.0, 1.0)):
+            p, q = (system.parse_point("addr=%s %s" % (addr, rest))
+                    for rest in (a, b))
+            pair_profile(Point("thuemorse", p), Point("thuemorse", q),
+                         lo, hi).runs()
+            assert system.dist(p, q) == want, (addr, a, b)
 
 
 def test_float_profiles_have_no_runs_view():

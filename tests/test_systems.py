@@ -183,6 +183,39 @@ def test_toeplitz_disagreements_match_letter_comparison(addr, flag, other_flag,
     assert all(a.dtype == np.int64 for a in got)
 
 
+@given(_ADDRESSES, st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+       st.integers(0, 1), st.one_of(st.none(), _ADDRESSES),
+       st.integers(-2500, 2500), st.integers(0, 3000))
+# (addr, flag, other_flag, bit, other_bit, other, lo, width): the singular
+# slot k0 = -addr at lo, at hi, and just outside either end
+@example(DyadicInteger.from_int(-5), 0, 1, 0, 0, None, 5, 10)
+@example(DyadicInteger.from_int(-5), 1, 0, 0, 0, None, -5, 10)
+@example(DyadicInteger.from_int(-5), 0, 1, 1, 1, None, 6, 10)
+@example(DyadicInteger.from_int(-5), 1, 0, 0, 0, None, -6, 10)
+@example(DyadicInteger.from_int(7), 0, 1, 0, 0, None, -17, 10)
+# k0 on either side of 0, and addr 0
+@example(DyadicInteger.from_int(-3), 0, 1, 0, 0, None, -10, 20)
+@example(DyadicInteger.from_int(7), 1, 0, 1, 1, None, -10, 20)
+@example(DyadicInteger.from_int(0), 0, 1, 0, 0, None, -4, 8)
+# bits differing, with and without the flags differing
+@example(DyadicInteger.from_int(3), 0, 1, 0, 1, None, -10, 20)
+@example(DyadicInteger.from_int(-3), 0, 1, 1, 0, None, -10, 20)
+@example(DyadicInteger.from_int(3), 1, 1, 0, 1, None, -10, 20)
+# a raw flag=1 payload off the integers has no singular slot
+@example(DyadicInteger.from_fraction(1, 3), 1, 0, 0, 0, None, -10, 20)
+@example(DyadicInteger.from_fraction(1, 3), 1, 0, 1, 0, None, -10, 20)
+def test_thuemorse_disagreements_match_letter_comparison(
+        addr, flag, other_flag, bit, other_bit, other, lo, width):
+    system = get_system("thuemorse")
+    # raw payloads: a flag of 1 at a non-integer address is kept
+    p = (addr, flag, bit)
+    q = (addr if other is None else other, other_flag, other_bit)
+    got = system.disagreements(p, q, lo, lo + width)
+    want = SymbolicSystem.disagreements(system, p, q, lo, lo + width)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert all(a.dtype == np.int64 for a in got)
+
+
 def _drawn_pairs(system_id, seed):
     """Payload pairs of a subshift: two sampled points, and fibre-like
     pairs that differ at one slot or on a half-line."""
