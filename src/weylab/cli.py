@@ -529,7 +529,8 @@ def _build_parser() -> _Parser:
                             "(default: stdout)")
     run_p.add_argument("--threads", type=int, default=1, metavar="N",
                        help="accepted for compatibility and ignored; runs "
-                            "use one thread")
+                            "use one thread, and fork orbit walks onto the "
+                            "usable CPUs whatever N is")
     run_p.add_argument("--seed", type=int, default=None, metavar="U64",
                        help="override every scenario seed")
     sub.add_parser("list", help="list systems, factor maps, and bundled "

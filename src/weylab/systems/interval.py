@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core import System, parse_fields, register_system
 from ..profiles import DistanceProfile
-from .orbits import CachedOrbit
+from .orbits import CachedOrbit, fill
 
 _BRANCHES = ("hat", "check")
 
@@ -102,7 +102,9 @@ class IntervalMirrorSystem(System):
         return _mirror_dist(p[0] == q[0], self.value(p), self.value(q), math.sqrt)
 
     def pair_profile(self, p, q, lo, hi):
-        yp, yq = (self._orbit(y0).rows(off + lo, off + hi) for _, y0, off in (p, q))
+        spans = [(self._orbit(y0), off + lo, off + hi) for _, y0, off in (p, q)]
+        fill(spans)  # both anchors' walks in one fill, so that they run side by side
+        yp, yq = (orbit.rows(a, b) for orbit, a, b in spans)
         return DistanceProfile.from_floats(lo, _mirror_dist(p[0] == q[0], yp, yq, np.sqrt))
 
     def parse_point(self, text: str):

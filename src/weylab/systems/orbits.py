@@ -8,10 +8,23 @@ float64 sin and cos of each requested slice, which tests pin bit for bit
 against the scalar math functions).  Forward and backward arrays grow by
 doubling; the store drops least recently used orbits beyond
 ORBIT_CACHE_BYTES.
+
+Every growth goes through fill(), which plans the walks that a list of
+(orbit, a, b) requests needs.  When two or more orbits are pending, more
+than one CPU is usable, os.fork exists and no other Python thread is
+alive, the pending orbits are spread over at most one process per usable
+CPU: each forked child runs the same walk function, streams the float64
+points over a pipe, which the parent reads straight into the destination
+array, and leaves through os._exit, so no caller code runs in it.  The
+parent walks the last orbit itself and reaps every child before it
+returns.  The points are the same bytes either way; a child that fails is
+walked again in process.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import threading
 from collections import OrderedDict
 
@@ -37,24 +50,9 @@ class CachedOrbit:
             orbit = _STORE[key] = _STORE.pop(key, None) or cls(*args)
         return orbit
 
-    def _grow(self, m: int) -> None:
-        """Fill through index m; the caller holds _LOCK."""
-        back = m < 0
-        end = self.ends[back]
-        have, need = len(end), -m if back else m + 1
-        if need <= have:
-            return
-        x = float(end[-1] if have else self.ends[0][0])  # backward starts at x0
-        xs = self.walk(x, max(need, 2 * have) - have, back)
-        self.ends[back] = np.concatenate([end, xs])
-        while cached_bytes() > ORBIT_CACHE_BYTES:
-            _STORE.popitem(last=False)
-
     def rows(self, a: int, b: int) -> np.ndarray:
         """The points at indices a..b, as a new array the caller owns."""
-        with _LOCK:
-            self._grow(a)
-            self._grow(b)
+        fill([(self, a, b)])
         fwd, bwd = self.ends  # growth only swaps in longer copies
         back = bwd[max(0, -b - 1):max(0, -a)][::-1]
         return np.concatenate([back, fwd[max(0, a):max(0, b + 1)]])
@@ -67,3 +65,110 @@ class CachedOrbit:
 def cached_bytes() -> int:
     """Bytes held by the arrays of every stored orbit."""
     return sum(end.nbytes for orbit in _STORE.values() for end in orbit.ends)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def fill(requests) -> None:
+    """Walk every point that the (orbit, a, b) requests lack, so that each
+    orbit holds its indices a..b."""
+    with _LOCK:
+        shares = _plan(requests)
+        if not shares:
+            return
+        workers = min(len(shares), usable_cpus())
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            workers = 1  # forking beside another thread is unsafe
+        parts = [sum(shares[i::workers], []) for i in range(workers)]
+        mine, children = parts.pop(), []
+        try:
+            for part in parts:
+                try:
+                    children.append((_spawn(part), part))
+                except OSError:  # no process to be had: walk it here
+                    mine = part + mine
+            for walk in mine:
+                _append(walk)
+            for (_, pipe), part in children:
+                for walk in part:
+                    try:
+                        _append(walk, pipe)
+                    except EOFError:  # the child failed: walk it here
+                        _append(walk)
+        finally:
+            # every read end first: a child holds copies of those opened
+            # before it, so a child still writing ends only once all are shut
+            for (_, pipe), _ in children:
+                pipe.close()
+            for (pid, _), _ in children:
+                os.waitpid(pid, 0)
+
+
+def _plan(requests):
+    """The walks (orbit, back, x, n) that the requests need, one list per
+    pending orbit: n points after x on one end, at least doubling it."""
+    needs = {}
+    for orbit, a, b in requests:
+        for m in (a, b):
+            key = (orbit, m < 0)
+            needs[key] = max(needs.get(key, 0), -m if m < 0 else m + 1)
+    shares = {}
+    for (orbit, back), need in needs.items():
+        end = orbit.ends[back]
+        have = len(end)
+        if need > have:
+            x = float(end[-1] if have else orbit.ends[0][0])  # backward starts at x0
+            shares.setdefault(orbit, []).append(
+                (orbit, back, x, max(need, 2 * have) - have))
+    return list(shares.values())
+
+
+def _append(walk, pipe=None) -> None:
+    """Lengthen one end of the orbit by the walk's n points, walked here or
+    read off the pipe of the child that walked them; the caller holds
+    _LOCK."""
+    orbit, back, x, n = walk
+    end = orbit.ends[back]
+    out = np.empty(len(end) + n)
+    out[:len(end)] = end
+    if pipe is None:
+        out[len(end):] = orbit.walk(x, n, back)
+    else:
+        view = memoryview(out[len(end):]).cast("B")
+        while view:
+            got = pipe.readinto(view)
+            if not got:
+                raise EOFError("an orbit walk ended early in a child process")
+            view = view[got:]
+    orbit.ends[back] = out
+    while cached_bytes() > ORBIT_CACHE_BYTES:
+        _STORE.popitem(last=False)
+
+
+def _spawn(walks):
+    """Fork a child that runs the walks and writes their points to a pipe;
+    return its pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child runs the walks only, and never returns
+        code = 1
+        try:
+            gc.disable()  # no finalizer of the parent's objects runs here
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for orbit, back, x, n in walks:
+                    pipe.write(orbit.walk(x, n, back))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb", buffering=0)

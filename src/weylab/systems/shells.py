@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core import IsometricSystem, System, parse_fields, register_system
 from ..profiles import DistanceProfile, scaled_from_float
-from .orbits import CachedOrbit
+from .orbits import CachedOrbit, fill
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,7 +68,8 @@ def _walk(t: float, eps: float, n: int, back: bool) -> np.ndarray:
 def _dist(p, q, sqrt):
     """R^3 distance of (sin, cos, height) floats or arrays; sqrt to match.
     Arrays are worked on in place: p's sine row and q's cosine row end up
-    holding the squares."""
+    holding the squares, and an in-place sqrt leaves the distances in p's
+    sine row."""
     dx, cp, hp = p
     sq, dy, hq = q
     dx -= sq  # a float rebinds, an array subtracts in place: the same rounding
@@ -95,37 +96,52 @@ class ShellStackSystem(System):
     system_id = "shells62"
     diameter = math.sqrt(5.0)
 
-    def _rows(self, payload, a: int, b=None):
-        """(angle, sin, cos, height) at offset a, or as arrays over a..b."""
-        level, t0, off = payload
+    def _orbit(self, payload):
+        """The cached orbit of the point's anchor; None on the identity shell."""
+        level, t0, _ = payload
         if level is None:
-            return t0, math.sin(t0), math.cos(t0), 0.0
+            return None
         eps = 1.0 / level
-        orbit = CachedOrbit.get((self.system_id, level, t0), t0,
-                                lambda t, n, back: _walk(t, eps, n, back))
-        if b is None:
-            t = orbit.at(off + a)
-            return t, math.sin(t), math.cos(t), 1.0 / level
-        t = orbit.rows(off + a, off + b)
-        return t, np.sin(t), np.cos(t), 1.0 / level
+        return CachedOrbit.get((self.system_id, level, t0), t0,
+                               lambda t, n, back: _walk(t, eps, n, back))
+
+    def _rows(self, payload, orbit, lo: int, hi: int):
+        """(sin, cos, height) over offsets lo..hi, as float64 rows whose
+        cosine is taken in place of the angles, or as floats on the
+        identity shell; orbit is the point's, already filled."""
+        level, t0, off = payload
+        if orbit is None:
+            return math.sin(t0), math.cos(t0), 0.0
+        t = orbit.rows(off + lo, off + hi)
+        return np.sin(t), np.cos(t, out=t), 1.0 / level
 
     def angle(self, payload) -> float:
-        return self._rows(payload, 0)[0]
+        level, t0, off = payload
+        return t0 if level is None else self._orbit(payload).at(off)
 
     def act(self, payload, g: int):
         level, t0, off = payload
         return (level, t0, off + g)
 
     def dist(self, p, q) -> float:
-        return _dist(self._rows(p, 0)[1:], self._rows(q, 0)[1:], math.sqrt)
+        return _dist(self._point(p), self._point(q), math.sqrt)
+
+    def _point(self, payload):
+        """(sin, cos, height) of the point, as floats."""
+        t = self.angle(payload)
+        return math.sin(t), math.cos(t), 0.0 if payload[0] is None else 1.0 / payload[0]
 
     def pair_profile(self, p, q, lo, hi):
         if p[0] is None and q[0] is None:
             # identity shell: the distance is constant along the orbit
             return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
-        # [1:] lets each angle array go before the next rows are built
-        return DistanceProfile.from_floats(lo, _dist(
-            self._rows(p, lo, hi)[1:], self._rows(q, lo, hi)[1:], np.sqrt))
+        orbits = [self._orbit(x) for x in (p, q)]
+        # both anchors' walks in one fill, so that they run side by side
+        fill([(orbit, x[2] + lo, x[2] + hi)
+              for x, orbit in zip((p, q), orbits) if orbit is not None])
+        rows = [self._rows(x, orbit, lo, hi) for x, orbit in zip((p, q), orbits)]
+        return DistanceProfile.from_floats(
+            lo, _dist(*rows, lambda d: np.sqrt(d, out=d)))
 
     def parse_point(self, text: str):
         level, t, off = parse_fields(text, {"level": None, "t": None, "off": "0"}).values()

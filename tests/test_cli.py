@@ -13,6 +13,7 @@ import weylab
 from weylab.cli import (_CONVERTERS, CSV_HEADER, Scenario, bundled_scenarios,
                         list_registry, main, parse_scenarios)
 from weylab.core import ScenarioError
+from weylab.systems import orbits
 
 
 def _read_csv(path):
@@ -325,11 +326,16 @@ BASELINE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name,threads",
-                         [(name, 1) for name in BASELINE_DIGESTS]
-                         + [("tm-fibre-D", 2)])
-def test_bundled_scenarios_reproduce_baseline_digests(tmp_path, name,
-                                                      threads):
+@pytest.mark.parametrize("name,threads,cpus",
+                         [pytest.param(name, 1, None, id="%s-1" % name)
+                          for name in BASELINE_DIGESTS]
+                         + [pytest.param("tm-fibre-D", 2, None, id="tm-fibre-D-2"),
+                            pytest.param("shells-meq", 1, 1, id="shells-meq-1-one-cpu")])
+def test_bundled_scenarios_reproduce_baseline_digests(tmp_path, monkeypatch, name,
+                                                      threads, cpus):
+    if cpus is not None:  # every orbit walked cold, on that many CPUs
+        monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(orbits, "_STORE", collections.OrderedDict())
     out = tmp_path / "out"
     code = main(["run", name, "--out", str(out), "--threads", str(threads)])
     assert code == (2 if name == "tm-chain-decomposition-fail" else 0)

@@ -1,4 +1,5 @@
 import math
+import os
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from weylab.dyadic import DyadicInteger
 from weylab.profiles import scaled_from_float
 from weylab.systems import interval, shells
 from weylab.systems.interval import level_of, step, step_back
-from weylab.systems.orbits import CachedOrbit
+from weylab.systems.orbits import CachedOrbit, fill
 from weylab.systems.shells import TWO_PI
 from weylab.systems.sturmian import A_UNITS, MOD, T_UNITS
 from weylab.systems.thuemorse import (PD_RULES, TM_RULES, complement,
@@ -533,16 +534,19 @@ def test_shell_walk_matches_scalar_steps_at_scale(level, monkeypatch):
 
     monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # every anchor walks cold
     system, eps, n = get_system("shells62"), 1.0 / level, 1 << 16
-    for t0 in (0.5 * math.pi, math.pi, 0.01, TWO_PI - 0.01):
-        rows = system._rows((level, t0, 0), -n, n)
+    payloads = [(level, t0, 0) for t0 in (0.5 * math.pi, math.pi, 0.01, TWO_PI - 0.01)]
+    anchors = [system._orbit(x) for x in payloads]
+    fill([(orbit, -n, n) for orbit in anchors])  # forked where it can
+    for (_, t0, _), orbit in zip(payloads, anchors):
         fwd = _reference.step_walk(lambda t: _reference.shell_advance(t, eps), t0, n)
         back = _reference.step_walk(
             lambda t: _reference.shell_advance_back(t, eps), t0, n)
         angles = back[::-1] + [t0] + fwd
-        _assert_same_bits(rows[0], angles)
-        _assert_same_bits(rows[1], [math.sin(t) for t in angles])
-        _assert_same_bits(rows[2], [math.cos(t) for t in angles])
-        assert rows[3] == eps
+        _assert_same_bits(orbit.rows(-n, n), angles)
+        sin, cos, height = system._rows((level, t0, 0), orbit, -n, n)
+        _assert_same_bits(sin, [math.sin(t) for t in angles])
+        _assert_same_bits(cos, [math.cos(t) for t in angles])
+        assert height == eps
 
 
 @given(st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False),
@@ -552,6 +556,9 @@ def test_shell_walk_matches_scalar_steps_at_scale(level, monkeypatch):
 @example(t=4.712890625, k=1)
 @example(t=5.71238898038469, k=1)
 @example(t=5.712, k=1)
+# the first backward Newton iterate lands where g' = 0.0 exactly and
+# f = 2e-10: the df > 1e-9 guard bisects there instead of dividing by zero
+@example(t=3 * math.pi / 2 + 1 - 2e-10, k=1)
 @settings(max_examples=300, deadline=None)
 def test_shell_walk_matches_scalar_steps_on_drawn_angles(t, k):
     eps = 1.0 / k
@@ -577,9 +584,11 @@ def test_numpy_trig_rows_match_math_bit_for_bit():
     system, n = get_system("shells62"), 1 << 17
     ts = np.random.default_rng(9).uniform(-4 * math.pi, 4 * math.pi, 10 ** 6)
     rows = [(ts, np.sin(ts), np.cos(ts))]
-    for level in (1, 2, 4, 8):
-        for t0 in (0.5 * math.pi, math.pi):
-            rows.append(system._rows((level, t0, 0), -n, n - 1)[:3])
+    payloads = [(level, t0, 0) for level in (1, 2, 4, 8) for t0 in (0.5 * math.pi, math.pi)]
+    anchors = [system._orbit(x) for x in payloads]
+    fill([(orbit, -n, n - 1) for orbit in anchors])
+    for x, orbit in zip(payloads, anchors):
+        rows.append((orbit.rows(-n, n - 1),) + system._rows(x, orbit, -n, n - 1)[:2])
     for ts, sin, cos in rows:
         assert len(ts) in (10 ** 6, 2 * n)
         _assert_same_bits(sin, np.fromiter(map(math.sin, ts), np.float64, len(ts)))
@@ -610,6 +619,105 @@ def test_concurrent_profiles_grow_both_ends_identically():
                     _bits(prof), _bits(widest)[lo - widest.lo:hi - widest.lo + 1])
     finally:
         sys.setswitchinterval(interval)
+
+
+def _counted_forks(monkeypatch):
+    """Patch os.fork to record, in the parent, the pid of every child."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("system_id, p, q", [
+    *(pytest.param("shells62", (k, 0.5 * math.pi, 0), (k, math.pi, 0),
+                   id="shells62-level%d" % k) for k in (1, 2, 4, 8)),
+    pytest.param("interval61", ("hat", 0.3, 0), ("check", 0.6, 0),
+                 id="interval61-two-anchors"),
+])
+def test_forked_fill_matches_in_process_walk(system_id, p, q, monkeypatch):
+    from weylab.systems import orbits
+
+    system, n = get_system(system_id), 1 << 16
+    forks = _counted_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):  # in process, then p's orbit in a forked child
+        monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(orbits, "_STORE", OrderedDict())
+        profile = system.pair_profile(p, q, -n, n)
+        _assert_no_child_left()
+        ends = [end for orbit in orbits._STORE.values() for end in orbit.ends]
+        assert [len(end) for end in ends] == [n + 1, n] * 2
+        runs.append((len(forks), _bits(profile), ends))
+    (forks_1, profile_1, ends_1), (forks_2, profile_2, ends_2) = runs
+    assert (forks_1, forks_2) == (0, 1)
+    assert np.array_equal(profile_1, profile_2)
+    for one, two in zip(ends_1, ends_2):
+        _assert_same_bits(two, one)
+
+
+def test_failed_child_walk_leaves_no_child_and_runs_no_caller_code(
+        tmp_path, monkeypatch):
+    from weylab.systems import orbits
+
+    parent = os.getpid()
+
+    def walk_here_only(x, n, back):
+        if os.getpid() != parent:
+            raise RuntimeError("walk fails in a child")
+        return interval._walk(x, n, back)
+
+    def broken(x, n, back):
+        raise RuntimeError("walk fails")
+
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
+    anchors = [CachedOrbit(y0, walk_here_only) for y0 in (0.3, 0.6)]
+    fill([(orbit, -64, 64) for orbit in anchors])  # the child's orbit is walked again here
+    with pytest.raises(RuntimeError, match="walk fails"):
+        fill([(CachedOrbit(y0, broken), -8, 8) for y0 in (0.3, 0.6)])
+    # a child that returned from fill would run the rest of this test too
+    (tmp_path / str(os.getpid())).touch()
+    assert len(forks) == 2
+    _assert_no_child_left()
+    assert [path.name for path in tmp_path.iterdir()] == [str(parent)]
+    for orbit, y0 in zip(anchors, (0.3, 0.6)):
+        _assert_same_bits(orbit.rows(-64, 64),
+                          CachedOrbit(y0, interval._walk).rows(-64, 64))
+
+
+def test_fill_beside_another_thread_does_not_fork(monkeypatch):
+    import threading
+
+    from weylab.systems import orbits
+
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(60,))
+    thread.start()
+    try:
+        anchors = [CachedOrbit(y0, interval._walk) for y0 in (0.3, 0.6)]
+        fill([(orbit, -64, 64) for orbit in anchors])
+    finally:
+        done.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    for orbit, y0 in zip(anchors, (0.3, 0.6)):
+        _assert_same_bits(orbit.rows(-64, 64),
+                          CachedOrbit(y0, interval._walk).rows(-64, 64))
 
 
 def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
@@ -645,6 +753,11 @@ def test_orbit_store_holds_one_float64_per_point(monkeypatch):
 #: its profile: 58 is measured (the orbits hold 16, the samples 8, the limb
 #: build 18 plus 8 per limb); one more full-length float64 buffer adds 8
 SHELL_PAIR_BYTES_PER_SAMPLE = 62
+#: the same for the profile build alone: 50 is measured (the orbits hold
+#: 16, and four float64 rows 32: p's sine and cosine beside q's angles,
+#: then q's sine, whose cosine then overwrites the angles, and the distance
+#: overwrites p's sine)
+SHELL_PROFILE_BYTES_PER_SAMPLE = 54
 
 
 def test_shell_pair_summary_working_set_is_bounded(monkeypatch):
@@ -659,27 +772,39 @@ def test_shell_pair_summary_working_set_is_bounded(monkeypatch):
     x = Point("shells62", (2, 0.5 * math.pi, 0))
     y = Point("shells62", (2, math.pi, 0))
     # tracemalloc slows the walk's Python loop about eightfold, so the traced
-    # run replays the walks of an untraced one; each replay still allocates
-    # its output array under the trace
+    # runs replay the walks of an untraced one, recorded in process; each
+    # replay still allocates its output array under the trace.  The traced
+    # runs walk in process, then in a forked child, whose allocations the
+    # parent's trace does not see: the parent reads the points into the
+    # orbit arrays it allocates
     walks, walk = {}, shells._walk
 
     def record(*args):
         walks[args] = walk(*args)
         return walks[args].copy()
 
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 1)
     monkeypatch.setattr(shells, "_walk", record)
     monkeypatch.setattr(orbits, "_STORE", OrderedDict())
     want = PairSummary.of(x, y, schedule)
     monkeypatch.setattr(shells, "_walk", lambda *args: walks[args].copy())
-    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
-    tracemalloc.start()
-    try:
-        got = PairSummary.of(x, y, schedule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert peak / (hi - lo + 1) < SHELL_PAIR_BYTES_PER_SAMPLE, peak
+    system = get_system("shells62")
+    for cpus in (1, 2):
+        monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
+        for build, bound in (
+                (lambda: system.pair_profile(x.payload, y.payload, lo, hi),
+                 SHELL_PROFILE_BYTES_PER_SAMPLE),
+                (lambda: PairSummary.of(x, y, schedule),
+                 SHELL_PAIR_BYTES_PER_SAMPLE)):
+            monkeypatch.setattr(orbits, "_STORE", OrderedDict())
+            tracemalloc.start()
+            try:
+                got = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / (hi - lo + 1) < bound, (cpus, peak)
+        assert got == want
 
 
 # -- parse/format roundtrips ---------------------------------------------------
