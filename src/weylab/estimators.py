@@ -22,26 +22,35 @@ extreme.
 `estimates` computes any set of kinds from one profile build, and the
 single-kind functions call it with one kind.  A diagonal pair (x, x) is
 not built by its system: pair_profile answers it with the one-run zero
-profile, which the same scans below read.  Besicovitch and weyl share one
-translate scan (besicovitch is the weyl scan at radius 0), whose shape
-follows the profile:
+profile, which the same scans below read.  A scan answers every window
+of a call at once, scan(wlos, whis, radii) giving one (total, translate,
+boundary) per window; besicovitch is the weyl scan at radius 0, so one
+call serves both, its windows once at radius 0 and once at the
+schedule's radii.  The scan follows the profile's shape:
 
 - 'exp2' and 'scaled' profiles (symbolic systems, diagonal pairs,
   isometric systems and lifted profiles; a 'scaled' one is stored as its
   runs) are scanned by constant runs.  A window sum is affine in the
   translate between breakpoints, where a window edge crosses a run start;
   it is evaluated exactly at the breakpoints that can hold the maximum and
-  at the radius only.
+  at the radius only.  Every window's breakpoints are tagged by window
+  into one sorted int64 array, and the keep test compares int64 order
+  keys of the runs (DistanceProfile.keyed_runs), so each step is one
+  numpy pass over all windows; only the sums at kept breakpoints are
+  Python ints.
 - 'float' profiles (shells62, interval61) are scanned on their int64
-  limbs: the sums of all translates of a window are one slice difference
-  per limb plus a carry, and the greatest is found limb by limb from the
-  top; only that one becomes a Python int.
+  limbs, one window after another: the sums of all translates of a
+  window are one slice difference per limb plus a carry, and the
+  greatest is found limb by limb from the top; only that one becomes a
+  Python int.
 
 banach-density, for every kind, runs the same run scan on the runs of the
-0/1 flags of the samples at or above eps (DistanceProfile.flag_runs).  The
-run and limb scans pick their translate and boundary flag in one place,
-_best; check and hat read DistanceProfile.extremes.  No estimator calls
-the per-sample reference accessors (scaled, prefix).
+0/1 flags of the samples at or above eps (DistanceProfile.flag_runs),
+whose flags are their own order keys.  The run and limb scans pick their
+translates and boundary flags in one routine, _best, which settles every
+window it is given in one vectorized pass; check and hat read every
+window's ranges from one DistanceProfile.extremes call.  No estimator
+calls the per-sample reference accessors (scaled, prefix).
 
 A PairSummary holds a pair's four classification kinds, and a SummaryMemo
 keeps one summary per unordered pair (estimates are bit-symmetric), so
@@ -58,7 +67,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import CrossSystemError, FolnerSchedule, FolnerWindow, Point
-from .profiles import SCALE, DistanceProfile
+from .profiles import SCALE, DistanceProfile, _ragged_range
 
 ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
 
@@ -132,72 +141,105 @@ def _aggregate(kind, x, y, per_window, schedule) -> PseudometricEstimate:
     )
 
 
-def _best(cand, hit, M):
-    """The translate and boundary flag of a window's extreme over the
-    translates |a| <= M, from the mask hit of the candidates cand (ascending,
-    from -M to M) that achieve it.  The window sum must be affine between
-    consecutive candidates, so a piece whose two ends both achieve the
-    extreme is flat: every translate in it achieves it too.  The translate
-    nearest 0 wins, negative first; the flag is set when every achiever
-    lies on |a| = M."""
-    flat = hit[:-1] & hit[1:]
-    left, right = cand[:-1][flat], cand[1:][flat]
-    achievers = cand[hit]
-    if np.any((left < 0) & (right > 0)):
-        a = 0
-    else:  # argmin keeps the first, so -a wins a tie with a
-        a = achievers[np.argmin(np.abs(achievers))]
-    interior = (np.any(np.abs(achievers) < M)
-                or np.any(right - left >= 2))  # a flat piece's inner translate
-    return int(a), bool(M > 0 and not interior)
+def _best(at, a, w, radii):
+    """The translate and boundary flag of every window's extreme over its
+    translates |a| <= M, from the candidates that achieve it: at holds
+    their indices in the list of every window's candidates (each window's
+    ascending from -M to M, one window after another), a their translates
+    and w their windows, and radii holds each window's M.  A window sum
+    must be affine between consecutive candidates, so a piece whose two
+    ends both achieve the extreme is flat: every translate in it achieves
+    it too.  The translate nearest 0 wins, negative first; the flag is set
+    when every achiever lies on |a| = M."""
+    W = len(radii)
+    # two achievers next to each other in one window bound a flat piece
+    flat = np.flatnonzero((at[1:] == at[:-1] + 1) & (w[1:] == w[:-1]))
+    left, right, fw = a[flat], a[flat + 1], w[flat]
+    through0 = np.bincount(fw[(left < 0) & (right > 0)], minlength=W) > 0
+    # a flat piece's inner translate is interior
+    interior = np.bincount(fw[right - left >= 2], minlength=W) > 0
+    interior |= np.bincount(w[np.abs(a) < radii[w]], minlength=W) > 0
+    # the least 2|a| + (a > 0) in each window: nearest 0, negative first
+    rank = 2 * np.abs(a) + (a > 0)
+    first = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
+    rank = np.minimum.reduceat(rank, first)
+    a = np.where(through0, 0, np.where(rank & 1, 1, -1) * (rank >> 1))
+    return a, (radii > 0) & ~interior
 
 
 def _run_scan(runs, base):
-    """Window scan over a runs view (starts, values, sums) whose first
-    sample is at base.  S(a) = P(u + a) - P(l + a), P the prefix sum, is
-    affine between breakpoints, where a window edge crosses a run start,
-    with slope v(u + a) - v(l + a).  Only a breakpoint whose left piece
-    does not fall and whose right piece does not rise can hold the
-    maximum: S is evaluated exactly there and at a = -M, M."""
-    starts, values, sums = runs
+    """Window scan over a keyed runs view (starts, values, sums, keys),
+    whose first sample is at base, for many windows at once.  S(a) =
+    P(u + a) - P(l + a), P the prefix sum, is affine between breakpoints,
+    where a window edge crosses a run start, with slope v(u + a) - v(l + a).
+    Only a breakpoint whose left piece does not fall and whose right piece
+    does not rise can hold the maximum: the int64 keys, ordered as the
+    values are, tell which, and S is evaluated exactly there and at
+    a = -M, M.  Every window's candidates are one sorted int64 array,
+    offset by window, so each step is one numpy pass for all windows."""
+    starts, values, sums, keys = runs
+    later = starts[1:]  # the run holding sample t >= 0 is the count of these <= t
 
-    def knots(edge, M):
-        i, j = np.searchsorted(starts, (edge - M, edge + M + 1))
-        return starts[i:j] - edge
-
-    def scan(wlo, whi, M):
-        l, u = wlo - base, whi - base + 1
-        # the two sorted knot lists merge in linear time under a stable sort
-        cand = np.sort(np.concatenate(([-M], knots(l, M), knots(u, M), [M])),
-                       kind="stable")
+    def scan(wlos, whis, radii):
+        radii = np.asarray(radii, np.int64)
+        l = np.asarray(wlos, np.int64) - base
+        u = np.asarray(whis, np.int64) - base + 1
+        W, span = len(radii), 2 * int(radii.max(initial=0)) + 1
+        # translate a of window k is tagged zero[k] + a, so that every
+        # window's candidates are one sorted array, each window apart
+        zero = np.arange(W) * span + radii
+        parts = [zero - radii, zero + radii]
+        for edge in (l, u):
+            i = np.searchsorted(starts, edge - radii)
+            j = np.searchsorted(starts, edge + radii + 1)
+            parts.append(starts[_ragged_range(i, j - 1)]
+                         + np.repeat(zero - edge, j - i))
+        # four sorted parts, which a stable sort (timsort) merges in linear time
+        cand = np.sort(np.concatenate(parts), kind="stable")
+        del parts
         cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-        ku = np.searchsorted(starts, u + cand, "right") - 1
-        kl = np.searchsorted(starts, l + cand, "right") - 1
-        # the samples entering and leaving the window along piece k
-        vu, vl = values[ku[:-1]], values[kl[:-1]]
+        count = np.diff(np.searchsorted(cand, np.arange(W + 1) * span))
+        last = np.cumsum(count) - 1
+        first = last - count + 1
+        # the sign of each piece's slope: the key of the sample entering the
+        # window less that of the one leaving it
+        pos = np.repeat(u - zero, count)
+        pos += cand
+        slope = keys[np.searchsorted(later, pos, "right")]
+        pos -= np.repeat(u - l, count)
+        run = np.searchsorted(later, pos, "right")
+        del pos
+        slope -= keys[run]
+        del run
         keep = np.ones(len(cand), bool)
-        keep[1:-1] = (vu[:-1] >= vl[:-1]) & (vu[1:] <= vl[1:])
+        keep[1:] = (slope[:-1] >= 0) & (slope[1:] <= 0)
+        del slope
+        keep[first] = keep[last] = True
         at = np.flatnonzero(keep)
-        ku, kl, a = ku[at], kl[at], cand[at]
-        sums_at = (sums[ku] + (u + a - starts[ku]) * values[ku]
-                   - sums[kl] - (l + a - starts[kl]) * values[kl])
-        best = sums_at.max()
-        hit = np.zeros(len(cand), bool)
-        hit[at[sums_at == best]] = True
-        return (int(best), *_best(cand, hit, M))
+        del keep
+        w = np.searchsorted(last, at)
+        a = cand[at] - zero[w]
+        ku = np.searchsorted(later, u[w] + a, "right")
+        kl = np.searchsorted(later, l[w] + a, "right")
+        sums_at = (sums[ku] + (u[w] + a - starts[ku]) * values[ku]
+                   - sums[kl] - (l[w] + a - starts[kl]) * values[kl])
+        best = np.maximum.reduceat(sums_at, np.searchsorted(at, first))
+        hit = sums_at == best[w]
+        a, boundary = _best(at[hit], a[hit], w[hit], radii)
+        return list(zip(best.tolist(), a.tolist(), boundary.tolist()))
 
     return scan
 
 
 def _limb_scan(profile):
-    """Window scan over the int64 limbs of a 'float' profile.  The limb sums
-    of all 2M + 1 translates are one slice difference per limb; carried
-    into w-bit digits in place they compare as numbers do, from the top
-    digit down.  Only the greatest sum is rebuilt as a Python int, from its
-    digits and final carry."""
+    """Window scan over the int64 limbs of a 'float' profile, one window
+    after another.  The limb sums of all 2M + 1 translates are one slice
+    difference per limb; carried into w-bit digits in place they compare as
+    numbers do, from the top digit down.  Only the greatest sum is rebuilt
+    as a Python int, from its digits and final carry."""
     cums, w, low = profile.limbs()
 
-    def scan(wlo, whi, M):
+    def one(wlo, whi, M):
         l, u = wlo - profile.lo, whi - profile.lo + 1
         digits, carry = [], 0
         for c in cums:
@@ -210,9 +252,14 @@ def _limb_scan(profile):
         hit = np.ones(2 * M + 1, dtype=bool)
         for d in digits[::-1]:  # every digit is >= 0
             hit &= d == d.max(where=hit, initial=-1)
-        a, boundary = _best(np.arange(-M, M + 1), hit, M)
+        at = np.flatnonzero(hit)
+        (a,), (boundary,) = _best(at, at - M, np.zeros(len(at), np.int64),
+                                  np.array([M]))
         total = sum(int(d[a + M]) << (w * k) for k, d in enumerate(digits))
-        return total << low, a, boundary
+        return total << low, int(a), bool(boundary)
+
+    def scan(wlos, whis, radii):
+        return [one(*window) for window in zip(wlos, whis, radii)]
 
     return scan
 
@@ -221,14 +268,15 @@ def _limb_scan(profile):
 # per-window values of each kind, from one profile
 
 
-def _scan_windows(scan, schedule, radii, unit, below=False):
-    """Per-window best translated sums, as multiples of unit.  besicovitch
-    scans with every radius 0, weyl and banach-density with the schedule's
-    translate radii.  With below, a window reports its length less the
-    best sum (banach-density: the fewest samples below eps)."""
+def _scan_windows(scan, windows, radii, unit, below=False):
+    """Per-window best translated sums, as multiples of unit, from one scan
+    call over all the windows.  besicovitch scans with every radius 0,
+    weyl and banach-density with the schedule's translate radii.  With
+    below, a window reports its length less the best sum (banach-density:
+    the fewest samples below eps)."""
+    rows = scan([w.lo for w in windows], [w.hi for w in windows], radii)
     per = []
-    for w, M in zip(schedule.windows, radii):
-        total, a, boundary = scan(w.lo, w.hi, M)
+    for w, M, (total, a, boundary) in zip(windows, radii, rows):
         if below:
             total = len(w) - total
         per.append(_window_value(w, M, a, Fraction(total, len(w) * unit),
@@ -237,18 +285,21 @@ def _scan_windows(scan, schedule, radii, unit, below=False):
 
 
 def _extreme_windows(profile, schedule):
-    """(check, hat) per-window values; each window's single extremes pass
-    (and its interior pass, for the boundary flag) serves both kinds."""
-    low, high = [], []
-    for w, M in zip(schedule.windows, schedule.translate_radius):
-        a, b = w.lo - M, w.hi + M
-        mn, mn_t, mx, mx_t = profile.extremes(a, b)
-        low_boundary = high_boundary = False
-        if b - 1 >= a + 1:
-            imn, _, imx, _ = profile.extremes(a + 1, b - 1)
-            low_boundary, high_boundary = imn != mn, imx != mx
-        low.append(_window_value(w, M, mn_t, Fraction(mn, SCALE), low_boundary))
-        high.append(_window_value(w, M, mx_t, Fraction(mx, SCALE), high_boundary))
+    """(check, hat) per-window values, from one extremes call over every
+    window's range with its translate slack and over that range less its
+    two ends (the range itself when that leaves nothing).  The boundary
+    flag is set when the two differ: the extreme lies on the ends only."""
+    windows, radii = schedule.windows, schedule.translate_radius
+    a = [w.lo - M for w, M in zip(windows, radii)]
+    b = [w.hi + M for w, M in zip(windows, radii)]
+    cut = [int(q - p >= 2) for p, q in zip(a, b)]
+    mn, mn_t, mx, mx_t = profile.extremes(
+        a + [p + c for p, c in zip(a, cut)], b + [q - c for q, c in zip(b, cut)])
+    W = len(windows)
+    low = [_window_value(w, M, mn_t[k], Fraction(mn[k], SCALE), mn[W + k] != mn[k])
+           for k, (w, M) in enumerate(zip(windows, radii))]
+    high = [_window_value(w, M, mx_t[k], Fraction(mx[k], SCALE), mx[W + k] != mx[k])
+            for k, (w, M) in enumerate(zip(windows, radii))]
     return low, high
 
 
@@ -270,26 +321,25 @@ def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
             if eps <= 0:
                 raise ValueError("eps must be positive")
     profile = pair_profile(x, y, *schedule.hull_range())
-    extremes = scan = None
-    out = {}
-    for kind in kinds:
-        if kind in ("check", "hat"):
-            if extremes is None:
-                extremes = _extreme_windows(profile, schedule)
-            per = extremes[kind == "hat"]
-        elif kind == "banach-density":
-            per = _scan_windows(_run_scan(profile.flag_runs(eps), profile.lo),
-                                schedule, schedule.translate_radius, 1,
-                                below=True)
-        else:
-            if scan is None:
-                scan = (_limb_scan(profile) if profile.kind == "float"
-                        else _run_scan(profile.runs(), profile.lo))
-            radii = (schedule.translate_radius if kind == "weyl"
-                     else [0] * len(schedule.windows))
-            per = _scan_windows(scan, schedule, radii, SCALE)
-        out[kind] = _aggregate(kind, x, y, per, schedule)
-    return out
+    windows, radii = schedule.windows, schedule.translate_radius
+    per = {}
+    if "check" in kinds or "hat" in kinds:
+        per["check"], per["hat"] = _extreme_windows(profile, schedule)
+    # besicovitch is the weyl scan at radius 0, so one scan call serves both
+    summed = [kind for kind in ("besicovitch", "weyl") if kind in kinds]
+    if summed:
+        scan = (_limb_scan(profile) if profile.kind == "float"
+                else _run_scan(profile.keyed_runs(), profile.lo))
+        rows = _scan_windows(scan, windows * len(summed), [
+            M if kind == "weyl" else 0 for kind in summed for M in radii], SCALE)
+        for n, kind in enumerate(summed):
+            per[kind] = rows[n * len(windows):(n + 1) * len(windows)]
+    if "banach-density" in kinds:
+        flags = profile.flag_runs(eps)  # 0/1 values are their own keys
+        per["banach-density"] = _scan_windows(
+            _run_scan(flags + (flags[1],), profile.lo), windows, radii, 1,
+            below=True)
+    return {kind: _aggregate(kind, x, y, per[kind], schedule) for kind in kinds}
 
 
 def estimate(kind: str, x: Point, y: Point, schedule: FolnerSchedule,

@@ -13,12 +13,18 @@ property suites can assert window-level inequalities with zero tolerance.
 
 A profile offers its samples to the estimators in one of two shapes.
 'exp2' and 'scaled' profiles give a runs view (`runs`): the maximal constant
-runs, with exact prefix sums at run starts only.  A 'scaled' profile is
-stored as its runs.  An 'exp2' profile (a subshift pair) is stored as its
-disagreement spans, the maximal ranges where the two points' letters
-differ; the value at t is 2^-e with e the distance from t to the nearest
-disagreement, so its runs and extremes are built from the spans in time
-linear in their number, with no per-sample array.
+runs, with exact prefix sums at run starts only.  `keyed_runs` adds an
+int64 order key per run, ordered as the values are, so that the run scan
+compares runs on machine integers and evaluates Python-int sums only
+where it must.  The grid integers 2^-e for e <= SCALE_BITS + 1 are held
+once, in one table that the runs, the extremes and scaled_from_exponent
+read.  A 'scaled' profile is stored as its runs.  An 'exp2' profile (a
+subshift pair) is stored as its disagreement spans, the maximal ranges
+where the two points' letters differ; the value at t is 2^-e with e the
+distance from t to the nearest disagreement, so its runs and extremes are
+built from the spans in time linear in their number, with no per-sample
+array; `extremes` reads every range of a call off the spans in one
+vectorized pass.
 'float' profiles give a limbs view (`limbs`): every grid integer, shifted
 down by the profile's lowest set bit, split into int64 limbs narrow enough
 that their prefix sums cannot overflow (a small superaccumulator), so no
@@ -42,6 +48,10 @@ SCALE = 1 << SCALE_BITS
 INF_EXP = 1 << 30
 #: stands in for the missing disagreement beyond an outer gap
 _FAR = 1 << 62
+#: the grid integer of 2^-e at index e, for e = 0 .. SCALE_BITS + 1 (the
+#: last, and every exponent beyond it, is 0 on the grid), built once
+_GRID = np.array([1 << (SCALE_BITS - e) for e in range(SCALE_BITS + 1)] + [0],
+                 dtype=object)
 
 
 def scaled_from_float(x: float) -> int:
@@ -56,9 +66,9 @@ def scaled_from_float(x: float) -> int:
 
 def scaled_from_exponent(e: int) -> int:
     """Exact image of 2^-e, floored to 0 beyond the grid."""
-    if e > SCALE_BITS:
-        return 0
-    return 1 << (SCALE_BITS - e)
+    if e < 0:
+        return 1 << (SCALE_BITS - e)
+    return _GRID[min(e, SCALE_BITS + 1)]
 
 
 def limb_bits(n: int) -> int:
@@ -68,21 +78,31 @@ def limb_bits(n: int) -> int:
     return 62 - (n - 1).bit_length()
 
 
-def _run_table(keys: np.ndarray, n: int, grid=None, at=None):
+def _run_table(keys: np.ndarray, n: int, at=None):
     """The runs view (see DistanceProfile.runs) of the samples keys, with
-    the last run extended to n samples.  Keys are grid values, or map to
-    them through grid, which is called once per distinct key.  keys[k] is
-    the sample at at[k] (at 0, 1, ... by default); at must be sorted, start
-    at 0 and hold every run start, and may repeat a position."""
+    the last run extended to n samples, and its order keys: int64, one per
+    entry of values (the closing 0 included), ordered as the values are.
+    keys are capped exponents 0 .. SCALE_BITS + 1 (int64: the values are
+    their grid entries, the keys their negatives), 0/1 flags (bool: values
+    and keys are the flags as int64) or grid integers (object: the keys
+    rank them).  keys[k] is the sample at at[k] (at 0, 1, ... by default);
+    at must be sorted, start at 0 and hold every run start, and may repeat
+    a position."""
     new = np.concatenate(([True], keys[1:] != keys[:-1]))
-    starts = np.flatnonzero(new) if at is None else at[new]
-    values = keys[new]
-    if grid is not None:
-        distinct, index = np.unique(values, return_inverse=True)
-        values = np.array([grid(e) for e in distinct.tolist()], dtype=object)[index]
-    starts = np.append(starts, n)
+    starts = np.append(np.flatnonzero(new) if at is None else at[new], n)
+    keys = keys[new]
+    if keys.dtype == np.int64:
+        values, order = _GRID[keys], np.append(-keys, -(SCALE_BITS + 1))
+    elif keys.dtype == bool:
+        values = keys.astype(np.int64)
+        order = np.append(values, 0)
+    else:
+        values = keys
+        rank = {v: r for r, v in enumerate(sorted({0, *values.tolist()}))}
+        order = np.array([rank[v] for v in values.tolist()] + [rank[0]],
+                         np.int64)
     sums = np.concatenate(([0], np.cumsum(values * np.diff(starts))))
-    return starts, np.append(values, 0), sums
+    return starts, np.append(values, 0), sums, order
 
 
 def _ragged_range(first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -109,8 +129,7 @@ class DistanceProfile:
     kind: str
     spans: Optional[Tuple[np.ndarray, np.ndarray]] = None
     floats: Optional[np.ndarray] = None
-    _runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, repr=False)
+    _runs: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False)
     _gaps: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False)
     _limbs: Optional[Tuple[List[np.ndarray], int, int]] = field(
         default=None, repr=False)
@@ -168,8 +187,17 @@ class DistanceProfile:
         and then len(self), values[k] is run k's grid value and sums[k] the
         exact sum of the samples before starts[k].  The closing entry at
         len(self) has value 0 and sums to the whole profile.  values and
-        sums are object arrays of Python ints; an 'exp2' profile builds one
-        grid integer per distinct exponent, none per sample."""
+        sums are object arrays of Python ints; an 'exp2' profile reads them
+        from the grid table, one entry per run, and builds none per
+        sample."""
+        return self.keyed_runs()[:3]
+
+    def keyed_runs(self) -> Tuple[np.ndarray, ...]:
+        """runs() and its order keys, as (starts, values, sums, keys):
+        keys[k] is an int64 that orders as values[k] does, the closing 0
+        included, so that the run scan compares runs on machine integers.
+        An 'exp2' profile's keys are its negated capped exponents, a
+        'scaled' profile's the ranks of its values."""
         if self._runs is None:
             if self.kind != "exp2":
                 raise ValueError("float profiles have no runs view")
@@ -185,7 +213,7 @@ class DistanceProfile:
                 _ragged_range(np.maximum(np.maximum(nxt - SCALE_BITS, rise + 1), 0),
                               np.minimum(nxt - 1, n - 1)))))
             keys = np.minimum(self._exponents_at(at), SCALE_BITS + 1)  # equal on the grid
-            self._runs = _run_table(keys, n, scaled_from_exponent, at)
+            self._runs = _run_table(keys, n, at)
         return self._runs
 
     def _gap_table(self) -> Tuple[np.ndarray, ...]:
@@ -252,57 +280,76 @@ class DistanceProfile:
             self._limbs = (cums, w, low)
         return self._limbs
 
-    def extremes(self, a: int, b: int) -> Tuple[int, int, int, int]:
-        """(min_scaled, argmin_t, max_scaled, argmax_t) over [a, b].
+    def extremes(self, a, b):
+        """(min_scaled, argmin_t, max_scaled, argmax_t) over [a, b].  With
+        equal-length sequences a and b, four lists instead, entry k over
+        [a[k], b[k]]: one call serves every window's ranges.
 
         Ties resolve to the smallest t, for deterministic diagnostics.
         """
-        if a < self.lo or b > self.hi or a > b:
-            raise ValueError("range [%d, %d] outside profile [%d, %d]" % (a, b, self.lo, self.hi))
-        i, j = a - self.lo, b - self.lo + 1
+        scalar = np.ndim(a) == 0
+        a, b = np.atleast_1d(np.asarray(a, np.int64), np.asarray(b, np.int64))
+        bad = (a < self.lo) | (b > self.hi) | (a > b)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError("range [%d, %d] outside profile [%d, %d]"
+                             % (a[k], b[k], self.lo, self.hi))
+        i, j = a - self.lo, b - self.lo
         if self.kind == "exp2":
-            return self._span_extremes(i, j - 1)
+            out = self._span_extremes(i, j)
+        else:
+            out = tuple(map(list, zip(*map(self._segment_extremes,
+                                           i.tolist(), j.tolist()))))
+        return tuple(r[0] for r in out) if scalar else out
+
+    def _segment_extremes(self, i: int, j: int) -> Tuple[int, int, int, int]:
+        """extremes over the samples [i, j] of a 'float' or 'scaled'
+        profile."""
         if self.kind == "float":
-            seg = self.floats[i:j]
-            kmin = int(np.argmin(seg))
-            kmax = int(np.argmax(seg))
-            return (
-                scaled_from_float(float(seg[kmin])), a + kmin,
-                scaled_from_float(float(seg[kmax])), a + kmax,
-            )
-        # the first run reaching each extreme, its start clipped to a
+            seg = self.floats[i:j + 1]
+            kmin, kmax = int(np.argmin(seg)), int(np.argmax(seg))
+            return (scaled_from_float(float(seg[kmin])), self.lo + i + kmin,
+                    scaled_from_float(float(seg[kmax])), self.lo + i + kmax)
+        # the first run reaching each extreme, its start clipped to i
         starts, values, _ = self.runs()
         k = int(np.searchsorted(starts, i, "right")) - 1
-        seg = values[k:np.searchsorted(starts, j)].tolist()
+        seg = values[k:np.searchsorted(starts, j + 1)].tolist()
         mn, mx = min(seg), max(seg)
-        return (mn, a + max(int(starts[k + seg.index(mn)]) - i, 0),
-                mx, a + max(int(starts[k + seg.index(mx)]) - i, 0))
+        return (mn, self.lo + max(int(starts[k + seg.index(mn)]), i),
+                mx, self.lo + max(int(starts[k + seg.index(mx)]), i))
 
-    def _span_extremes(self, i: int, j: int) -> Tuple[int, int, int, int]:
-        """extremes over the samples [i, j] of an 'exp2' profile, read off
-        its spans.  Ties go to the smallest t of the largest and smallest
-        exponents, capped at INF_EXP: below the grid, samples tie on the
-        grid but not by exponent.  A gap's exponents rise, then fall, so its
-        smallest in the window is at a window end and its largest at a
-        window end or at its apex."""
+    def _span_extremes(self, i: np.ndarray, j: np.ndarray) -> Tuple[list, ...]:
+        """extremes over the samples [i[k], j[k]] of an 'exp2' profile, read
+        off its spans for every range at once.  Ties go to the smallest t
+        of the largest and smallest exponents, capped at INF_EXP: below the
+        grid, samples tie on the grid but not by exponent.  A gap's
+        exponents rise, then fall, so its smallest in a range is at a range
+        end and its largest at a range end or at its apex."""
         starts, ends = self.spans
         _, _, apex, height = self._gap_table()
-        ei, ej = self._exponents_at(np.array([i, j])).tolist()
-        k = int(np.searchsorted(ends, i, "right"))  # the first span ending after i
-        if k < len(starts) and starts[k] <= j:
-            top, top_t = 0, max(i, int(starts[k]))
-        else:
-            top, top_t = (ei, i) if ei <= ej else (ej, j)
-        low, low_t = ei, i
-        p, q = np.searchsorted(apex, (i, j + 1))
-        if q > p:
-            m = p + int(np.argmax(height[p:q]))
-            if height[m] > low:
-                low, low_t = int(height[m]), int(apex[m])
-        if ej > low:
-            low, low_t = ej, j
-        return (scaled_from_exponent(low), self.lo + low_t,
-                scaled_from_exponent(top), self.lo + top_t)
+        ei, ej = self._exponents_at(i), self._exponents_at(j)
+        first = np.append(starts, _FAR)[np.searchsorted(ends, i, "right")]
+        inside = first <= j  # the first span ending after i starts by j
+        top = np.where(inside, 0, np.minimum(ei, ej))
+        top_t = np.where(inside, np.maximum(i, first), np.where(ei <= ej, i, j))
+        # the highest apex in each range, the first of equals: the apexes
+        # ranked by height, then position, and the best rank in each range
+        n = len(apex)
+        order = np.append(np.argsort(-height, kind="stable"), n)
+        rank = np.empty(n + 1, np.int64)
+        rank[order] = np.arange(n + 1)
+        p, q = np.searchsorted(apex, i), np.searchsorted(apex, j + 1)
+        m = order[np.minimum.reduceat(rank, np.stack((p, q), 1).ravel())[::2]]
+        m_height = np.append(height, -1)[m]
+        take = (q > p) & (m_height > ei)
+        low = np.where(take, m_height, ei)
+        low_t = np.where(take, np.append(apex, 0)[m], i)
+        take = ej > low
+        low, low_t = np.where(take, ej, low), np.where(take, j, low_t)
+        return (_GRID[np.minimum(low, SCALE_BITS + 1)].tolist(),
+                (self.lo + low_t).tolist(),
+                _GRID[np.minimum(top, SCALE_BITS + 1)].tolist(),
+                (self.lo + top_t).tolist())
 
     def indicator_prefix(self, threshold_scaled: int) -> List[int]:
         """Prefix counts of samples strictly below the scaled threshold."""
@@ -316,10 +363,10 @@ class DistanceProfile:
         which compare with eps as doubles (exact, both sides are doubles),
         or one grid compare per run of a runs profile."""
         if self.kind == "float":
-            return _run_table(self.floats >= eps, len(self))
+            return _run_table(self.floats >= eps, len(self))[:3]
         starts, values, _ = self.runs()
         return _run_table(values[:-1] >= scaled_from_float(eps), len(self),
-                          at=starts[:-1])
+                          at=starts[:-1])[:3]
 
     def plus(self, other: "DistanceProfile") -> "DistanceProfile":
         """Termwise sum on the grid (the lifted-metric profile)."""

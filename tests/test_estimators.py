@@ -36,6 +36,17 @@ def _rows(per_window):
             for wv in per_window]
 
 
+def _windowwise(scan):
+    """A per-window scan(wlo, whi, M), such as _reference's, called as the
+    batched scans are: once, with every window's lows, highs and radii."""
+    return lambda wlos, whis, radii: [scan(*w) for w in zip(wlos, whis, radii)]
+
+
+def _keyed_flags(flag_runs):
+    """A flag runs view keyed for _run_scan: 0/1 values are their own keys."""
+    return flag_runs + (flag_runs[1],)
+
+
 # pairs chosen to exercise every boundary/tie case the scanner has:
 # constant profiles, single-site disagreements, half-line disagreements
 # (all achievers on the translate boundary), and float-valued metrics
@@ -459,7 +470,7 @@ def test_best_from_run_and_count_scans_matches_reference(case, eps):
     prefix = list(accumulate(values, initial=0))
     want = _scan(lambda a, b: prefix[b + 1 - lo] - prefix[a - lo],
                  wlo, whi, M, True)
-    assert _run_scan(profile.runs(), lo)(wlo, whi, M) == want
+    assert _run_scan(profile.keyed_runs(), lo)([wlo], [whi], [M]) == [want]
     counts = list(accumulate((int(v < scaled(eps)) for v in values), initial=0))
     below, a, boundary = _scan(lambda a, b: counts[b + 1 - lo] - counts[a - lo],
                                wlo, whi, M, False)
@@ -468,8 +479,78 @@ def test_best_from_run_and_count_scans_matches_reference(case, eps):
     floats = DistanceProfile.from_floats(lo, np.array([2.0 ** -e for e in exps]))
     for prof in (profile, floats):
         # the most samples at or above eps are the fewest below it
-        assert _run_scan(prof.flag_runs(eps), lo)(wlo, whi, M) \
-            == (whi - wlo + 1 - below, a, boundary), prof.kind
+        assert _run_scan(_keyed_flags(prof.flag_runs(eps)), lo)(
+            [wlo], [whi], [M]) == [(whi - wlo + 1 - below, a, boundary)], \
+            prof.kind
+
+
+@st.composite
+def _window_lists(draw):
+    """(exps, lo, windows): a short piecewise-constant profile and a list of
+    windows (wlo, whi, M), each with its translates inside the profile."""
+    exps, lo, wlo, whi, M = draw(_scan_cases())
+    hi = lo + len(exps) - 1
+    windows = [(wlo, whi, M)]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        M = draw(st.integers(min_value=0, max_value=(len(exps) - 1) // 2))
+        wlo = draw(st.integers(min_value=lo + M, max_value=hi - M))
+        windows.append((wlo, draw(st.integers(min_value=wlo, max_value=hi - M)), M))
+    return exps, lo, windows
+
+
+@given(_window_lists(), st.sampled_from([0.25, 0.3, 1.0, 5e-324]))
+# a single window
+@example(([0, 5, 5, 5, 5, 5, 0], 0, [(3, 3, 3)]), 0.25)
+# the same window twice
+@example(([5, 0, 5, 5, 5, 0, 5], 0, [(3, 3, 3), (3, 3, 3)]), 0.25)
+# radius-0 windows among radius-M ones, as estimates fuses besicovitch and weyl
+@example(([0, 0, 5, 5, 5, 0, 0, 3, 3], 0,
+          [(2, 5, 0), (3, 4, 1), (3, 5, 0), (3, 5, 3)]), 0.25)
+# windows whose candidate ranges overlap
+@example(([5, 5, 2, 1, 0, 2, 3, 5, 5, 5, 5], 0, [(4, 6, 4), (3, 7, 3), (5, 5, 5)]),
+         0.25)
+# 2^-1075, 2^-1100 and distance 0 tie on the grid
+@example(([1075, 1100, INF_EXP, 1074, 1075, INF_EXP, -1], 0,
+          [(3, 3, 2), (3, 3, 0), (2, 4, 2)]), 5e-324)
+@settings(max_examples=200, deadline=None)
+def test_batched_run_scans_match_per_window_reference(case, eps):
+    exps, lo, windows = case
+    wlos, whis, radii = (list(c) for c in zip(*windows))
+    profile = DistanceProfile.from_scaled(lo, [_grid(e) for e in exps])
+    assert _run_scan(profile.keyed_runs(), lo)(wlos, whis, radii) \
+        == _windowwise(_reference._run_scan(profile))(wlos, whis, radii)
+    counts = _reference.below_counts(profile, eps)
+    want = [(whi - wlo + 1 - below, a, boundary) for (wlo, whi, _), (below, a, boundary)
+            in zip(windows, _windowwise(_reference._count_scan(counts, lo))(
+                wlos, whis, radii))]
+    floats = DistanceProfile.from_floats(lo, np.array([2.0 ** -e for e in exps]))
+    for prof in (profile, floats):
+        assert _run_scan(_keyed_flags(prof.flag_runs(eps)), lo)(
+            wlos, whis, radii) == want, prof.kind
+
+
+#: tracemalloc peak of one Toeplitz fibre pair's five estimates at
+#: dyadic_schedule(8, 16), in bytes: 0.90 MB is measured (the profile's
+#: 2151 runs and their sums, then the scans' candidate arrays); one more
+#: int64 array over the weyl scan's 18,170 candidates adds 0.15 MB
+FIBRE_ESTIMATES_PEAK_BYTES = 1_000_000
+
+
+def test_fibre_pair_estimates_working_set_is_bounded():
+    import tracemalloc
+
+    schedule = dyadic_schedule(8, 16)
+    x, y = (_pt("toeplitz", "addr=int:7 flag=%s" % flag)
+            for flag in ("plain", "primed"))
+    want = estimates(x, y, schedule, ESTIMATE_KINDS, 0.01)
+    tracemalloc.start()
+    try:
+        got = estimates(x, y, schedule, ESTIMATE_KINDS, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < FIBRE_ESTIMATES_PEAK_BYTES, peak
 
 
 def test_float_estimates_build_no_per_sample_ints(monkeypatch):
@@ -540,14 +621,16 @@ def test_pruned_scans_match_all_breakpoint_scans_at_scale(label, pair,
 
     want = {}
     if profile.kind != "float":
-        scan = _reference._run_scan(profile)
+        scan = _windowwise(_reference._run_scan(profile))
         want["besicovitch"] = rows(_scan_windows(
-            scan, schedule, [0] * len(radii), SCALE))
-        want["weyl"] = rows(_scan_windows(scan, schedule, radii, SCALE))
+            scan, schedule.windows, [0] * len(radii), SCALE))
+        want["weyl"] = rows(_scan_windows(scan, schedule.windows, radii,
+                                          SCALE))
     for eps in (0.25, 0.01, 5e-324):
         counts = _reference.below_counts(profile, eps)
         want["banach-density"] = rows(_scan_windows(
-            _reference._count_scan(counts, profile.lo), schedule, radii, 1))
+            _windowwise(_reference._count_scan(counts, profile.lo)),
+            schedule.windows, radii, 1))
         got = estimates(x, y, schedule, tuple(want), eps)
         for kind in want:
             assert rows(got[kind].per_window) == want[kind], (label, kind, eps)
@@ -574,5 +657,5 @@ def test_limb_scan_matches_reference_on_wide_floats(runs, schedule):
                        ("besicovitch", "weyl"), None)
     for kind, radii in (("besicovitch", [0] * len(schedule.windows)),
                         ("weyl", schedule.translate_radius)):
-        assert _rows(_scan_windows(scan, schedule, radii, SCALE)) \
+        assert _rows(_scan_windows(scan, schedule.windows, radii, SCALE)) \
             == want[kind], kind

@@ -4,12 +4,12 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weylab.core import Point, dyadic_schedule, get_system
 from weylab.estimators import pair_profile
-from weylab.profiles import (INF_EXP, SCALE, SCALE_BITS, DistanceProfile,
-                             limb_bits, scaled_from_exponent,
+from weylab.profiles import (_GRID, INF_EXP, SCALE, SCALE_BITS,
+                             DistanceProfile, limb_bits, scaled_from_exponent,
                              scaled_from_float)
 from weylab.systems.thuemorse import ThueMorseSystem
 
@@ -237,8 +237,11 @@ def test_span_profiles_match_per_sample_exponents(case, data):
     windows = [(prof.lo, prof.hi)] + [
         tuple(sorted(data.draw(st.integers(prof.lo, prof.hi)) for _ in "ab"))
         for _ in range(8)]
-    for a, b in windows:
-        assert prof.extremes(a, b) == exponent_extremes(exps, prof.lo, a, b)
+    want = [exponent_extremes(exps, prof.lo, a, b) for a, b in windows]
+    for (a, b), row in zip(windows, want):
+        assert prof.extremes(a, b) == row
+    # one call over every range gives the same rows
+    assert list(zip(*prof.extremes(*zip(*windows)))) == want
 
 
 def test_span_extremes_match_reference_on_every_window():
@@ -252,9 +255,11 @@ def test_span_extremes_match_reference_on_every_window():
     edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0])))) - _PAD
     prof = DistanceProfile.from_spans(lo, hi, edges[0::2], edges[1::2])
     exps = letter_exponents(np.zeros_like(mask), mask, lo, hi)
-    for a in range(lo, hi + 1):
-        for b in range(a, hi + 1):
-            assert prof.extremes(a, b) == exponent_extremes(exps, lo, a, b), (a, b)
+    windows = [(a, b) for a in range(lo, hi + 1) for b in range(a, hi + 1)]
+    want = [exponent_extremes(exps, lo, a, b) for a, b in windows]
+    for (a, b), row in zip(windows, want):
+        assert prof.extremes(a, b) == row, (a, b)
+    assert list(zip(*prof.extremes(*zip(*windows)))) == want
 
 
 @given(st.lists(st.tuples(_EXPONENTS, st.integers(min_value=1, max_value=4)),
@@ -285,6 +290,51 @@ def test_scaled_extremes_match_list_at_first_t(values, data):
     seg = values[a - lo:b + 1 - lo]
     assert DistanceProfile.from_scaled(lo, values).extremes(a, b) \
         == (min(seg), a + seg.index(min(seg)), max(seg), a + seg.index(max(seg)))
+
+
+def _assert_keys_order_values(starts, values, sums, keys):
+    """keys is an int64 per entry of values, the closing 0 included, and
+    every two entries compare by key as they do by value."""
+    assert keys.dtype == np.int64 and len(keys) == len(values) == len(starts)
+    # neighbours in value order compare alike, so every pair does
+    pairs = sorted(zip(values.tolist(), keys.tolist()))
+    assert all((v < w, v == w) == (k < m, k == m)
+               for (v, k), (w, m) in zip(pairs, pairs[1:]))
+
+
+@given(_span_profiles())
+@settings(deadline=None)
+def test_exponent_run_keys_order_as_values(case):
+    _assert_keys_order_values(*case[0].keyed_runs())
+
+
+@pytest.mark.parametrize("spans", [[(0, 1)], [(-1100, -1099), (2990, 2991)],
+                                   [(5, 9), (2200, 2201)]])
+def test_exponent_run_keys_order_as_values_beyond_the_grid(spans):
+    # gaps wide enough that exponents 1074, 1075 and beyond all occur
+    prof = DistanceProfile.from_spans(0, 2999, [s for s, _ in spans],
+                                      [e for _, e in spans])
+    starts, values, sums, keys = prof.keyed_runs()
+    assert {1, 0} <= set(values.tolist())  # 2^-1074 and 2^-1075 or beyond
+    _assert_keys_order_values(starts, values, sums, keys)
+
+
+@given(st.lists(st.sampled_from([0, 0, 1, 2, 3, SCALE, SCALE + 1, 3 * SCALE]),
+                min_size=1, max_size=30), _TIES.filter(bool))
+@settings(deadline=None)
+def test_scaled_and_flag_run_keys_order_as_values(values, eps):
+    for prof in (DistanceProfile.from_scaled(-3, values),
+                 DistanceProfile.constant(0, 9, values[0])):
+        _assert_keys_order_values(*prof.keyed_runs())
+        flags = prof.flag_runs(eps)  # 0/1 flags are their own keys
+        _assert_keys_order_values(*flags, flags[1])
+
+
+def test_grid_table_holds_every_power_of_two_on_the_grid():
+    assert len(_GRID) == SCALE_BITS + 2
+    assert all(_GRID[e] == scaled_from_float(2.0 ** -e)
+               for e in range(SCALE_BITS + 2))
+    assert [scaled_from_exponent(e) for e in (1075, 1100, INF_EXP)] == [0] * 3
 
 
 def _traced_peak(fn):
