@@ -39,10 +39,11 @@ schedule's radii.  The scan follows the profile's shape:
   numpy pass over all windows; only the sums at kept breakpoints are
   Python ints.
 - 'float' profiles (shells62, interval61) are scanned on their int64
-  limbs, one window after another: the sums of all translates of a
-  window are one slice difference per limb plus a carry, and the
-  greatest is found limb by limb from the top; only that one becomes a
-  Python int.
+  limbs, one window after another and BLOCK translates at a time: the
+  sums of a block of translates are one slice difference per limb plus a
+  carry, the greatest is found limb by limb from the top, and only each
+  block's greatest digits become Python ints, to be compared with the
+  best of the blocks before it.
 
 banach-density, for every kind, runs the same run scan on the runs of the
 0/1 flags of the samples at or above eps (DistanceProfile.flag_runs),
@@ -67,7 +68,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import CrossSystemError, FolnerSchedule, FolnerWindow, Point
-from .profiles import SCALE, DistanceProfile, _ragged_range
+from .profiles import SCALE, DistanceProfile, _ragged_range, blocks
 
 ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
 
@@ -141,6 +142,12 @@ def _aggregate(kind, x, y, per_window, schedule) -> PseudometricEstimate:
     )
 
 
+def _rank(a):
+    """2|a| + (a > 0) of translates a: the lesser rank is nearer 0,
+    negative first."""
+    return 2 * np.abs(a) + (a > 0)
+
+
 def _best(at, a, w, radii):
     """The translate and boundary flag of every window's extreme over its
     translates |a| <= M, from the candidates that achieve it: at holds
@@ -159,10 +166,9 @@ def _best(at, a, w, radii):
     # a flat piece's inner translate is interior
     interior = np.bincount(fw[right - left >= 2], minlength=W) > 0
     interior |= np.bincount(w[np.abs(a) < radii[w]], minlength=W) > 0
-    # the least 2|a| + (a > 0) in each window: nearest 0, negative first
-    rank = 2 * np.abs(a) + (a > 0)
+    # the least rank in each window: nearest 0, negative first
     first = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
-    rank = np.minimum.reduceat(rank, first)
+    rank = np.minimum.reduceat(_rank(a), first)
     a = np.where(through0, 0, np.where(rank & 1, 1, -1) * (rank >> 1))
     return a, (radii > 0) & ~interior
 
@@ -233,29 +239,41 @@ def _run_scan(runs, base):
 
 def _limb_scan(profile):
     """Window scan over the int64 limbs of a 'float' profile, one window
-    after another.  The limb sums of all 2M + 1 translates are one slice
-    difference per limb; carried into w-bit digits in place they compare as
-    numbers do, from the top digit down.  Only the greatest sum is rebuilt
-    as a Python int, from its digits and final carry."""
+    after another and BLOCK translates at a time.  The limb sums of a
+    block of translates are one slice difference per limb; carried into
+    w-bit digits in place they compare as numbers do, from the top digit
+    down.  Each block gives its greatest digits, top first, and the
+    achiever nearest 0; the greatest over the blocks is kept as Python
+    ints, from which the sum is rebuilt.  Every translate is a candidate,
+    so no flat piece is longer than one step and _best needs only that
+    achiever."""
     cums, w, low = profile.limbs()
 
     def one(wlo, whi, M):
-        l, u = wlo - profile.lo, whi - profile.lo + 1
-        digits, carry = [], 0
-        for c in cums:
-            s = c[u - M:u + M + 1] - c[l - M:l + M + 1]
-            s += carry
-            carry = s >> w
-            s &= (1 << w) - 1
-            digits.append(s)
-        digits.append(carry)
-        hit = np.ones(2 * M + 1, dtype=bool)
-        for d in digits[::-1]:  # every digit is >= 0
-            hit &= d == d.max(where=hit, initial=-1)
-        at = np.flatnonzero(hit)
-        (a,), (boundary,) = _best(at, at - M, np.zeros(len(at), np.int64),
-                                  np.array([M]))
-        total = sum(int(d[a + M]) << (w * k) for k, d in enumerate(digits))
+        l, u = wlo - profile.lo - M, whi - profile.lo + 1 - M  # at translate -M
+        best = None  # (digits top first, -rank, translate) of the best so far
+        for i, j in blocks(2 * M + 1):
+            digits, carry = [], 0
+            for c in cums:
+                s = c[u + i:u + j] - c[l + i:l + j]
+                s += carry
+                carry = s >> w
+                s &= (1 << w) - 1
+                digits.append(s)
+            digits.append(carry)
+            hit = np.ones(j - i, dtype=bool)
+            for d in digits[::-1]:  # every digit is >= 0
+                hit &= d == d.max(where=hit, initial=-1)
+            at = np.flatnonzero(hit)
+            rank = _rank(at + (i - M))
+            k = int(at[np.argmin(rank)])  # the achiever nearest 0
+            found = (tuple(int(d[k]) for d in digits[::-1]), -int(rank.min()),
+                     i + k - M)
+            best = found if best is None else max(best, found)
+        top, _, a = best
+        (a,), (boundary,) = _best(np.array([a + M]), np.array([a]),
+                                  np.zeros(1, np.int64), np.array([M]))
+        total = sum(d << (w * k) for k, d in enumerate(top[::-1]))
         return total << low, int(a), bool(boundary)
 
     def scan(wlos, whis, radii):

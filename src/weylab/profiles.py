@@ -28,10 +28,14 @@ vectorized pass.
 'float' profiles give a limbs view (`limbs`): every grid integer, shifted
 down by the profile's lowest set bit, split into int64 limbs narrow enough
 that their prefix sums cannot overflow (a small superaccumulator), so no
-sample becomes a Python int.  `flag_runs` gives, for every kind, the runs
-view of the 0/1 flags of the samples at or above a threshold.  No profile
-stores a per-sample grid integer: `scaled`, `prefix` and `indicator_prefix`
-build them on each call, as reference accessors for tests and diagnostics.
+sample becomes a Python int.  A float profile is built (`from_blocks`),
+split into limbs and scanned BLOCK samples or translates at a time, so
+that besides the samples and the limbs' prefix sums no buffer is longer
+than a block; each sample's arithmetic is the same for any block size.
+`flag_runs` gives, for every kind, the runs view of the 0/1 flags of the
+samples at or above a threshold.  No profile stores a per-sample grid
+integer: `scaled`, `prefix` and `indicator_prefix` build them on each
+call, as reference accessors for tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -52,6 +56,15 @@ _FAR = 1 << 62
 #: last, and every exponent beyond it, is 0 on the grid), built once
 _GRID = np.array([1 << (SCALE_BITS - e) for e in range(SCALE_BITS + 1)] + [0],
                  dtype=object)
+#: samples or translates that the float profile build, limbs and limb scan
+#: take at a time
+BLOCK = 1 << 14
+
+
+def blocks(n: int):
+    """The bounds (i, j) of the blocks [i, j) of at most BLOCK that cover
+    0 .. n - 1, in order."""
+    return ((i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
 
 
 def scaled_from_float(x: float) -> int:
@@ -105,6 +118,27 @@ def _run_table(keys: np.ndarray, n: int, at=None):
     return starts, np.append(values, 0), sums, order
 
 
+def _significands(floats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(sig, pos) of nonnegative doubles, as new arrays: each is
+    sig * 2^(pos - SCALE_BITS) with sig < 2^53; -0.0 is 0."""
+    sig = floats.view(np.uint64) & np.uint64(2**63 - 1)
+    pos = (sig >> np.uint64(52)).astype(np.int16)  # the biased exponent
+    np.bitwise_and(sig, np.uint64(2**52 - 1), out=sig)
+    np.bitwise_or(sig, np.uint64(2**52), out=sig, where=pos > 0)
+    np.maximum(np.subtract(pos, 1, out=pos), 0, out=pos)
+    return sig, pos
+
+
+def _lowest_bit(sig: np.ndarray, pos: np.ndarray) -> Optional[int]:
+    """The position on the grid of the lowest set bit of any of the
+    doubles that _significands split into sig and pos; None when all are
+    0."""
+    if not sig.any():
+        return None
+    lowest = np.frexp((sig & (~sig + np.uint64(1))).astype(np.float64))[1]
+    return int((pos + lowest - 1)[sig != 0].min())
+
+
 def _ragged_range(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     """The integers of the ranges [first[k], last[k]], one after another;
     a range with last < first is empty."""
@@ -149,9 +183,21 @@ class DistanceProfile:
     @classmethod
     def from_floats(cls, lo: int, values: np.ndarray) -> "DistanceProfile":
         values = np.asarray(values, dtype=np.float64)
-        if not np.all((values >= 0.0) & (values < np.inf)):  # NaN fails both
+        # min and max propagate NaN, which fails both compares
+        if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < np.inf):
             raise ValueError("distance samples must be finite and nonnegative")
         return cls(lo=lo, hi=lo + len(values) - 1, kind="float", floats=values)
+
+    @classmethod
+    def from_blocks(cls, lo: int, hi: int, block) -> "DistanceProfile":
+        """The 'float' profile on [lo, hi] whose samples at t = a .. b, a
+        block of at most BLOCK, are the float64 array block(a, b): each is
+        copied into the one sample array, so that the caller's buffers stay
+        block-sized."""
+        values = np.empty(hi - lo + 1)
+        for i, j in blocks(len(values)):
+            values[i:j] = block(lo + i, lo + j - 1)
+        return cls.from_floats(lo, values)
 
     @classmethod
     def from_scaled(cls, lo: int, scaled: List[int]) -> "DistanceProfile":
@@ -248,35 +294,32 @@ class DistanceProfile:
         if self._limbs is None:
             if self.kind != "float":
                 raise ValueError("only float profiles have a limbs view")
-            # a double is sig * 2^(pos - SCALE_BITS) with sig < 2^53; -0.0 is 0.
-            # Besides the limbs, sig, pos and one shift row are the only
-            # per-sample buffers (18 bytes a sample); numpy writes into them.
-            sig = self.floats.view(np.uint64) & np.uint64(2**63 - 1)
-            pos = (sig >> np.uint64(52)).astype(np.int16)  # the biased exponent
-            np.bitwise_and(sig, np.uint64(2**52 - 1), out=sig)
-            np.bitwise_or(sig, np.uint64(2**52), out=sig, where=pos > 0)
-            np.maximum(np.subtract(pos, 1, out=pos), 0, out=pos)
+            # two passes over blocks of samples: the lowest set bit, then the
+            # digits, written into each limb's cum and summed there in place;
+            # besides the limbs, no per-sample buffer outlives a block
             n, w = len(self), limb_bits(len(self))
-            low = width = 0
-            if sig.any():
-                lowest = np.frexp((sig & (~sig + np.uint64(1))).astype(np.float64))[1]
-                low = int((pos + lowest - 1)[sig != 0].min())
-                width = int(np.frexp(self.floats.max())[1]) + SCALE_BITS - low
-                del lowest  # before the limbs are built
-            shift = np.empty(n, np.int64)
-            cums = []
-            for k in range(max(1, -(-width // w))):
-                cum = np.zeros(n + 1, np.int64)  # digits of limb k, then their prefix sums
-                digit = cum[1:].view(np.uint64)
-                # where bit 0 of sig lands in limb k
-                rel = np.subtract(pos, low + w * k, out=shift, dtype=np.int64)
-                np.clip(rel, 0, 63, out=cum[1:])
-                np.left_shift(sig, digit, out=digit)
-                np.clip(np.negative(rel, out=rel), 0, 63, out=rel)
-                np.right_shift(digit, rel.view(np.uint64), out=digit)
-                np.bitwise_and(digit, np.uint64(2**w - 1), out=digit)
+            bits = (_lowest_bit(*_significands(self.floats[i:j]))
+                    for i, j in blocks(n))
+            low = min((b for b in bits if b is not None), default=None)
+            width = 0 if low is None else (
+                int(np.frexp(self.floats.max())[1]) + SCALE_BITS - low)
+            low = low or 0
+            cums = [np.zeros(n + 1, np.int64)
+                    for _ in range(max(1, -(-width // w)))]
+            for i, j in blocks(n):
+                sig, pos = _significands(self.floats[i:j])
+                shift = np.empty(j - i, np.int64)
+                for k, cum in enumerate(cums):
+                    digit = cum[1 + i:1 + j].view(np.uint64)
+                    # where bit 0 of sig lands in limb k
+                    rel = np.subtract(pos, low + w * k, out=shift, dtype=np.int64)
+                    np.clip(rel, 0, 63, out=cum[1 + i:1 + j])
+                    np.left_shift(sig, digit, out=digit)
+                    np.clip(np.negative(rel, out=rel), 0, 63, out=rel)
+                    np.right_shift(digit, rel.view(np.uint64), out=digit)
+                    np.bitwise_and(digit, np.uint64(2**w - 1), out=digit)
+            for cum in cums:
                 np.cumsum(cum[1:], out=cum[1:])
-                cums.append(cum)
             self._limbs = (cums, w, low)
         return self._limbs
 

@@ -102,10 +102,12 @@ class IntervalMirrorSystem(System):
         return _mirror_dist(p[0] == q[0], self.value(p), self.value(q), math.sqrt)
 
     def pair_profile(self, p, q, lo, hi):
-        spans = [(self._orbit(y0), off + lo, off + hi) for _, y0, off in (p, q)]
-        fill(spans)  # both anchors' walks in one fill, so that they run side by side
-        yp, yq = (orbit.rows(a, b) for orbit, a, b in spans)
-        return DistanceProfile.from_floats(lo, _mirror_dist(p[0] == q[0], yp, yq, np.sqrt))
+        orbits = [(self._orbit(y0), off) for _, y0, off in (p, q)]
+        # both anchors' walks in one fill, so that they run side by side
+        fill([(orbit, off + lo, off + hi) for orbit, off in orbits])
+        return DistanceProfile.from_blocks(lo, hi, lambda a, b: _mirror_dist(
+            p[0] == q[0], *(orbit.rows(off + a, off + b) for orbit, off in orbits),
+            np.sqrt))
 
     def parse_point(self, text: str):
         keys = {"y": None, "branch": "hat", "off": "0"}

@@ -139,9 +139,9 @@ class ShellStackSystem(System):
         # both anchors' walks in one fill, so that they run side by side
         fill([(orbit, x[2] + lo, x[2] + hi)
               for x, orbit in zip((p, q), orbits) if orbit is not None])
-        rows = [self._rows(x, orbit, lo, hi) for x, orbit in zip((p, q), orbits)]
-        return DistanceProfile.from_floats(
-            lo, _dist(*rows, lambda d: np.sqrt(d, out=d)))
+        return DistanceProfile.from_blocks(lo, hi, lambda a, b: _dist(
+            *(self._rows(x, orbit, a, b) for x, orbit in zip((p, q), orbits)),
+            lambda d: np.sqrt(d, out=d)))
 
     def parse_point(self, text: str):
         level, t, off = parse_fields(text, {"level": None, "t": None, "off": "0"}).values()

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from weylab.core import Point, get_system
+from weylab.profiles import limb_bits
 
 SCALE_BITS = 1074
 
@@ -456,3 +457,44 @@ def coords_dist(system, p, q):
         return 0.0
     k = int(np.min(np.abs(diff - SCALE_BITS)))
     return 2.0 ** (-k)
+
+
+# -- full-length limbs ---------------------------------------------------------
+# A verbatim copy of DistanceProfile.limbs as it was before the limbs were
+# built a block of samples at a time: one sig, pos and shift row over the
+# whole profile.  The block build must give the same digits, prefix sums,
+# width and lowest bit.
+
+
+def limbs(profile):
+    """DistanceProfile.limbs of a 'float' profile, built on full-length rows."""
+    # a double is sig * 2^(pos - SCALE_BITS) with sig < 2^53; -0.0 is 0.
+    # Besides the limbs, sig, pos and one shift row are the only
+    # per-sample buffers (18 bytes a sample); numpy writes into them.
+    sig = profile.floats.view(np.uint64) & np.uint64(2**63 - 1)
+    pos = (sig >> np.uint64(52)).astype(np.int16)  # the biased exponent
+    np.bitwise_and(sig, np.uint64(2**52 - 1), out=sig)
+    np.bitwise_or(sig, np.uint64(2**52), out=sig, where=pos > 0)
+    np.maximum(np.subtract(pos, 1, out=pos), 0, out=pos)
+    n, w = len(profile), limb_bits(len(profile))
+    low = width = 0
+    if sig.any():
+        lowest = np.frexp((sig & (~sig + np.uint64(1))).astype(np.float64))[1]
+        low = int((pos + lowest - 1)[sig != 0].min())
+        width = int(np.frexp(profile.floats.max())[1]) + SCALE_BITS - low
+        del lowest  # before the limbs are built
+    shift = np.empty(n, np.int64)
+    cums = []
+    for k in range(max(1, -(-width // w))):
+        cum = np.zeros(n + 1, np.int64)  # digits of limb k, then their prefix sums
+        digit = cum[1:].view(np.uint64)
+        # where bit 0 of sig lands in limb k
+        rel = np.subtract(pos, low + w * k, out=shift, dtype=np.int64)
+        np.clip(rel, 0, 63, out=cum[1:])
+        np.left_shift(sig, digit, out=digit)
+        np.clip(np.negative(rel, out=rel), 0, 63, out=rel)
+        np.right_shift(digit, rel.view(np.uint64), out=digit)
+        np.bitwise_and(digit, np.uint64(2**w - 1), out=digit)
+        np.cumsum(cum[1:], out=cum[1:])
+        cums.append(cum)
+    return cums, w, low

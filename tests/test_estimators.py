@@ -13,6 +13,7 @@ from weylab.estimators import (ESTIMATE_KINDS, PairSummary, SummaryMemo,
                                _limb_scan, _run_scan, _scan_windows,
                                banach_density, besicovitch, check, estimate,
                                estimates, hat, pair_profile, weyl)
+from weylab import profiles
 from weylab.factors import lift_metric
 from weylab.profiles import INF_EXP, SCALE, SCALE_BITS, DistanceProfile
 
@@ -582,7 +583,11 @@ FLOAT_PROFILE_PAIRS = [
 
 @pytest.mark.parametrize("label,pair,schedule", FLOAT_PROFILE_PAIRS,
                          ids=[p[0] for p in FLOAT_PROFILE_PAIRS])
-def test_limb_scans_match_per_sample_reference_at_scale(label, pair, schedule):
+def test_limb_scans_match_per_sample_reference_at_scale(label, pair, schedule,
+                                                       monkeypatch):
+    # a small odd block puts block boundaries everywhere in the profile
+    # build, the limbs and the scan
+    monkeypatch.setattr(profiles, "BLOCK", 509)
     x, y = pair()
     kinds = ("besicovitch", "weyl", "banach-density")
     profile = pair_profile(x, y, *schedule.hull_range())
@@ -644,18 +649,51 @@ _WIDE_FLOATS = st.sampled_from([0.0, 5e-324, 1e-310, 2.0 ** -1000, 0.25, 0.3,
 
 @given(st.lists(st.tuples(_WIDE_FLOATS, st.integers(min_value=1, max_value=9)),
                 min_size=1, max_size=12),
-       st.sampled_from([dyadic_schedule(1, 3), dyadic_schedule(2, 4, "left")]))
+       st.sampled_from([dyadic_schedule(1, 3), dyadic_schedule(2, 4, "left")]),
+       st.sampled_from([3, 7, profiles.BLOCK]))
 @example([(5e-324, 1), (1.7976931348623157e308, 1), (0.0, 3)],
-         dyadic_schedule(1, 3))
+         dyadic_schedule(1, 3), profiles.BLOCK)
+@example([(0.3, 1)], dyadic_schedule(2, 4, "left"), 3)
 @settings(max_examples=200, deadline=None)
-def test_limb_scan_matches_reference_on_wide_floats(runs, schedule):
+def test_limb_scan_matches_reference_on_wide_floats(runs, schedule, block):
     lo, hi = schedule.hull_range()
     values = [v for v, n in runs for _ in range(n)] * (hi - lo + 1)
     values = values[:hi - lo + 1]  # the runs, repeated across the hull
-    scan = _limb_scan(DistanceProfile.from_floats(lo, np.array(values)))
-    want = _value_rows([scaled(v) for v in values], lo, schedule,
-                       ("besicovitch", "weyl"), None)
-    for kind, radii in (("besicovitch", [0] * len(schedule.windows)),
-                        ("weyl", schedule.translate_radius)):
-        assert _rows(_scan_windows(scan, schedule.windows, radii, SCALE)) \
-            == want[kind], kind
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "BLOCK", block)
+        scan = _limb_scan(DistanceProfile.from_floats(lo, np.array(values)))
+        want = _value_rows([scaled(v) for v in values], lo, schedule,
+                           ("besicovitch", "weyl"), None)
+        for kind, radii in (("besicovitch", [0] * len(schedule.windows)),
+                            ("weyl", schedule.translate_radius)):
+            assert _rows(_scan_windows(scan, schedule.windows, radii, SCALE)) \
+                == want[kind], kind
+
+
+# one window [0, 4] at radius 10 over blocks of 4 translates, [-10, -7] to
+# [6, 9] and the partial [10]; its 25 samples, t = -10 .. 14, end in a
+# partial block too.  Each case gives the samples that differ from 0.25
+# and the translate and boundary flag expected
+_SPREAD = {"constant": ({}, 0, False),
+           # only translate 10 reaches t = 14, the widest sample
+           "last partial block": ({14: 1e300}, 10, True),
+           # translates -6 and 6 both cover two samples of 1.0
+           "non-adjacent blocks": ({-6: 1.0, -2: 1.0, 6: 1.0, 10: 1.0}, -6,
+                                   False),
+           # -7 and 4 do, and the later block's is nearer 0
+           "later block nearer 0": ({-7: 1.0, -3: 1.0, 4: 1.0, 8: 1.0}, 4,
+                                    False)}
+
+
+@pytest.mark.parametrize("case", list(_SPREAD))
+def test_limb_scan_settles_ties_across_translate_blocks(case, monkeypatch):
+    monkeypatch.setattr(profiles, "BLOCK", 4)
+    spikes, translate, boundary = _SPREAD[case]
+    values = [spikes.get(t, 0.25 if case != "constant" else 0.3)
+              for t in range(-10, 15)]
+    got = _limb_scan(DistanceProfile.from_floats(-10, np.array(values)))(
+        [0], [4], [10])
+    prefix = list(accumulate((scaled(v) for v in values), initial=0))
+    want = _scan(lambda a, b: prefix[b + 11] - prefix[a + 10], 0, 4, 10, True)
+    assert got == [want]
+    assert want[1:] == (translate, boundary)

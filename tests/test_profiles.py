@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylab import profiles
 from weylab.core import Point, dyadic_schedule, get_system
 from weylab.estimators import pair_profile
 from weylab.profiles import (_GRID, INF_EXP, SCALE, SCALE_BITS,
@@ -13,6 +14,7 @@ from weylab.profiles import (_GRID, INF_EXP, SCALE, SCALE_BITS,
                              scaled_from_float)
 from weylab.systems.thuemorse import ThueMorseSystem
 
+import _reference
 from _reference import (_PAD, below_prefix, exponent_below_counts,
                         exponent_extremes, exponent_runs, letter_exponents)
 
@@ -460,6 +462,51 @@ def test_limbs_rebuild_grid_integers(values):
 def test_float_profiles_reject_negative_and_non_finite_samples(bad):
     with pytest.raises(ValueError):
         DistanceProfile.from_floats(0, np.array([0.5, bad]))
+    for at in (0, 777, (1 << 12) - 1):  # anywhere in a longer profile
+        values = np.full(1 << 12, 0.5)
+        values[at] = bad
+        with pytest.raises(ValueError):
+            DistanceProfile.from_floats(0, values)
+
+
+def test_float_profile_validation_allocates_no_per_sample_buffer():
+    values = np.full(1 << 16, 0.5)
+    values[0] = -0.0  # nonnegative
+    tracemalloc.start()
+    try:
+        DistanceProfile.from_floats(0, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 12, peak  # one bool per sample would be 1 << 16
+
+
+def _wide_floats(n, seed):
+    """n seeded doubles from 0 and 5e-324 up to 1e300, ties included."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(n) * 2.0 ** rng.integers(-1074, 997, n)
+    values[rng.integers(0, n, n // 8)] = 0.0
+    values[rng.integers(0, n, n // 8)] = 0.25
+    return values
+
+
+# the block build of the limbs against the full-length one it replaced, digit
+# for digit: seeded wide floats and a shell pair's samples, whole and split
+# into blocks that leave a partial one
+@pytest.mark.parametrize("n,block", [
+    (n, block) for n in (1 << 12, (1 << 14) + 3, 1 << 16)
+    for block in (profiles.BLOCK, 4093) + ((7,) if n == 1 << 12 else ())])
+def test_block_limbs_match_full_length_build(n, block, monkeypatch):
+    monkeypatch.setattr(profiles, "BLOCK", block)
+    shell = get_system("shells62").pair_profile(
+        (1, 0.3, 0), (1, 4.0, 0), -(n // 2), n - n // 2 - 1).floats
+    for values in (_wide_floats(n, n), shell, np.zeros(n), np.full(n, 5e-324)):
+        got, want = (DistanceProfile.from_floats(0, values).limbs(),
+                     _reference.limbs(DistanceProfile.from_floats(0, values)))
+        assert got[1:] == want[1:]
+        assert len(got[0]) == len(want[0])
+        for c, d in zip(got[0], want[0]):
+            assert np.array_equal(c, d)
 
 
 def test_only_float_profiles_have_limbs():

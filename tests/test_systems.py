@@ -749,62 +749,120 @@ def test_orbit_store_holds_one_float64_per_point(monkeypatch):
     assert orbits.cached_bytes() == 8 * 2 * (2 * r + 1)
 
 
-#: tracemalloc peak of one cold shell pair summary, in bytes per sample of
-#: its profile: 58 is measured (the orbits hold 16, the samples 8, the limb
-#: build 18 plus 8 per limb); one more full-length float64 buffer adds 8
-SHELL_PAIR_BYTES_PER_SAMPLE = 62
-#: the same for the profile build alone: 50 is measured (the orbits hold
-#: 16, and four float64 rows 32: p's sine and cosine beside q's angles,
-#: then q's sine, whose cosine then overwrites the angles, and the distance
-#: overwrites p's sine)
-SHELL_PROFILE_BYTES_PER_SAMPLE = 54
+#: tracemalloc peak of one cold shell pair's profile build, in bytes per
+#: sample of its profile: 26 is measured.  The orbits hold 16, the samples
+#: 8, and the blocks O(2^14): each block's rows and distances
+SHELL_PROFILE_BYTES_PER_SAMPLE = 32
+#: the same for the pair's summary: 42.6 is measured.  The orbits hold 16,
+#: the samples 8, the limbs 8 each (two at 2^18 samples), and the blocks
+#: O(2^14): the limb build's and the scan's
+SHELL_PAIR_BYTES_PER_SAMPLE = 46
+#: the same two for an interval61 pair on two anchors, which builds and
+#: scans as a shell pair does: 26 and 42.6 are measured
+INTERVAL_PROFILE_BYTES_PER_SAMPLE = 32
+INTERVAL_PAIR_BYTES_PER_SAMPLE = 46
 
 
-def test_shell_pair_summary_working_set_is_bounded(monkeypatch):
-    import tracemalloc
-
-    from weylab.core import dyadic_schedule
-    from weylab.estimators import PairSummary
+def _replaying_walks(monkeypatch, module, run):
+    """run()'s result, with module._walk recording its walks in process;
+    then module._walk replays them.  tracemalloc slows the walk's Python
+    loop about eightfold, so the traced runs replay the walks of an
+    untraced one; each replay still allocates its output array under the
+    trace."""
     from weylab.systems import orbits
 
-    schedule = dyadic_schedule(13, 16)
-    lo, hi = schedule.hull_range()
-    x = Point("shells62", (2, 0.5 * math.pi, 0))
-    y = Point("shells62", (2, math.pi, 0))
-    # tracemalloc slows the walk's Python loop about eightfold, so the traced
-    # runs replay the walks of an untraced one, recorded in process; each
-    # replay still allocates its output array under the trace.  The traced
-    # runs walk in process, then in a forked child, whose allocations the
-    # parent's trace does not see: the parent reads the points into the
-    # orbit arrays it allocates
-    walks, walk = {}, shells._walk
+    walks, walk = {}, module._walk
 
     def record(*args):
         walks[args] = walk(*args)
         return walks[args].copy()
 
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(shells, "_walk", record)
+    monkeypatch.setattr(module, "_walk", record)
     monkeypatch.setattr(orbits, "_STORE", OrderedDict())
-    want = PairSummary.of(x, y, schedule)
-    monkeypatch.setattr(shells, "_walk", lambda *args: walks[args].copy())
-    system = get_system("shells62")
+    want = run()
+    monkeypatch.setattr(module, "_walk", lambda *args: walks[args].copy())
+    return want
+
+
+def _traced_peak(run):
+    """run()'s result and the tracemalloc peak while it ran."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return got, peak
+
+
+def _assert_pair_working_set(monkeypatch, module, x, y, bounds):
+    """A cold pair's profile build and summary at dyadic_schedule(13, 16)
+    stay under bounds, in bytes per sample."""
+    from weylab.core import dyadic_schedule
+    from weylab.estimators import PairSummary
+    from weylab.systems import orbits
+
+    schedule = dyadic_schedule(13, 16)
+    lo, hi = schedule.hull_range()
+    want = _replaying_walks(monkeypatch, module,
+                            lambda: PairSummary.of(x, y, schedule))
+    system = get_system(x.system_id)
+    # the traced runs walk in process, then in a forked child, whose
+    # allocations the parent's trace does not see: the parent reads the
+    # points into the orbit arrays it allocates
     for cpus in (1, 2):
         monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
-        for build, bound in (
+        for build, bound in zip(
                 (lambda: system.pair_profile(x.payload, y.payload, lo, hi),
-                 SHELL_PROFILE_BYTES_PER_SAMPLE),
-                (lambda: PairSummary.of(x, y, schedule),
-                 SHELL_PAIR_BYTES_PER_SAMPLE)):
+                 lambda: PairSummary.of(x, y, schedule)), bounds):
             monkeypatch.setattr(orbits, "_STORE", OrderedDict())
-            tracemalloc.start()
-            try:
-                got = build()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            got, peak = _traced_peak(build)
             assert peak / (hi - lo + 1) < bound, (cpus, peak)
         assert got == want
+
+
+def test_shell_pair_summary_working_set_is_bounded(monkeypatch):
+    _assert_pair_working_set(
+        monkeypatch, shells, Point("shells62", (2, 0.5 * math.pi, 0)),
+        Point("shells62", (2, math.pi, 0)),
+        (SHELL_PROFILE_BYTES_PER_SAMPLE, SHELL_PAIR_BYTES_PER_SAMPLE))
+
+
+def test_interval_pair_summary_working_set_is_bounded(monkeypatch):
+    _assert_pair_working_set(
+        monkeypatch, interval, Point("interval61", ("hat", 0.4321, 0)),
+        Point("interval61", ("check", 0.1234, 0)),
+        (INTERVAL_PROFILE_BYTES_PER_SAMPLE, INTERVAL_PAIR_BYTES_PER_SAMPLE))
+
+
+def test_shells_meq_sequence_working_set_is_bounded(monkeypatch):
+    """The four shell pairs of shells-meq's sequence, summarized through one
+    memo as the scenario does, hold their orbits and, beyond those, one
+    pair's samples, limbs and blocks at a time."""
+    from weylab.core import dyadic_schedule, get_factor
+    from weylab.estimators import SummaryMemo
+    from weylab.systems import orbits
+
+    schedule = dyadic_schedule(13, 16)  # the scenario's
+    lo, hi = schedule.hull_range()
+    terms = get_factor("shells62.pi").sequence_sampler(7, 1)[0].terms
+    assert len(terms) == 4
+
+    def run():
+        memo = SummaryMemo(schedule)
+        return [memo(x, y) for x, y in terms]
+
+    want = _replaying_walks(monkeypatch, shells, run)
+    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
+    got, peak = _traced_peak(run)
+    assert got == want
+    assert len(orbits._STORE) == 2 * len(terms)  # every orbit is still held
+    # a pair's bound less its two orbits' 16 bytes a sample
+    working = (SHELL_PAIR_BYTES_PER_SAMPLE - 16) * (hi - lo + 1)
+    assert peak < orbits.cached_bytes() + working, (peak, orbits.cached_bytes())
 
 
 # -- parse/format roundtrips ---------------------------------------------------
