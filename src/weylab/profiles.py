@@ -33,9 +33,10 @@ split into limbs and scanned BLOCK samples or translates at a time, so
 that besides the samples and the limbs' prefix sums no buffer is longer
 than a block; each sample's arithmetic is the same for any block size.
 `flag_runs` gives, for every kind, the runs view of the 0/1 flags of the
-samples at or above a threshold.  No profile stores a per-sample grid
-integer: `scaled`, `prefix` and `indicator_prefix` build them on each
-call, as reference accessors for tests and diagnostics.
+samples at or above a threshold; a float profile's flags are compared a
+block at a time as well.  No profile stores a per-sample grid integer:
+`scaled`, `prefix` and `indicator_prefix` build them on each call, as
+reference accessors for tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ _FAR = 1 << 62
 #: last, and every exponent beyond it, is 0 on the grid), built once
 _GRID = np.array([1 << (SCALE_BITS - e) for e in range(SCALE_BITS + 1)] + [0],
                  dtype=object)
-#: samples or translates that the float profile build, limbs and limb scan
-#: take at a time
+#: samples or translates that the float profile build, limbs, flag runs
+#: and limb scan take at a time
 BLOCK = 1 << 14
 
 
@@ -403,10 +404,17 @@ class DistanceProfile:
     def flag_runs(self, eps: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The runs view of the 0/1 flags of the samples at or above eps,
         as int64 values and sums: one pass over a float profile's samples,
-        which compare with eps as doubles (exact, both sides are doubles),
-        or one grid compare per run of a runs profile."""
+        which compare with eps as doubles (exact, both sides are doubles)
+        a block at a time, or one grid compare per run of a runs profile."""
         if self.kind == "float":
-            return _run_table(self.floats >= eps, len(self))[:3]
+            # each block's flags, with the last sample before it, give the
+            # run starts in it; no per-sample row outlives a block
+            floats, at = self.floats, [np.zeros(1, np.int64)]
+            for i, j in blocks(len(self)):
+                flags = floats[max(i - 1, 0):j] >= eps
+                at.append(np.flatnonzero(flags[1:] != flags[:-1]) + max(i, 1))
+            at = np.concatenate(at)
+            return _run_table(floats[at] >= eps, len(self), at)[:3]
         starts, values, _ = self.runs()
         return _run_table(values[:-1] >= scaled_from_float(eps), len(self),
                           at=starts[:-1])[:3]

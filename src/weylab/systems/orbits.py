@@ -13,18 +13,21 @@ Every growth goes through fill(), which plans the walks that a list of
 (orbit, a, b) requests needs.  When two or more orbits are pending, more
 than one CPU is usable, os.fork exists and no other Python thread is
 alive, the pending orbits are spread over at most one process per usable
-CPU: each forked child runs the same walk function, streams the float64
-points over a pipe, which the parent reads straight into the destination
-array, and leaves through os._exit, so no caller code runs in it.  The
-parent walks the last orbit itself and reaps every child before it
-returns.  The points are the same bytes either way; a child that fails is
-walked again in process.
+CPU: each forked child runs the same walk function, writes the points
+into an anonymous shared mapping that the parent made for its share
+before forking, and leaves through os._exit, so no caller code runs in
+it.  The parent walks the last orbit itself, then waits for each child
+and copies its points out of the mapping; a child that exits with a
+nonzero status or dies by a signal is walked again in process.  The
+points are the same bytes either way.
 """
 
 from __future__ import annotations
 
 import gc
+import mmap
 import os
+import signal
 import threading
 from collections import OrderedDict
 
@@ -88,24 +91,26 @@ def fill(requests) -> None:
         try:
             for part in parts:
                 try:
-                    children.append((_spawn(part), part))
-                except OSError:  # no process to be had: walk it here
+                    children.append(_spawn(part))
+                except OSError:  # no process or mapping to be had: walk it here
                     mine = part + mine
             for walk in mine:
-                _append(walk)
-            for (_, pipe), part in children:
-                for walk in part:
-                    try:
-                        _append(walk, pipe)
-                    except EOFError:  # the child failed: walk it here
-                        _append(walk)
+                _append(walk, _walk_here(walk))
+            while children:
+                pid, mapping, part = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                with mapping:
+                    offset = 0
+                    for walk in part:  # a failed child's share is walked here
+                        _append(walk, _walk_here(walk) if status else
+                                np.frombuffer(mapping, count=walk[3], offset=offset))
+                        offset += 8 * walk[3]
         finally:
-            # every read end first: a child holds copies of those opened
-            # before it, so a child still writing ends only once all are shut
-            for (_, pipe), _ in children:
-                pipe.close()
-            for (pid, _), _ in children:
+            for pid, mapping, _ in children:  # a walk here failed: end the rest
+                os.kill(pid, signal.SIGKILL)  # safe: an unreaped pid stays ours
                 os.waitpid(pid, 0)
+                mapping.close()
 
 
 def _plan(requests):
@@ -127,48 +132,44 @@ def _plan(requests):
     return list(shares.values())
 
 
-def _append(walk, pipe=None) -> None:
-    """Lengthen one end of the orbit by the walk's n points, walked here or
-    read off the pipe of the child that walked them; the caller holds
-    _LOCK."""
+def _walk_here(walk) -> np.ndarray:
+    """The points of one planned walk, walked in this process."""
     orbit, back, x, n = walk
+    return orbit.walk(x, n, back)
+
+
+def _append(walk, points) -> None:
+    """Lengthen one end of the orbit by the walk's n points; the caller
+    holds _LOCK."""
+    orbit, back, _, n = walk
     end = orbit.ends[back]
     out = np.empty(len(end) + n)
     out[:len(end)] = end
-    if pipe is None:
-        out[len(end):] = orbit.walk(x, n, back)
-    else:
-        view = memoryview(out[len(end):]).cast("B")
-        while view:
-            got = pipe.readinto(view)
-            if not got:
-                raise EOFError("an orbit walk ended early in a child process")
-            view = view[got:]
+    out[len(end):] = points
     orbit.ends[back] = out
     while cached_bytes() > ORBIT_CACHE_BYTES:
         _STORE.popitem(last=False)
 
 
 def _spawn(walks):
-    """Fork a child that runs the walks and writes their points to a pipe;
-    return its pid and the pipe's read end."""
-    r, w = os.pipe()
+    """Fork a child that runs the walks into one anonymous shared mapping,
+    in order; return its pid, the mapping and the walks."""
+    mapping = mmap.mmap(-1, 8 * sum(n for *_, n in walks))
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        mapping.close()
         raise
     if pid == 0:  # the child runs the walks only, and never returns
         code = 1
         try:
             gc.disable()  # no finalizer of the parent's objects runs here
-            os.close(r)
-            with open(w, "wb") as pipe:
-                for orbit, back, x, n in walks:
-                    pipe.write(orbit.walk(x, n, back))
+            offset = 0
+            for walk in walks:
+                points = np.frombuffer(mapping, count=walk[3], offset=offset)
+                points[:] = _walk_here(walk)
+                offset += points.nbytes
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb", buffering=0)
+    return pid, mapping, walks

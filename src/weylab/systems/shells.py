@@ -37,16 +37,13 @@ def _walk(t: float, eps: float, n: int, back: bool) -> np.ndarray:
             t = t + eps * (1.0 - cos(t))
             put[i] = t
         return out
-    two_eps = 2.0 * eps
+    two_eps, cap = 2.0 * eps, range(80)
     for i in range(n):
-        if t == 0.0:  # the fixed angle
-            put[i] = t = 0.0
-            continue
         lo, hi = t - two_eps, t
         if not lo > 0.0:
             lo = 0.0
-        s = 0.5 * (lo + hi)
-        for _ in range(80):
+        s = 0.5 * (lo + hi)  # at the fixed angle 0 (or -0.0), s = 0.0 and f = 0
+        for _ in cap:
             f = s + eps * (1.0 - cos(s)) - t
             if f > 0.0:
                 hi = s
@@ -55,9 +52,14 @@ def _walk(t: float, eps: float, n: int, back: bool) -> np.ndarray:
             else:
                 break
             df = 1.0 + eps * sin(s)
-            sn = s - f / df if df > 1e-9 else 0.5 * (lo + hi)
-            if not lo <= sn <= hi:
-                sn = 0.5 * (lo + hi)
+            if df > 1e-9:  # the Newton step, if it stays in the bracket
+                sn = s - f / df
+                if lo <= sn <= hi:
+                    if sn == s:
+                        break
+                    s = sn
+                    continue
+            sn = 0.5 * (lo + hi)  # else bisect
             if sn == s:
                 break
             s = sn

@@ -509,6 +509,48 @@ def test_block_limbs_match_full_length_build(n, block, monkeypatch):
             assert np.array_equal(c, d)
 
 
+def _shell_pair_profile():
+    """A cold-built shell pair's float profile over dyadic_schedule(13, 16)'s
+    hull, 262,145 samples."""
+    x, y = (Point("shells62", (2, t, 0)) for t in (0.5 * np.pi, np.pi))
+    return pair_profile(x, y, *dyadic_schedule(13, 16).hull_range())
+
+
+# the block search for flag run starts against the full-length compare it
+# replaced: a shell pair's samples at thresholds between, at and beyond
+# them, and seeded samples from three values whose many runs cross the
+# block edges, at blocks that leave a partial one
+@pytest.mark.parametrize("block", [profiles.BLOCK, 4093, 7])
+def test_block_flag_runs_match_full_length_compare(block, monkeypatch):
+    monkeypatch.setattr(profiles, "BLOCK", block)
+    shell = _shell_pair_profile()
+    rng = np.random.default_rng(5)
+    steps = DistanceProfile.from_floats(-9, rng.choice([0.1, 0.2, 0.3], 50_000))
+    cases = [(steps, eps) for eps in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4)]
+    floats = shell.floats
+    cases += [(shell, float(eps)) for eps in (
+        floats.min(), np.median(floats), floats[77], floats.max(),
+        2.0 * floats.max(), 1e-12, 0.5)]
+    for prof, eps in cases:
+        got = prof.flag_runs(eps)
+        want = profiles._run_table(prof.floats >= eps, len(prof))[:3]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), eps
+
+
+#: tracemalloc peak of flag_runs on a float profile, in bytes a sample: the
+#: shell pair below peaks at 0.14 (its flags a block at a time, and its few
+#: runs); the full-length compare it replaced took 3.0
+FLOAT_FLAG_RUNS_BYTES_PER_SAMPLE = 0.5
+
+
+def test_float_flag_runs_hold_no_per_sample_row():
+    prof = _shell_pair_profile()
+    for eps in (1e-9, 0.1, 1.0):
+        _, peak = _traced_peak(lambda: prof.flag_runs(eps))
+        assert peak / len(prof) < FLOAT_FLAG_RUNS_BYTES_PER_SAMPLE, (eps, peak)
+
+
 def test_only_float_profiles_have_limbs():
     with pytest.raises(ValueError):
         DistanceProfile.from_spans(0, 1, [0], [1]).limbs()

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -559,6 +560,14 @@ def test_shell_walk_matches_scalar_steps_at_scale(level, monkeypatch):
 # the first backward Newton iterate lands where g' = 0.0 exactly and
 # f = 2e-10: the df > 1e-9 guard bisects there instead of dividing by zero
 @example(t=3 * math.pi / 2 + 1 - 2e-10, k=1)
+# the backward loop's exits: the 80-step cap on Newton steps alone, a
+# bisection and then a Newton step that leaves s unchanged, the cap after
+# bisections, and the fixed angle, where f = 0 at once
+@example(t=0.48473066125345327, k=1)
+@example(t=0.09302400627420648, k=1)
+@example(t=0.1219264052125421, k=1)
+@example(t=0.0, k=1)
+@example(t=-0.0, k=1)
 @settings(max_examples=300, deadline=None)
 def test_shell_walk_matches_scalar_steps_on_drawn_angles(t, k):
     eps = 1.0 / k
@@ -635,6 +644,20 @@ def _counted_forks(monkeypatch):
     return forks
 
 
+def _tracked_mappings(monkeypatch):
+    """Patch mmap.mmap to record every mapping the parent makes."""
+    import mmap
+
+    mappings, make = [], mmap.mmap
+
+    def tracked(*args):
+        mappings.append(make(*args))
+        return mappings[-1]
+
+    monkeypatch.setattr(mmap, "mmap", tracked)
+    return mappings
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -650,7 +673,7 @@ def test_forked_fill_matches_in_process_walk(system_id, p, q, monkeypatch):
     from weylab.systems import orbits
 
     system, n = get_system(system_id), 1 << 16
-    forks = _counted_forks(monkeypatch)
+    forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
     runs = []
     for cpus in (1, 2):  # in process, then p's orbit in a forked child
         monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
@@ -662,6 +685,7 @@ def test_forked_fill_matches_in_process_walk(system_id, p, q, monkeypatch):
         runs.append((len(forks), _bits(profile), ends))
     (forks_1, profile_1, ends_1), (forks_2, profile_2, ends_2) = runs
     assert (forks_1, forks_2) == (0, 1)
+    assert len(mappings) == 1 and mappings[0].closed
     assert np.array_equal(profile_1, profile_2)
     for one, two in zip(ends_1, ends_2):
         _assert_same_bits(two, one)
@@ -681,7 +705,7 @@ def test_failed_child_walk_leaves_no_child_and_runs_no_caller_code(
     def broken(x, n, back):
         raise RuntimeError("walk fails")
 
-    forks = _counted_forks(monkeypatch)
+    forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
     anchors = [CachedOrbit(y0, walk_here_only) for y0 in (0.3, 0.6)]
     fill([(orbit, -64, 64) for orbit in anchors])  # the child's orbit is walked again here
@@ -689,12 +713,68 @@ def test_failed_child_walk_leaves_no_child_and_runs_no_caller_code(
         fill([(CachedOrbit(y0, broken), -8, 8) for y0 in (0.3, 0.6)])
     # a child that returned from fill would run the rest of this test too
     (tmp_path / str(os.getpid())).touch()
-    assert len(forks) == 2
+    assert len(forks) == len(mappings) == 2
     _assert_no_child_left()
+    assert all(mapping.closed for mapping in mappings)
     assert [path.name for path in tmp_path.iterdir()] == [str(parent)]
     for orbit, y0 in zip(anchors, (0.3, 0.6)):
         _assert_same_bits(orbit.rows(-64, 64),
                           CachedOrbit(y0, interval._walk).rows(-64, 64))
+
+
+def test_child_finishes_its_share_while_the_parent_walks(monkeypatch):
+    # the child's share is larger than a pipe buffer (8192 points): it must
+    # walk all of it and exit before the parent's own walk returns
+    from weylab.systems import orbits
+
+    parent, n, exits = os.getpid(), 1 << 14, []
+    forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
+
+    def walk(x, n, back):
+        if os.getpid() == parent and not exits:  # the parent's first walk
+            child, deadline = None, time.monotonic() + 30
+            while child is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+                # WNOWAIT leaves an exited child for fill to reap
+                child = os.waitid(os.P_PID, forks[0],
+                                  os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            exits.append(child and (child.si_code, child.si_status))
+        return interval._walk(x, n, back)
+
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
+    anchors = [CachedOrbit(y0, walk) for y0 in (0.3, 0.6)]
+    fill([(orbit, -n, n) for orbit in anchors])
+    assert exits == [(os.CLD_EXITED, 0)]
+    assert len(forks) == len(mappings) == 1
+    _assert_no_child_left()
+    assert mappings[0].closed
+    for orbit, y0 in zip(anchors, (0.3, 0.6)):
+        _assert_same_bits(orbit.rows(-n, n),
+                          CachedOrbit(y0, interval._walk).rows(-n, n))
+
+
+def test_child_killed_mid_walk_is_walked_again_in_process(monkeypatch):
+    import signal
+
+    from weylab.systems import orbits
+
+    parent, n = os.getpid(), 1 << 12
+
+    def walk(x, n, back):
+        if os.getpid() != parent and not back:  # after the backward end
+            os.kill(os.getpid(), signal.SIGKILL)
+        return interval._walk(x, n, back)
+
+    forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
+    anchors = [CachedOrbit(y0, walk) for y0 in (0.3, 0.6)]
+    fill([(orbit, -n, n) for orbit in anchors])
+    assert len(forks) == len(mappings) == 1
+    _assert_no_child_left()
+    assert mappings[0].closed
+    for orbit, y0 in zip(anchors, (0.3, 0.6)):
+        _assert_same_bits(orbit.rows(-n, n),
+                          CachedOrbit(y0, interval._walk).rows(-n, n))
 
 
 def test_fill_beside_another_thread_does_not_fork(monkeypatch):
@@ -811,8 +891,8 @@ def _assert_pair_working_set(monkeypatch, module, x, y, bounds):
                             lambda: PairSummary.of(x, y, schedule))
     system = get_system(x.system_id)
     # the traced runs walk in process, then in a forked child, whose
-    # allocations the parent's trace does not see: the parent reads the
-    # points into the orbit arrays it allocates
+    # allocations the parent's trace does not see: the parent copies the
+    # points out of the child's mapping into the orbit arrays it allocates
     for cpus in (1, 2):
         monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
         for build, bound in zip(
