@@ -25,9 +25,7 @@ points are the same bytes either way.
 from __future__ import annotations
 
 import gc
-import mmap
 import os
-import signal
 import threading
 from collections import OrderedDict
 
@@ -107,8 +105,7 @@ def fill(requests) -> None:
                                 np.frombuffer(mapping, count=walk[3], offset=offset))
                         offset += 8 * walk[3]
         finally:
-            for pid, mapping, _ in children:  # a walk here failed: end the rest
-                os.kill(pid, signal.SIGKILL)  # safe: an unreaped pid stays ours
+            for pid, mapping, _ in children:  # a walk here failed: reap the rest
                 os.waitpid(pid, 0)
                 mapping.close()
 
@@ -154,6 +151,8 @@ def _append(walk, points) -> None:
 def _spawn(walks):
     """Fork a child that runs the walks into one anonymous shared mapping,
     in order; return its pid, the mapping and the walks."""
+    import mmap  # here, so that a run that forks no walker does not load it
+
     mapping = mmap.mmap(-1, 8 * sum(n for *_, n in walks))
     try:
         pid = os.fork()
