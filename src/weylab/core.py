@@ -179,7 +179,9 @@ class System:
         return ""
 
     def sample_payloads(self, rng, count: int) -> List[Any]:
-        """Deterministic test points for the property batteries."""
+        """Deterministic test points for the property batteries, drawn from
+        rng, which must provide integers(low, high[, dtype]) and random()
+        as numpy.random.Generator does: a seed_stream or a Generator."""
         raise NotImplementedError
 
 
@@ -273,7 +275,9 @@ class FactorMap:
     R(pi) with declared limits (sequence_sampler).  A pair sampler returns
     its fixed pairs and then seeded draws until it holds count pairs; when
     the fixed pairs outnumber count it returns them all.  A sequence sampler
-    returns at most count sequences.  exact_fibres says whether image
+    returns at most count sequences.  Both take (seed, count) and draw
+    from seed_stream(seed), which provides integers(low, high[, dtype]) and
+    random() as numpy.random.Generator does.  exact_fibres says whether image
     equality is decidable exactly on payloads; otherwise membership in R(pi)
     is thresholded by the caller.
     """
@@ -304,11 +308,21 @@ def register_factor(fm: FactorMap) -> FactorMap:
     return fm
 
 
+def seed_stream(seed: int):
+    """The stream a sampler draws from: draw for draw the same as
+    numpy.random.default_rng(seed) for the draws weylab makes
+    (seeds.SeedStream).  Its module is imported on the first call, so a
+    run that samples nothing does not load it."""
+    from .seeds import SeedStream
+
+    return SeedStream(seed)
+
+
 def _identity_factor(system_id: str) -> FactorMap:
     system = get_system(system_id)
 
     def pairs(seed: int, count: int):
-        rng = np.random.default_rng(seed)
+        rng = seed_stream(seed)
         return [
             (Point(system_id, p), Point(system_id, p))
             for p in system.sample_payloads(rng, count)

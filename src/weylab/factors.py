@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from .core import (CompositionError, FactorMap, FolnerSchedule, FolnerWindow,
                    Point, System, UnknownSystemError, get_factor, get_system,
-                   register_system)
+                   register_system, seed_stream)
 from .estimators import SummaryMemo
 from .relations import (MeanEquicontinuityReport, ModulusReport, PairVerdict,
                         PropertyMReport, Tolerances, classify_pair,
@@ -310,7 +308,7 @@ def verify_decomposition(pi_id: str, phi_id: str, psi_id: str,
         raise CompositionError(
             "systems do not chain: %s o %s vs %s"
             % (psi.map_id, phi.map_id, pi.map_id))
-    rng = np.random.default_rng(seed)
+    rng = seed_stream(seed)
     source = get_system(pi.source)
     composition_ok = True
     for payload in source.sample_payloads(rng, COMPOSITION_SAMPLE_POINTS):

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ..core import (FactorMap, Point, SamplerError, get_system,
-                    register_factor)
+                    register_factor, seed_stream)
 from ..dyadic import DyadicInteger
 from ..relations import PairSequence
 from .shells import TWO_PI
@@ -49,7 +49,7 @@ def _toep_point(addr: int, flag: int) -> Point:
 
 
 def _tm_phi_pairs(seed: int, count: int):
-    rng = np.random.default_rng(seed)
+    rng = seed_stream(seed)
     pairs = []
     for addr in (0, 1, -1, 5):
         x = _tm_point(addr, 0, 0)
@@ -102,7 +102,7 @@ def _tm_phi_sequences(seed: int, count: int):
 
 
 def _tm_psi_pairs(seed: int, count: int):
-    rng = np.random.default_rng(seed)
+    rng = seed_stream(seed)
     pairs = [(_toep_point(z, 0), _toep_point(z, 1)) for z in range(-10, 10)]
     pairs.append((_toep_point(64, 0), _toep_point(64, 1)))
     pairs.append((_toep_point(-256, 0), _toep_point(-256, 1)))
@@ -127,7 +127,7 @@ def _tm_psi_sequences(seed: int, count: int):
 
 
 def _tm_pi_pairs(seed: int, count: int):
-    rng = np.random.default_rng(seed)
+    rng = seed_stream(seed)
     pairs = []
     for z in (0, 1, -3):
         u = _tm_point(z, 0, 0)
@@ -192,7 +192,7 @@ def _rot_point(units: int) -> Point:
 
 
 def _sturm_phi_pairs(seed: int, count: int):
-    rng = np.random.default_rng(seed)
+    rng = seed_stream(seed)
     pairs = [(_sturm_point(k, 0), _sturm_point(k, 1))
              for k in (0, 1, -1, 5, 13, -21)]
     x = _sturm_point(2, 0)
@@ -219,7 +219,7 @@ _CURATED_ARCS = (0.5, 0.3, 0.2, 0.15)
 
 
 def _sturm_psi_pairs(seed: int, count: int):
-    rng = np.random.default_rng(seed)
+    rng = seed_stream(seed)
     pairs = []
     for i, arc in enumerate(_CURATED_ARCS):
         u = (i * 41 * A_UNITS) % MOD
@@ -254,7 +254,7 @@ def _sturm_psi_sequences(seed: int, count: int):
 
 
 def _sturm_pi_pairs(seed: int, count: int):
-    rng = np.random.default_rng(seed)
+    rng = seed_stream(seed)
     pairs = [(_sturm_point(k, 0), _sturm_point(k, 1)) for k in (0, 3, -8)]
     pairs.extend(
         (_sturm_point(k, 0), _sturm_point(k + 1, 0)) for k in (0, 5, -13)
@@ -275,7 +275,7 @@ def _shell_point(level, t: float) -> Point:
 
 
 def _shells_pi_pairs(seed: int, count: int):
-    rng = np.random.default_rng(seed)
+    rng = seed_stream(seed)
     pairs = [
         (_shell_point(k, 0.5 * math.pi), _shell_point(k, math.pi))
         for k in (1, 2, 4, 8)

@@ -69,9 +69,10 @@ def step_back(y: float) -> float:
     return z
 
 
-def _walk(y: float, n: int, back: bool) -> np.ndarray:
-    """The n values after y under step, or under step_back."""
-    f, out = step_back if back else step, np.empty(n)
+def _walk(y: float, n: int, back: bool, out: np.ndarray) -> np.ndarray:
+    """The n values after y under step, or under step_back, written into
+    out, a float64 array of n, which is returned."""
+    f = step_back if back else step
     for i in range(n):
         out[i] = y = f(y)
     return out

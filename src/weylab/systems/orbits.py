@@ -1,25 +1,25 @@
 """Orbits of an invertible map of the line, cached as float64 arrays.
 
 The store holds the walked points f^m(x0) only, one float64 array per end,
-filled by one walk per end: walk(x, n, back) returns the n points after x,
-forward or backward, as a float64 array.  Anything derived from the points
-is computed by the caller on the slice it reads (the shells take numpy's
-float64 sin and cos of each requested slice, which tests pin bit for bit
-against the scalar math functions).  Forward and backward arrays grow by
-doubling; the store drops least recently used orbits beyond
+filled by one walk per end: walk(x, n, back, out) writes the n points
+after x, forward or backward, into the float64 array out.  Anything derived
+from the points is computed by the caller on the slice it reads (the shells
+take numpy's float64 sin and cos of each requested slice, which tests pin
+bit for bit against the scalar math functions).  Forward and backward
+arrays grow by doubling; the store drops least recently used orbits beyond
 ORBIT_CACHE_BYTES.
 
 Every growth goes through fill(), which plans the walks that a list of
 (orbit, a, b) requests needs.  When two or more orbits are pending, more
 than one CPU is usable, os.fork exists and no other Python thread is
 alive, the pending orbits are spread over at most one process per usable
-CPU: each forked child runs the same walk function, writes the points
-into an anonymous shared mapping that the parent made for its share
-before forking, and leaves through os._exit, so no caller code runs in
-it.  The parent walks the last orbit itself, then waits for each child
-and copies its points out of the mapping; a child that exits with a
-nonzero status or dies by a signal is walked again in process.  The
-points are the same bytes either way.
+CPU: each forked child runs the same walk function straight into an
+anonymous shared mapping that the parent made for its share before
+forking, and leaves through os._exit, so no caller code runs in it.  The
+parent walks the last orbit itself, straight into the lengthened ends,
+then waits for each child and copies its points out of the mapping; a
+child that exits with a nonzero status or dies by a signal is walked
+again in process.  The points are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def fill(requests) -> None:
                 except OSError:  # no process or mapping to be had: walk it here
                     mine = part + mine
             for walk in mine:
-                _append(walk, _walk_here(walk))
+                _append(walk)
             while children:
                 pid, mapping, part = children[0]
                 status = os.waitpid(pid, 0)[1]
@@ -101,7 +101,7 @@ def fill(requests) -> None:
                 with mapping:
                     offset = 0
                     for walk in part:  # a failed child's share is walked here
-                        _append(walk, _walk_here(walk) if status else
+                        _append(walk, None if status else
                                 np.frombuffer(mapping, count=walk[3], offset=offset))
                         offset += 8 * walk[3]
         finally:
@@ -129,20 +129,18 @@ def _plan(requests):
     return list(shares.values())
 
 
-def _walk_here(walk) -> np.ndarray:
-    """The points of one planned walk, walked in this process."""
+def _append(walk, points=None) -> None:
+    """Lengthen one end of the orbit by the walk's n points: a child's
+    points, copied, or with None the walk run here into the new tail; the
+    caller holds _LOCK."""
     orbit, back, x, n = walk
-    return orbit.walk(x, n, back)
-
-
-def _append(walk, points) -> None:
-    """Lengthen one end of the orbit by the walk's n points; the caller
-    holds _LOCK."""
-    orbit, back, _, n = walk
     end = orbit.ends[back]
     out = np.empty(len(end) + n)
     out[:len(end)] = end
-    out[len(end):] = points
+    if points is None:
+        orbit.walk(x, n, back, out[len(end):])
+    else:
+        out[len(end):] = points
     orbit.ends[back] = out
     while cached_bytes() > ORBIT_CACHE_BYTES:
         _STORE.popitem(last=False)
@@ -164,10 +162,9 @@ def _spawn(walks):
         try:
             gc.disable()  # no finalizer of the parent's objects runs here
             offset = 0
-            for walk in walks:
-                points = np.frombuffer(mapping, count=walk[3], offset=offset)
-                points[:] = _walk_here(walk)
-                offset += points.nbytes
+            for orbit, back, x, n in walks:
+                orbit.walk(x, n, back, np.frombuffer(mapping, count=n, offset=offset))
+                offset += 8 * n
             code = 0
         finally:
             os._exit(code)

@@ -25,12 +25,13 @@ from .orbits import CachedOrbit, fill
 TWO_PI = 2.0 * math.pi
 
 
-def _walk(t: float, eps: float, n: int, back: bool) -> np.ndarray:
+def _walk(t: float, eps: float, n: int, back: bool,
+          out: np.ndarray) -> np.ndarray:
     """The n angles after t under g(s) = s + eps*(1 - cos s), or under its
     inverse: s in [0, t] with g(s) = t, by safeguarded Newton from the
-    midpoint of [max(0, t - 2 eps), t]; g is nondecreasing."""
+    midpoint of [max(0, t - 2 eps), t]; g is nondecreasing.  Written into
+    out, a contiguous float64 array of n, which is returned."""
     cos, sin = math.cos, math.sin
-    out = np.empty(n)
     put = out.data  # a memoryview, which stores a float faster than the array
     if not back:
         for i in range(n):
@@ -105,7 +106,7 @@ class ShellStackSystem(System):
             return None
         eps = 1.0 / level
         return CachedOrbit.get((self.system_id, level, t0), t0,
-                               lambda t, n, back: _walk(t, eps, n, back))
+                               lambda t, n, back, out: _walk(t, eps, n, back, out))
 
     def _rows(self, payload, orbit, lo: int, hi: int):
         """(sin, cos, height) over offsets lo..hi, as float64 rows whose

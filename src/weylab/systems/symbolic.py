@@ -7,7 +7,9 @@ maximal ranges of positions where their letters differ; the metric
 those spans, so a profile holds no per-sample array.  A system whose pairs
 differ in few places it can name without writing their letters overrides
 disagreements: Toeplitz and Thue-Morse points at one address read their
-spans (one slot, or one half-line or the whole line) off the payloads.
+spans (one slot, or one half-line or the whole line) off the payloads, and
+Thue-Morse points at two addresses compare their y words once instead of
+their letters.
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ Two points at one address need no letters: their y words differ at most in
 the singular slot k0 = -addr, so they differ on (bit XOR bit') XOR T, where
 T is [k0 + 1, oo) if k0 >= 0, (-oo, k0] if k0 < 0, and empty if there is no
 singular slot.  That is one half-line, the whole line or nothing, so
-disagreements reads it off the payloads.
+disagreements reads it off the payloads.  Points at two addresses differ
+at n iff bit XOR bit' XOR (the number of slots between 0 and n where their
+y words differ) is odd, so their spans toggle one slot after each y-word
+disagreement: one comparison of two y words, with no letters written.
 
 Also hosts the small substitution-language helpers used to cross-check
 letter statistics against fixed points of binary substitutions.
@@ -79,13 +82,14 @@ class ThueMorseSystem(SymbolicSystem):
 
     def disagreements(self, p, q, lo, hi):
         """Points at one address differ on one half-line cut after the
-        singular slot, on its complement, on every position or on none
-        (module docstring); other pairs compare their letters."""
+        singular slot, on its complement, on every position or on none;
+        other pairs toggle at each slot after a y-word disagreement
+        (module docstring)."""
         (addr, flag, bit), (other, other_flag, other_bit) = p, q
-        if addr != other:
-            return super().disagreements(p, q, lo, hi)
-        k0 = singular_slot(addr, flag, other_flag)
         flip = bit != other_bit
+        if addr != other:
+            return _toggled_spans(addr, flag, other, other_flag, flip, lo, hi)
+        k0 = singular_slot(addr, flag, other_flag)
         if k0 is None:  # the y words agree
             start, end = lo, (hi + 1 if flip else lo)
         else:  # T: the side of the cut k0 + 1 away from 0
@@ -116,6 +120,26 @@ class ThueMorseSystem(SymbolicSystem):
                 )
             )
         return out
+
+
+def _toggled_spans(addr, flag, other, other_flag, flip, lo, hi):
+    """Disagreement spans in [lo, hi] of points over two y words: they
+    differ at 0 iff flip, and the difference toggles at d + 1 for each slot
+    d where the y words differ, since x_n XOR x'_n = flip XOR the parity of
+    the y-word disagreements between 0 and n."""
+    base, top = min(lo, 0), max(hi, 0)
+    y = rule_word(addr.value.numerator, addr.value.denominator, flag, base, top - 1)
+    y2 = rule_word(other.value.numerator, other.value.denominator, other_flag,
+                   base, top - 1)
+    d = np.flatnonzero(y != y2) + base
+    first, zero, last = np.searchsorted(d, (lo, 0, hi))
+    at_lo = flip != bool((zero - first) & 1)  # the pair differs at lo
+    edges = [[lo]] if at_lo else []
+    edges.append(d[first:last] + 1)  # toggles inside (lo, hi]
+    if at_lo != bool((last - first) & 1):  # still differing at hi
+        edges.append([hi + 1])
+    edges = np.concatenate(edges).astype(np.int64, copy=False)
+    return edges[0::2], edges[1::2]
 
 
 def complement(payload):

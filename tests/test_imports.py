@@ -1,5 +1,7 @@
-"""Static checks of the package source: every import is used, and every
-name the package defines is used somewhere.
+"""Static checks of the package source: every import is used, every name
+the package defines is used somewhere, and nothing names numpy.random;
+and what a run imports: a sampling run loads neither numpy.random nor
+hashlib, and an estimate-only run does not load the seed stream.
 
 An import counts as used when it appears as a name node anywhere in the
 module.  A name used only inside a quoted annotation counts as unused;
@@ -13,7 +15,10 @@ string constant: the benchmark tracer looks names up by string.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import weylab
 
@@ -88,3 +93,69 @@ def test_every_defined_name_is_used():
              for path in sorted(SRC.rglob("*.py"))
              for line, name in defined_names(path) if name not in used]
     assert found == []
+
+
+def numpy_random_uses(path):
+    """Lines where a module imports numpy.random or reads np.random or
+    numpy.random as an attribute."""
+    tree = ast.parse(path.read_text(), str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + ["%s.%s" % (node.module, alias.name)
+                                           for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name):
+            names = ["%s.random" % node.value.id]
+        else:
+            continue
+        if any(name in ("numpy.random", "np.random")
+               or name.startswith("numpy.random.") for name in names):
+            hits.append("%s:%d" % (path.relative_to(SRC), node.lineno))
+    return hits
+
+
+def test_no_module_names_numpy_random():
+    # samplers draw from core.seed_stream, weylab's own copy of the stream
+    assert [hit for path in sorted(SRC.rglob("*.py"))
+            for hit in numpy_random_uses(path)] == []
+
+
+def _modules_after_run(tmp_path, args):
+    """sys.modules names, after `weylab <args>` ran in a fresh interpreter."""
+    src = str(SRC.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("import sys\nfrom weylab.cli import main\n"
+            "status = main(sys.argv[1:])\nprint(status)\nprint(*sorted(sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    status, modules = done.stdout.splitlines()[-2:]
+    assert status == "0"
+    return set(modules.split())
+
+
+def test_sampling_run_loads_no_numpy_random_or_hashlib(tmp_path):
+    modules = _modules_after_run(
+        tmp_path, ["run", "tm-chain-classify", "--seed", "3", "--out", "out"])
+    assert "weylab.seeds" in modules  # the run did draw its pairs
+    assert modules.isdisjoint({"numpy.random", "secrets", "hashlib"})
+
+
+def test_estimate_run_does_not_load_the_seed_stream(tmp_path):
+    (tmp_path / "fibres.ini").write_text(
+        "[scenario:fibres]\n"
+        "operation = estimate\n"
+        "system = toeplitz\n"
+        "pairs =\n"
+        "    addr=int:-3 flag=plain | addr=int:-3 flag=primed\n"
+        "    addr=int:12 flag=plain | addr=int:12 flag=primed\n"
+        "max_exponent = 8\n"
+        "kinds = besicovitch weyl check hat banach-density\n"
+        "eps = 0.01\n")
+    modules = _modules_after_run(tmp_path, ["run", "fibres.ini", "--out", "out"])
+    assert "weylab.cli" in modules
+    assert modules.isdisjoint({"weylab.seeds", "numpy.random"})

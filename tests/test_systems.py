@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from weylab.core import IsometricSystem, Point, System, get_system, system_ids
 from weylab.dyadic import DyadicInteger
@@ -218,6 +218,36 @@ def test_thuemorse_disagreements_match_letter_comparison(
     assert all(a.dtype == np.int64 for a in got)
 
 
+_INT, _FRAC = DyadicInteger.from_int, DyadicInteger.from_fraction
+
+
+@given(_ADDRESSES, _ADDRESSES, st.integers(0, 1), st.integers(0, 1),
+       st.integers(0, 1), st.integers(0, 1), st.integers(-2500, 2500),
+       st.integers(0, 3000))
+# (addr, other, flag, other_flag, bit, other_bit, lo, width): ranges below
+# 0, above 0, straddling it and ending or starting at it, one position wide
+@example(_INT(3), _INT(-5), 0, 1, 0, 0, -40, 20)
+@example(_INT(3), _INT(-5), 1, 0, 1, 0, 15, 30)
+@example(_INT(3), _INT(-5), 0, 0, 0, 1, -10, 20)
+@example(_INT(-4), _INT(4), 1, 1, 0, 0, -12, 12)
+@example(_INT(-4), _INT(4), 0, 1, 1, 0, 0, 12)
+@example(_INT(1), _INT(2), 0, 0, 0, 1, 0, 0)
+@example(_INT(1), _INT(2), 0, 0, 1, 1, 7, 0)
+# an integer address against non-integer ones, raw flag 1 off the integers
+@example(_INT(3), _FRAC(1, 3), 1, 1, 0, 1, -10, 20)
+@example(_FRAC(-5, 7), _FRAC(1, 3), 0, 1, 1, 0, -30, 25)
+@example(_FRAC(-5, 7), _INT(0), 1, 0, 0, 0, 5, 40)
+def test_thuemorse_pairs_at_two_addresses_match_letter_comparison(
+        addr, other, flag, other_flag, bit, other_bit, lo, width):
+    assume(addr != other)
+    system = get_system("thuemorse")
+    p, q = (addr, flag, bit), (other, other_flag, other_bit)
+    got = system.disagreements(p, q, lo, lo + width)
+    want = SymbolicSystem.disagreements(system, p, q, lo, lo + width)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert all(a.dtype == np.int64 for a in got)
+
+
 def _drawn_pairs(system_id, seed):
     """Payload pairs of a subshift: two sampled points, and fibre-like
     pairs that differ at one slot or on a half-line."""
@@ -406,11 +436,11 @@ def test_interval_backward_orbit_climbs_to_plateau_top():
 
 def _advance(t, eps, back=False):
     """One step of the shell orbit walk, forward or backward."""
-    return float(shells._walk(t, eps, 1, back)[0])
+    return float(shells._walk(t, eps, 1, back, np.empty(1))[0])
 
 
 def test_shell_advance_never_crosses_the_top():
-    ts = shells._walk(6.2, 1.0, 5000, False)
+    ts = shells._walk(6.2, 1.0, 5000, False, np.empty(5000))
     assert ts.max() < TWO_PI
     assert TWO_PI - ts[-1] < 1e-2
 
@@ -497,7 +527,7 @@ def test_vectorized_profile_matches_scalar_walk_bit_for_bit(system_id, p, q, lo,
 
 
 def _shell_walk(eps):
-    return lambda t, n, back: shells._walk(t, eps, n, back)
+    return lambda t, n, back, out: shells._walk(t, eps, n, back, out)
 
 
 def test_cached_orbit_rows_match_plain_iteration():
@@ -574,7 +604,7 @@ def test_shell_walk_matches_scalar_steps_on_drawn_angles(t, k):
     for back, step in ((False, _reference.shell_advance),
                        (True, _reference.shell_advance_back)):
         want = _reference.step_walk(lambda s: step(s, eps), t, 8)
-        _assert_same_bits(shells._walk(t, eps, 8, back), want)
+        _assert_same_bits(shells._walk(t, eps, 8, back, np.empty(8)), want)
 
 
 def test_interval_walk_matches_scalar_steps_at_scale():
@@ -697,12 +727,12 @@ def test_failed_child_walk_leaves_no_child_and_runs_no_caller_code(
 
     parent = os.getpid()
 
-    def walk_here_only(x, n, back):
+    def walk_here_only(x, n, back, out):
         if os.getpid() != parent:
             raise RuntimeError("walk fails in a child")
-        return interval._walk(x, n, back)
+        return interval._walk(x, n, back, out)
 
-    def broken(x, n, back):
+    def broken(x, n, back, out):
         raise RuntimeError("walk fails")
 
     forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
@@ -730,7 +760,7 @@ def test_child_finishes_its_share_while_the_parent_walks(monkeypatch):
     parent, n, exits = os.getpid(), 1 << 14, []
     forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
 
-    def walk(x, n, back):
+    def walk(x, n, back, out):
         if os.getpid() == parent and not exits:  # the parent's first walk
             child, deadline = None, time.monotonic() + 30
             while child is None and time.monotonic() < deadline:
@@ -739,7 +769,7 @@ def test_child_finishes_its_share_while_the_parent_walks(monkeypatch):
                 child = os.waitid(os.P_PID, forks[0],
                                   os.WEXITED | os.WNOHANG | os.WNOWAIT)
             exits.append(child and (child.si_code, child.si_status))
-        return interval._walk(x, n, back)
+        return interval._walk(x, n, back, out)
 
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
     anchors = [CachedOrbit(y0, walk) for y0 in (0.3, 0.6)]
@@ -760,10 +790,10 @@ def test_child_killed_mid_walk_is_walked_again_in_process(monkeypatch):
 
     parent, n = os.getpid(), 1 << 12
 
-    def walk(x, n, back):
+    def walk(x, n, back, out):
         if os.getpid() != parent and not back:  # after the backward end
             os.kill(os.getpid(), signal.SIGKILL)
-        return interval._walk(x, n, back)
+        return interval._walk(x, n, back, out)
 
     forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
@@ -847,21 +877,26 @@ def _replaying_walks(monkeypatch, module, run):
     """run()'s result, with module._walk recording its walks in process;
     then module._walk replays them.  tracemalloc slows the walk's Python
     loop about eightfold, so the traced runs replay the walks of an
-    untraced one; each replay still allocates its output array under the
-    trace."""
+    untraced one into the output array the orbit store hands them."""
     from weylab.systems import orbits
 
     walks, walk = {}, module._walk
 
     def record(*args):
-        walks[args] = walk(*args)
-        return walks[args].copy()
+        *key, out = args
+        walks[tuple(key)] = walk(*args).copy()
+        return out
+
+    def replay(*args):
+        *key, out = args
+        out[:] = walks[tuple(key)]
+        return out
 
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 1)
     monkeypatch.setattr(module, "_walk", record)
     monkeypatch.setattr(orbits, "_STORE", OrderedDict())
     want = run()
-    monkeypatch.setattr(module, "_walk", lambda *args: walks[args].copy())
+    monkeypatch.setattr(module, "_walk", replay)
     return want
 
 
