@@ -309,8 +309,7 @@ def _run_classify(sc: Scenario, seed_override, rows, verdicts, memo_of):
     seed = _require_seed(sc, seed_override)
     cls = classify_factor_map(sc.factor, None, sc.tolerances, seed,
                               sc.count, sc.sequences, summaries)
-    pairs = get_factor(sc.factor).pair_sampler(seed, sc.count)
-    _weyl_series(sc, _sampled_items("", pairs), summaries, rows)
+    _weyl_series(sc, _sampled_items("", cls.sampled_pairs), summaries, rows)
     verdicts[sc.name] = {"operation": "classify", **cls.as_dict()}
     return False
 
@@ -323,9 +322,8 @@ def _run_test_M(sc: Scenario, seed_override, rows, verdicts, memo_of):
     fm = get_factor(sc.factor)
     report = scan_property_M(fm, None, sc.tolerances, seed, sc.count,
                              sc.sequences, summaries)
-    if fm.pair_sampler is not None:
-        _weyl_series(sc, _sampled_items("", fm.pair_sampler(seed, sc.count)),
-                     summaries, rows)
+    _weyl_series(sc, _sampled_items("", fm.pair_sampler(seed, sc.count)),
+                 summaries, rows)
     verdicts[sc.name] = {"operation": "test-M",
                          **dataclasses.asdict(report)}
     return False
@@ -361,12 +359,9 @@ def _run_decomposition(sc: Scenario, seed_override, rows, verdicts, memo_of):
     report = verify_decomposition(pi_id, phi_id, psi_id, None,
                                   sc.tolerances, seed, sc.count,
                                   sc.sequences, summaries=summaries)
-    for label, map_id in (("phi.", phi_id), ("psi.", psi_id)):
-        fm = get_factor(map_id)
-        if fm.pair_sampler is not None:
-            _weyl_series(sc, _sampled_items(label,
-                                            fm.pair_sampler(seed, sc.count)),
-                         summaries, rows)
+    for label, cls in (("phi.", report.phi), ("psi.", report.psi)):
+        _weyl_series(sc, _sampled_items(label, cls.sampled_pairs), summaries,
+                     rows)
     verdicts[sc.name] = {"operation": "verify-decomposition",
                          **report.as_dict()}
     return not report.passed

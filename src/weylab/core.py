@@ -277,16 +277,14 @@ class FactorMap:
     the fixed pairs outnumber count it returns them all.  A sequence sampler
     returns at most count sequences.  Both take (seed, count) and draw
     from seed_stream(seed), which provides integers(low, high[, dtype]) and
-    random() as numpy.random.Generator does.  exact_fibres says whether image
-    equality is decidable exactly on payloads; otherwise membership in R(pi)
-    is thresholded by the caller.
+    random() as numpy.random.Generator does.  A pair (x, y) lies in R(pi)
+    exactly when the payloads of pi x and pi y are equal.
     """
 
     map_id: str
     source: str
     target: str
     apply_payload: Callable[[Any], Any]
-    exact_fibres: bool = True
     pair_sampler: Optional[Callable[[int, int], list]] = None
     sequence_sampler: Optional[Callable[[int, int], list]] = None
     description: str = ""
@@ -333,7 +331,6 @@ def _identity_factor(system_id: str) -> FactorMap:
         source=system_id,
         target=system_id,
         apply_payload=lambda payload: payload,
-        exact_fibres=True,
         pair_sampler=pairs,
         description="identity map; the fibre relation is the diagonal",
     )

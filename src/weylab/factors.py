@@ -2,10 +2,13 @@
 
 The topo-isomorphy call is deliberately indirect: a factor map is reported
 topo-isomorphic exactly when every sampled fibre pair is Banach proximal
-(weyl below zero_tol).  Classification flags are sample verdicts, and the
-cross-implications of the regularity lattice are re-checked on the output;
-a failed implication is reported as a tolerance artifact instead of being
-patched over.
+(weyl below zero_tol).  A classification draws its pairs and sequences
+once: its modulus scans read the pair verdicts, its sequence tests one list
+of sequence reports.  Its flags are sample verdicts; a failed implication
+between them is reported as a tolerance artifact, not patched over:
+equicontinuous iff mean equicontinuous and distal (three warnings),
+topo-isomorphic iff mean equicontinuous and proximal, and distal implies
+Banach distal (check <= weyl).
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from .core import (CompositionError, FactorMap, FolnerSchedule, FolnerWindow,
                    register_system, seed_stream)
 from .estimators import SummaryMemo
 from .relations import (MeanEquicontinuityReport, ModulusReport, PairVerdict,
-                        PropertyMReport, Tolerances, classify_pair,
-                        scan_equicontinuity, scan_mean_equicontinuity,
-                        scan_property_M, summaries_for)
+                        PropertyMReport, Tolerances,
+                        _mean_equicontinuity_report, _modulus_scan,
+                        _pair_verdicts, _property_M_report, _sample_pairs,
+                        _sequence_reports, summaries_for)
 
 #: source points on which verify_decomposition checks pi = psi o phi
 COMPOSITION_SAMPLE_POINTS = 20
@@ -182,6 +186,7 @@ class FactorClassification:
     property_M_report: PropertyMReport
     mean_equicontinuity_report: MeanEquicontinuityReport
     warnings: Tuple[str, ...]
+    sampled_pairs: Tuple[Tuple[Point, Point], ...]  # not in as_dict
 
     def as_dict(self) -> dict:
         return {
@@ -207,33 +212,29 @@ def classify_factor_map(map_id, schedule: Optional[FolnerSchedule] = None,
                         sequence_count: int = 4,
                         summaries: Optional[SummaryMemo] = None
                         ) -> FactorClassification:
-    """Every sampled pair and sequence term is estimated once, through one
-    memo shared by the pair verdicts, the modulus scans and the sequence
-    tests (pass `summaries` to share it further)."""
+    """Pairs and sequences are drawn once and estimated once through one
+    memo (pass `summaries` to share it further); the reports equal those of
+    the scan_* functions for the same seed and counts."""
     fm = map_id if isinstance(map_id, FactorMap) else get_factor(map_id)
     summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     if fm.pair_sampler is None:
         raise CompositionError("factor map %s has no pair sampler" % fm.map_id)
-    pairs = fm.pair_sampler(seed, pair_count)
-    verdicts = []
-    for a, b in pairs:
-        v = classify_pair(a, b, tolerances=tol, factor=fm,
-                          summaries=summaries)
-        if v.in_R_pi is False:
-            raise CompositionError(
-                "sampler for %s produced a pair outside R(pi)" % fm.map_id)
-        verdicts.append(v)
+    pairs = tuple(_sample_pairs(fm, seed, pair_count))
+    verdicts = _pair_verdicts(pairs, fm, tol, summaries)
+    if not all(v.in_R_pi for v in verdicts):
+        raise CompositionError(
+            "sampler for %s produced a pair outside R(pi)" % fm.map_id)
+    reports, examined = _sequence_reports(fm, seed, sequence_count, tol,
+                                          summaries)
+    equi = _modulus_scan(verdicts, "hat_value", tol)
+    prop_m = _property_M_report(verdicts, reports, examined, tol)
+    me = _mean_equicontinuity_report(reports, examined)
     nd = [v for v in verdicts if not v.diagonal]
     banach_proximal = all(v.banach_proximal for v in verdicts)
     proximal = all(v.proximal for v in verdicts)
     distal = all(v.distal for v in nd)
     banach_distal = all(v.banach_distal for v in nd)
-    equi = scan_equicontinuity(fm, None, tol, seed, pair_count, summaries)
-    prop_m = scan_property_M(fm, None, tol, seed, pair_count,
-                             sequence_count, summaries)
-    me = scan_mean_equicontinuity(fm, None, tol, seed, sequence_count,
-                                  summaries)
     warnings = []
     if equi.holds:
         if me.holds is False:
@@ -242,6 +243,9 @@ def classify_factor_map(map_id, schedule: Optional[FolnerSchedule] = None,
         if nd and not distal:
             warnings.append("tolerance artifact: equicontinuous scan passed "
                             "on a non-distal sample")
+    elif me.holds and nd and distal:
+        warnings.append("tolerance artifact: equicontinuous scan failed "
+                        "on a mean equicontinuous distal sample")
     if me.holds is not None and banach_proximal != (me.holds and proximal):
         warnings.append("tolerance artifact: Banach proximal flag disagrees "
                         "with mean equicontinuity + proximality")
@@ -263,6 +267,7 @@ def classify_factor_map(map_id, schedule: Optional[FolnerSchedule] = None,
         property_M_report=prop_m,
         mean_equicontinuity_report=me,
         warnings=tuple(warnings),
+        sampled_pairs=pairs,
     )
 
 

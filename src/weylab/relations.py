@@ -5,11 +5,16 @@ infimum, so a 'distal' call can be revised by a larger schedule, and the
 scan-based modulus tests report 'no violation found at these tolerances'
 rather than the property itself.  Diagonal pairs short-circuit to exact
 zeros so float noise cannot contradict reflexivity.
+
+The modulus scans read (d0, value) rows off PairVerdicts, and the sequence
+criteria read SequenceReports; each criterion is stated once.  The public
+scan_* functions draw their own sample; factors.classify_factor_map draws
+once and hands the same verdicts and reports to the same criteria.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
@@ -79,18 +84,8 @@ class PairVerdict:
     boundary_warning: bool
 
     def as_dict(self) -> dict:
-        return {
-            "x": self.x, "y": self.y,
-            "diagonal": self.diagonal, "in_R_pi": self.in_R_pi,
-            "d0": self.d0,
-            "check": self.check_value, "besicovitch": self.besicovitch_value,
-            "weyl": self.weyl_value, "hat": self.hat_value,
-            "banach_proximal": self.banach_proximal,
-            "proximal": self.proximal, "distal": self.distal,
-            "banach_distal": self.banach_distal,
-            "inconclusive": self.inconclusive,
-            "boundary_warning": self.boundary_warning,
-        }
+        """Fields by name; the four estimates drop their _value suffix."""
+        return {k.removesuffix("_value"): v for k, v in asdict(self).items()}
 
 
 def classify_pair(x: Point, y: Point, schedule: Optional[FolnerSchedule] = None,
@@ -101,11 +96,7 @@ def classify_pair(x: Point, y: Point, schedule: Optional[FolnerSchedule] = None,
     tol = tolerances or Tolerances()
     in_r: Optional[bool] = None
     if factor is not None:
-        ix, iy = factor.apply(x), factor.apply(y)
-        if factor.exact_fibres:
-            in_r = ix.payload == iy.payload
-        else:
-            in_r = dist(ix, iy) < tol.zero_tol
+        in_r = factor.apply(x).payload == factor.apply(y).payload
     summary = summaries(x, y)
     e_check, e_weyl = summary.check, summary.weyl
     banach_proximal = e_weyl.value < tol.zero_tol
@@ -216,27 +207,21 @@ def _sample_pairs(factor: FactorMap, seed: int, count: int):
     return pairs
 
 
-def _sample_sequences(factor: FactorMap, seed: int, count: int):
+def _pair_verdicts(pairs, factor: FactorMap, tol: Tolerances,
+                   summaries: SummaryMemo):
+    return [classify_pair(a, b, tolerances=tol, factor=factor,
+                          summaries=summaries) for a, b in pairs]
+
+
+def _sequence_reports(factor: FactorMap, seed: int, count: int,
+                      tol: Tolerances, summaries: SummaryMemo):
+    """Reports of the drawn sequences that declare a limit (the only ones
+    the criteria can judge), and how many sequences were drawn."""
     if factor.sequence_sampler is None:
-        return []
-    return factor.sequence_sampler(seed, count)
-
-
-def _scan_rows(pairs, value_of):
-    """(d0, estimate value) rows for non-diagonal sampled pairs."""
-    rows = []
-    for a, b in pairs:
-        if a.payload == b.payload:
-            continue
-        rows.append((dist(a, b), value_of(a, b)))
-    return rows
-
-
-def _delta_star(rows, eps: float) -> Optional[float]:
-    """Smallest plain distance among pairs whose orbit value reaches eps;
-    None when no sampled pair reaches eps (the scan constrains nothing)."""
-    ds = [d0 for d0, v in rows if v >= eps]
-    return min(ds) if ds else None
+        return [], 0
+    seqs = factor.sequence_sampler(seed, count)
+    return [sequence_report(seq, None, tol, summaries)
+            for seq in seqs if seq.limit is not None], len(seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +240,17 @@ class ModulusReport:
     note: str
 
 
-def _modulus_scan(rows, tol: Tolerances, pairs_examined: int,
-                  what: str) -> ModulusReport:
+def _modulus_scan(verdicts, value: str, tol: Tolerances) -> ModulusReport:
+    """Scan the (d0, value) rows of the non-diagonal verdicts."""
+    what = {"hat_value": "orbit sup", "weyl_value": "weyl value"}[value]
+    rows = [(v.d0, getattr(v, value)) for v in verdicts if not v.diagonal]
     grid = []
     holds = True
     delta_eq = True
     for eps in tol.eps_grid():
-        ds = _delta_star(rows, eps)
+        # smallest plain distance among pairs whose orbit value reaches
+        # eps; None when none does (the scan constrains nothing)
+        ds = min((d0 for d0, v in rows if v >= eps), default=None)
         ok = ds is None or ds >= tol.delta_ratio * eps
         if ds is not None and ds < eps:
             delta_eq = False
@@ -269,7 +258,7 @@ def _modulus_scan(rows, tol: Tolerances, pairs_examined: int,
         grid.append((eps, ds, ok))
     note = ("no violation found at these tolerances" if holds
             else "violation: small initial distance with large %s" % what)
-    return ModulusReport(holds, tuple(grid), delta_eq, pairs_examined, note)
+    return ModulusReport(holds, tuple(grid), delta_eq, len(verdicts), note)
 
 
 def scan_equicontinuity(factor: FactorMap,
@@ -282,8 +271,25 @@ def scan_equicontinuity(factor: FactorMap,
     summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    rows = _scan_rows(pairs, lambda a, b: summaries(a, b).hat.value)
-    return _modulus_scan(rows, tol, len(pairs), "orbit sup")
+    return _modulus_scan(_pair_verdicts(pairs, factor, tol, summaries),
+                         "hat_value", tol)
+
+
+def _sequence_violations(reports, converse: bool) -> Tuple[str, ...]:
+    """A Banach proximal limit needs an asymptotically Banach proximal
+    sequence; with converse (mean equicontinuity) the other way round too."""
+    violations = []
+    for rep in reports:
+        if rep.limit_banach_proximal and not rep.asymptotically_banach_proximal:
+            violations.append(
+                "limit is Banach proximal but the sequence is not "
+                "asymptotically Banach proximal (%s)" % rep.description)
+        elif converse and rep.asymptotically_banach_proximal \
+                and not rep.limit_banach_proximal:
+            violations.append(
+                "sequence is asymptotically Banach proximal but its limit "
+                "is not Banach proximal (%s)" % rep.description)
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -292,6 +298,14 @@ class PropertyMReport:
     scan: ModulusReport
     sequence_violations: Tuple[str, ...]
     sequences_examined: int
+
+
+def _property_M_report(verdicts, reports, examined: int,
+                       tol: Tolerances) -> PropertyMReport:
+    scan = _modulus_scan(verdicts, "weyl_value", tol)
+    violations = _sequence_violations(reports, converse=False)
+    return PropertyMReport(scan.holds and not violations, scan, violations,
+                           examined)
 
 
 def scan_property_M(factor: FactorMap,
@@ -306,21 +320,10 @@ def scan_property_M(factor: FactorMap,
     summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    rows = _scan_rows(pairs, lambda a, b: summaries(a, b).weyl.value)
-    scan = _modulus_scan(rows, tol, len(pairs), "weyl value")
-    violations = []
-    seqs = _sample_sequences(factor, seed, sequence_count)
-    for seq in seqs:
-        if seq.limit is None:
-            continue
-        rep = sequence_report(seq, schedule, tol, summaries)
-        if rep.limit_banach_proximal and not rep.asymptotically_banach_proximal:
-            violations.append(
-                "limit is Banach proximal but the sequence is not "
-                "asymptotically Banach proximal (%s)" % seq.description
-            )
-    return PropertyMReport(scan.holds and not violations, scan,
-                           tuple(violations), len(seqs))
+    reports, examined = _sequence_reports(factor, seed, sequence_count, tol,
+                                          summaries)
+    return _property_M_report(_pair_verdicts(pairs, factor, tol, summaries),
+                              reports, examined, tol)
 
 
 @dataclass(frozen=True)
@@ -329,6 +332,18 @@ class MeanEquicontinuityReport:
     violations: Tuple[str, ...]
     sequences_examined: int
     note: str
+
+
+def _mean_equicontinuity_report(reports, examined: int
+                                ) -> MeanEquicontinuityReport:
+    if not examined:
+        return MeanEquicontinuityReport(
+            None, (), 0, "no sequence sampler: not tested")
+    violations = _sequence_violations(reports, converse=True)
+    note = ("no violation found at these tolerances" if not violations
+            else "; ".join(violations))
+    return MeanEquicontinuityReport(not violations, violations, examined,
+                                    note)
 
 
 def scan_mean_equicontinuity(factor: FactorMap,
@@ -342,29 +357,8 @@ def scan_mean_equicontinuity(factor: FactorMap,
     both defect directions are reported."""
     summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
-    seqs = _sample_sequences(factor, seed, sequence_count)
-    if not seqs:
-        return MeanEquicontinuityReport(
-            None, (), 0, "no sequence sampler: not tested")
-    violations = []
-    for seq in seqs:
-        if seq.limit is None:
-            continue
-        rep = sequence_report(seq, schedule, tol, summaries)
-        if rep.asymptotically_banach_proximal and not rep.limit_banach_proximal:
-            violations.append(
-                "sequence is asymptotically Banach proximal but its limit "
-                "is not Banach proximal (%s)" % seq.description
-            )
-        if rep.limit_banach_proximal and not rep.asymptotically_banach_proximal:
-            violations.append(
-                "limit is Banach proximal but the sequence is not "
-                "asymptotically Banach proximal (%s)" % seq.description
-            )
-    note = ("no violation found at these tolerances" if not violations
-            else "; ".join(violations))
-    return MeanEquicontinuityReport(not violations, tuple(violations),
-                                    len(seqs), note)
+    return _mean_equicontinuity_report(
+        *_sequence_reports(factor, seed, sequence_count, tol, summaries))
 
 
 # ---------------------------------------------------------------------------

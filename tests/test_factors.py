@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -5,11 +7,13 @@ import pytest
 
 from weylab.core import (CompositionError, FactorMap, FolnerWindow, Point,
                          dyadic_schedule, factor_ids, get_factor,
-                         get_system)
-from weylab.estimators import weyl
+                         get_system, system_ids)
+from weylab.estimators import SummaryMemo, weyl
 from weylab.factors import (FunctionFamily, classify_factor_map,
                             d_family, d_family_fraction, domination_check,
                             lift_metric, verify_decomposition)
+from weylab.relations import (PairSequence, Tolerances, scan_equicontinuity,
+                              scan_mean_equicontinuity, scan_property_M)
 
 SCHED = dyadic_schedule(8, 12)
 
@@ -154,6 +158,77 @@ def test_classification_builds_each_pair_once(count_builds):
     assert counts
     assert all(p != q for p, q in counts)
     assert set(counts.values()) == {1}
+
+
+def test_classification_draws_once_and_measures_each_pair_once(
+        monkeypatch):
+    fm = get_factor("tm.pi")
+    pairs = fm.pair_sampler(3, 12)
+    seqs = fm.sequence_sampler(3, 3)
+    calls = collections.Counter()
+
+    def replay(name, drawn):
+        def sampler(seed, count):
+            calls[name] += 1
+            return drawn
+        return sampler
+
+    system_cls = type(get_system(fm.source))
+    dist = system_cls.dist
+
+    def counting_dist(self, p, q):
+        calls["dist"] += 1
+        return dist(self, p, q)
+
+    # drawn before the count starts: building a sequence measures its terms
+    counted = dataclasses.replace(fm, pair_sampler=replay("pairs", pairs),
+                                  sequence_sampler=replay("sequences", seqs))
+    monkeypatch.setattr(system_cls, "dist", counting_dist)
+    cls = classify_factor_map(counted, dyadic_schedule(6, 8), seed=3,
+                              pair_count=12, sequence_count=3)
+    assert calls == {"pairs": 1, "sequences": 1, "dist": len(pairs)}
+    assert cls.sampled_pairs == tuple(pairs)
+    assert "sampled_pairs" not in cls.as_dict()
+
+
+_CLASSIFIED_MAPS = factor_ids() + ["identity.%s" % sid for sid in system_ids()]
+
+
+# the sequence samplers return at most two sequences, so one of the two
+# runs asks for fewer than some of them hold
+@pytest.mark.parametrize("seed, sequence_count", ((0, 1), (5, 2)))
+@pytest.mark.parametrize("map_id", _CLASSIFIED_MAPS)
+def test_classification_reports_equal_the_public_scans(map_id, seed,
+                                                       sequence_count):
+    fm = get_factor(map_id)
+    tol = Tolerances()
+    memo = SummaryMemo(dyadic_schedule(6, 8))
+    cls = classify_factor_map(fm, None, tol, seed, 6, sequence_count, memo)
+    assert cls.equicontinuity_report == scan_equicontinuity(
+        fm, None, tol, seed, 6, memo)
+    assert cls.property_M_report == scan_property_M(
+        fm, None, tol, seed, 6, sequence_count, memo)
+    assert cls.mean_equicontinuity_report == scan_mean_equicontinuity(
+        fm, None, tol, seed, sequence_count, memo)
+
+
+def test_classification_flags_a_failed_scan_on_a_mean_equicontinuous_sample():
+    # one distal pair 0.25 apart whose orbit distance reaches 1: with
+    # delta_ratio 1 the scan fails at eps 0.4, while the constant sequence
+    # at the pair, its own limit, keeps both sequence criteria quiet
+    pair = (_pt("sturmian", "orbit=34 side=lower"),
+            _pt("sturmian", "orbit=96 side=lower"))
+    fm = FactorMap(map_id="one-distal-pair", source="sturmian",
+                   target="point", apply_payload=lambda p: "pt",
+                   pair_sampler=lambda seed, count: [pair],
+                   sequence_sampler=lambda seed, count: [
+                       PairSequence((pair,) * 3, pair)])
+    cls = classify_factor_map(fm, dyadic_schedule(6, 8),
+                              Tolerances(delta_ratio=1.0))
+    assert cls.mean_equicontinuous and cls.distal and cls.banach_distal
+    assert not cls.equicontinuous and not cls.banach_proximal
+    assert cls.warnings == ("tolerance artifact: equicontinuous scan failed "
+                            "on a mean equicontinuous distal sample",)
 
 
 def _sampler_digest(sampler, seed, count):
