@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -322,10 +321,8 @@ def _run_test_M(sc: Scenario, seed_override, rows, verdicts, memo_of):
     fm = get_factor(sc.factor)
     report = scan_property_M(fm, None, sc.tolerances, seed, sc.count,
                              sc.sequences, summaries)
-    _weyl_series(sc, _sampled_items("", fm.pair_sampler(seed, sc.count)),
-                 summaries, rows)
-    verdicts[sc.name] = {"operation": "test-M",
-                         **dataclasses.asdict(report)}
+    _weyl_series(sc, _sampled_items("", report.sampled_pairs), summaries, rows)
+    verdicts[sc.name] = {"operation": "test-M", **report.as_dict()}
     return False
 
 
@@ -337,15 +334,13 @@ def _run_test_meq(sc: Scenario, seed_override, rows, verdicts, memo_of):
     fm = get_factor(sc.factor)
     report = scan_mean_equicontinuity(fm, None, sc.tolerances, seed,
                                       sc.sequences, summaries)
-    if fm.sequence_sampler is not None:
-        for sidx, seq in enumerate(fm.sequence_sampler(seed, sc.sequences)):
-            items = [("s%02d.t%02d" % (sidx, tidx), pair)
-                     for tidx, pair in enumerate(seq.terms)]
-            if seq.limit is not None:
-                items.append(("s%02d.lim" % sidx, seq.limit))
-            _weyl_series(sc, items, summaries, rows)
-    verdicts[sc.name] = {"operation": "test-meq",
-                         **dataclasses.asdict(report)}
+    for sidx, seq in enumerate(report.sequences):
+        items = [("s%02d.t%02d" % (sidx, tidx), pair)
+                 for tidx, pair in enumerate(seq.terms)]
+        if seq.limit is not None:
+            items.append(("s%02d.lim" % sidx, seq.limit))
+        _weyl_series(sc, items, summaries, rows)
+    verdicts[sc.name] = {"operation": "test-meq", **report.as_dict()}
     return False
 
 

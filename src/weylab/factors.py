@@ -225,11 +225,11 @@ def classify_factor_map(map_id, schedule: Optional[FolnerSchedule] = None,
     if not all(v.in_R_pi for v in verdicts):
         raise CompositionError(
             "sampler for %s produced a pair outside R(pi)" % fm.map_id)
-    reports, examined = _sequence_reports(fm, seed, sequence_count, tol,
-                                          summaries)
+    reports, seqs = _sequence_reports(fm, seed, sequence_count, tol,
+                                      summaries)
     equi = _modulus_scan(verdicts, "hat_value", tol)
-    prop_m = _property_M_report(verdicts, reports, examined, tol)
-    me = _mean_equicontinuity_report(reports, examined)
+    prop_m = _property_M_report(pairs, verdicts, reports, seqs, tol)
+    me = _mean_equicontinuity_report(reports, seqs)
     nd = [v for v in verdicts if not v.diagonal]
     banach_proximal = all(v.banach_proximal for v in verdicts)
     proximal = all(v.proximal for v in verdicts)

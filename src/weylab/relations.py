@@ -216,12 +216,12 @@ def _pair_verdicts(pairs, factor: FactorMap, tol: Tolerances,
 def _sequence_reports(factor: FactorMap, seed: int, count: int,
                       tol: Tolerances, summaries: SummaryMemo):
     """Reports of the drawn sequences that declare a limit (the only ones
-    the criteria can judge), and how many sequences were drawn."""
+    the criteria can judge), and every sequence drawn."""
     if factor.sequence_sampler is None:
-        return [], 0
-    seqs = factor.sequence_sampler(seed, count)
+        return [], ()
+    seqs = tuple(factor.sequence_sampler(seed, count))
     return [sequence_report(seq, None, tol, summaries)
-            for seq in seqs if seq.limit is not None], len(seqs)
+            for seq in seqs if seq.limit is not None], seqs
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +298,20 @@ class PropertyMReport:
     scan: ModulusReport
     sequence_violations: Tuple[str, ...]
     sequences_examined: int
+    sampled_pairs: Tuple[Tuple[Point, Point], ...]  # not in as_dict
+
+    def as_dict(self) -> dict:
+        return {"holds": self.holds, "scan": asdict(self.scan),
+                "sequence_violations": self.sequence_violations,
+                "sequences_examined": self.sequences_examined}
 
 
-def _property_M_report(verdicts, reports, examined: int,
+def _property_M_report(pairs, verdicts, reports, seqs,
                        tol: Tolerances) -> PropertyMReport:
     scan = _modulus_scan(verdicts, "weyl_value", tol)
     violations = _sequence_violations(reports, converse=False)
     return PropertyMReport(scan.holds and not violations, scan, violations,
-                           examined)
+                           len(seqs), tuple(pairs))
 
 
 def scan_property_M(factor: FactorMap,
@@ -320,10 +326,11 @@ def scan_property_M(factor: FactorMap,
     summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    reports, examined = _sequence_reports(factor, seed, sequence_count, tol,
-                                          summaries)
-    return _property_M_report(_pair_verdicts(pairs, factor, tol, summaries),
-                              reports, examined, tol)
+    reports, seqs = _sequence_reports(factor, seed, sequence_count, tol,
+                                      summaries)
+    return _property_M_report(pairs,
+                              _pair_verdicts(pairs, factor, tol, summaries),
+                              reports, seqs, tol)
 
 
 @dataclass(frozen=True)
@@ -332,18 +339,23 @@ class MeanEquicontinuityReport:
     violations: Tuple[str, ...]
     sequences_examined: int
     note: str
+    sequences: Tuple[PairSequence, ...]  # not in as_dict
+
+    def as_dict(self) -> dict:
+        return {"holds": self.holds, "violations": self.violations,
+                "sequences_examined": self.sequences_examined,
+                "note": self.note}
 
 
-def _mean_equicontinuity_report(reports, examined: int
-                                ) -> MeanEquicontinuityReport:
-    if not examined:
+def _mean_equicontinuity_report(reports, seqs) -> MeanEquicontinuityReport:
+    if not seqs:
         return MeanEquicontinuityReport(
-            None, (), 0, "no sequence sampler: not tested")
+            None, (), 0, "no sequence sampler: not tested", seqs)
     violations = _sequence_violations(reports, converse=True)
     note = ("no violation found at these tolerances" if not violations
             else "; ".join(violations))
-    return MeanEquicontinuityReport(not violations, violations, examined,
-                                    note)
+    return MeanEquicontinuityReport(not violations, violations, len(seqs),
+                                    note, seqs)
 
 
 def scan_mean_equicontinuity(factor: FactorMap,

@@ -8,9 +8,12 @@ with the Euclidean metric, so a branch pair over the same y sits at
 distance 2y and the orbit sup is pinned by the backward drift toward b.
 
 Payloads are (branch, y0, offset): the action only moves the integer
-offset, so group laws are exact; interval values S^m(y0) come from a
-per-anchor cached orbit, forward by iteration and backward by safeguarded
-Newton on the increasing quadratic.
+offset, so group laws are exact.  Interval values S^m(y0) are walked
+forward by iteration and backward by safeguarded Newton on the increasing
+quadratic.  A point's value is read from its anchor's orbit in the shared
+store (weylab.systems.orbits); a pair's profile walks its distinct anchors
+for that build only and keeps only the distance samples, which a rebuild
+on the same range reads back.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from ..core import System, parse_fields, register_system
 from ..profiles import DistanceProfile
-from .orbits import CachedOrbit, fill
+from .orbits import CachedOrbit, samples, walked
 
 _BRANCHES = ("hat", "check")
 
@@ -103,12 +106,16 @@ class IntervalMirrorSystem(System):
         return _mirror_dist(p[0] == q[0], self.value(p), self.value(q), math.sqrt)
 
     def pair_profile(self, p, q, lo, hi):
-        orbits = [(self._orbit(y0), off) for _, y0, off in (p, q)]
-        # both anchors' walks in one fill, so that they run side by side
-        fill([(orbit, off + lo, off + hi) for orbit, off in orbits])
+        return DistanceProfile.from_floats(
+            lo, samples(self._samples, self.system_id, p, q, lo, hi))
+
+    def _samples(self, p, q, lo, hi) -> np.ndarray:
+        """The pair's distances on [lo, hi], from orbits walked for this
+        build only: each distinct anchor once, side by side in one fill."""
+        held = walked([(y0, y0, _walk, off + lo, off + hi) for _, y0, off in (p, q)])
         return DistanceProfile.from_blocks(lo, hi, lambda a, b: _mirror_dist(
-            p[0] == q[0], *(orbit.rows(off + a, off + b) for orbit, off in orbits),
-            np.sqrt))
+            p[0] == q[0], *(held[y0].rows(off + a, off + b) for _, y0, off in (p, q)),
+            np.sqrt)).floats
 
     def parse_point(self, text: str):
         keys = {"y": None, "branch": "hat", "off": "0"}

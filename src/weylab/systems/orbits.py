@@ -1,13 +1,22 @@
-"""Orbits of an invertible map of the line, cached as float64 arrays.
+"""Orbits of an invertible map of the line, and the float64 distance
+samples built from them.
 
-The store holds the walked points f^m(x0) only, one float64 array per end,
+An orbit holds the walked points f^m(x0) only, one float64 array per end,
 filled by one walk per end: walk(x, n, back, out) writes the n points
 after x, forward or backward, into the float64 array out.  Anything derived
 from the points is computed by the caller on the slice it reads (the shells
 take numpy's float64 sin and cos of each requested slice, which tests pin
 bit for bit against the scalar math functions).  Forward and backward
-arrays grow by doubling; the store drops least recently used orbits beyond
-ORBIT_CACHE_BYTES.
+arrays grow by doubling.
+
+One store, a least recently used map bounded by ORBIT_CACHE_BYTES, holds
+two kinds of entry: an anchor's orbit (CachedOrbit.get), which point reads
+such as a single distance extend, and a pair's distance samples on one
+range (samples), read-only, 8 bytes a sample.  A pair's profile build
+walks its anchors into orbits that no store holds (walked), one per
+distinct anchor, builds its samples from them and drops them, so only the
+samples outlive the build; a rebuild at the same range reads them back and
+walks nothing.
 
 Every growth goes through fill(), which plans the walks that a list of
 (orbit, a, b) requests needs.  When two or more orbits are pending, more
@@ -31,10 +40,11 @@ from collections import OrderedDict
 
 import numpy as np
 
-#: bytes of orbit arrays kept before the least recently used orbits go
+#: bytes of orbits and samples kept before the least recently used go
 ORBIT_CACHE_BYTES = 1 << 27
 
-_STORE: "OrderedDict[object, CachedOrbit]" = OrderedDict()
+#: anchor orbits and pairs' read-only samples, in least recently used order
+_STORE: "OrderedDict[object, object]" = OrderedDict()
 _LOCK = threading.Lock()  # guards the store and the growth of every orbit
 
 
@@ -51,6 +61,10 @@ class CachedOrbit:
             orbit = _STORE[key] = _STORE.pop(key, None) or cls(*args)
         return orbit
 
+    @property
+    def nbytes(self) -> int:
+        return sum(end.nbytes for end in self.ends)
+
     def rows(self, a: int, b: int) -> np.ndarray:
         """The points at indices a..b, as a new array the caller owns."""
         fill([(self, a, b)])
@@ -64,8 +78,39 @@ class CachedOrbit:
 
 
 def cached_bytes() -> int:
-    """Bytes held by the arrays of every stored orbit."""
-    return sum(end.nbytes for orbit in _STORE.values() for end in orbit.ends)
+    """Bytes held by the arrays of every stored orbit and sample set."""
+    return sum(entry.nbytes for entry in _STORE.values())
+
+
+def walked(requests) -> dict:
+    """One new orbit per distinct anchor of the (anchor, x0, walk, a, b)
+    requests, keyed by anchor and holding indices a..b of every request on
+    it, all walked by one fill.  No store holds them."""
+    orbits = {}
+    for anchor, x0, walk, _, _ in requests:
+        if anchor not in orbits:
+            orbits[anchor] = CachedOrbit(x0, walk)
+    fill([(orbits[anchor], a, b) for anchor, _, _, a, b in requests])
+    return orbits
+
+
+def samples(build, system_id, p, q, lo: int, hi: int) -> np.ndarray:
+    """The float64 distance samples on [lo, hi] of the pair (p, q) of
+    system_id, read-only, from the store; on a miss, build(p, q, lo, hi),
+    stored.  Threads that miss on one pair at once each build it, with
+    equal results."""
+    key = (system_id, p, q, lo, hi)
+    with _LOCK:
+        values = _STORE.pop(key, None)
+        if values is not None:
+            _STORE[key] = values
+            return values
+    values = build(p, q, lo, hi)
+    values.flags.writeable = False
+    with _LOCK:
+        _STORE[key] = values
+        _evict()
+    return values
 
 
 def usable_cpus() -> int:
@@ -142,6 +187,12 @@ def _append(walk, points=None) -> None:
     else:
         out[len(end):] = points
     orbit.ends[back] = out
+    _evict()
+
+
+def _evict() -> None:
+    """Drop least recently used entries while the store holds more than
+    ORBIT_CACHE_BYTES; the caller holds _LOCK."""
     while cached_bytes() > ORBIT_CACHE_BYTES:
         _STORE.popitem(last=False)
 

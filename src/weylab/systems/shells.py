@@ -7,6 +7,13 @@ orbits creep down to 0.  The limit shell 'inf' at height 0 carries the
 identity map.  Distances are Euclidean in R^3, so pairs on one shell are
 eventually summable while the limit shell preserves distances exactly.
 
+Payloads are (level, t0, offset): the action only moves the integer
+offset.  A point's angle is read from its anchor's orbit in the shared
+store (weylab.systems.orbits); a pair's profile walks the orbits of its
+distinct anchors for that build only, takes numpy's sin and cos of the
+angles a block at a time, and keeps only the distance samples, which a
+rebuild on the same range reads back.
+
 The base system is the convergent sequence {1/k} with a point at 0 and the
 trivial action; projecting a shell to its height label is the canonical
 factor map.
@@ -20,7 +27,7 @@ import numpy as np
 
 from ..core import IsometricSystem, System, parse_fields, register_system
 from ..profiles import DistanceProfile, scaled_from_float
-from .orbits import CachedOrbit, fill
+from .orbits import CachedOrbit, samples, walked
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +75,12 @@ def _walk(t: float, eps: float, n: int, back: bool,
     return out
 
 
+def _walker(level: int):
+    """The walk of shell level's orbits, as the orbits call it."""
+    eps = 1.0 / level
+    return lambda t, n, back, out: _walk(t, eps, n, back, out)
+
+
 def _dist(p, q, sqrt):
     """R^3 distance of (sin, cos, height) floats or arrays; sqrt to match.
     Arrays are worked on in place: p's sine row and q's cosine row end up
@@ -99,19 +112,16 @@ class ShellStackSystem(System):
     system_id = "shells62"
     diameter = math.sqrt(5.0)
 
-    def _orbit(self, payload):
-        """The cached orbit of the point's anchor; None on the identity shell."""
+    def _orbit(self, payload) -> CachedOrbit:
+        """The stored orbit of the point's anchor, off the identity shell."""
         level, t0, _ = payload
-        if level is None:
-            return None
-        eps = 1.0 / level
-        return CachedOrbit.get((self.system_id, level, t0), t0,
-                               lambda t, n, back, out: _walk(t, eps, n, back, out))
+        return CachedOrbit.get((self.system_id, level, t0), t0, _walker(level))
 
     def _rows(self, payload, orbit, lo: int, hi: int):
         """(sin, cos, height) over offsets lo..hi, as float64 rows whose
         cosine is taken in place of the angles, or as floats on the
-        identity shell; orbit is the point's, already filled."""
+        identity shell (orbit None); orbit is the point's, already
+        filled."""
         level, t0, off = payload
         if orbit is None:
             return math.sin(t0), math.cos(t0), 0.0
@@ -138,13 +148,17 @@ class ShellStackSystem(System):
         if p[0] is None and q[0] is None:
             # identity shell: the distance is constant along the orbit
             return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
-        orbits = [self._orbit(x) for x in (p, q)]
-        # both anchors' walks in one fill, so that they run side by side
-        fill([(orbit, x[2] + lo, x[2] + hi)
-              for x, orbit in zip((p, q), orbits) if orbit is not None])
+        return DistanceProfile.from_floats(
+            lo, samples(self._samples, self.system_id, p, q, lo, hi))
+
+    def _samples(self, p, q, lo, hi) -> np.ndarray:
+        """The pair's distances on [lo, hi], from orbits walked for this
+        build only: each distinct anchor once, side by side in one fill."""
+        held = walked([((level, t0), t0, _walker(level), off + lo, off + hi)
+                       for level, t0, off in (p, q) if level is not None])
         return DistanceProfile.from_blocks(lo, hi, lambda a, b: _dist(
-            *(self._rows(x, orbit, a, b) for x, orbit in zip((p, q), orbits)),
-            lambda d: np.sqrt(d, out=d)))
+            *(self._rows(x, held.get(x[:2]), a, b) for x in (p, q)),
+            lambda d: np.sqrt(d, out=d))).floats
 
     def parse_point(self, text: str):
         level, t, off = parse_fields(text, {"level": None, "t": None, "off": "0"}).values()

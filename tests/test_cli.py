@@ -335,6 +335,7 @@ def test_bundled_scenarios_reproduce_baseline_digests(tmp_path, monkeypatch, nam
                                                       threads, cpus):
     if cpus is not None:  # every orbit walked cold, on that many CPUs
         monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
+        # the store holds the pairs' samples too: none is read back
         monkeypatch.setattr(orbits, "_STORE", collections.OrderedDict())
     out = tmp_path / "out"
     code = main(["run", name, "--out", str(out), "--threads", str(threads)])
@@ -437,3 +438,29 @@ def test_scenarios_on_one_schedule_share_one_memo(tmp_path, count_builds):
     for (p, q), n in counts.items():
         unordered[frozenset((p, q))] += n
     assert unordered and set(unordered.values()) == {1}
+
+
+@pytest.mark.parametrize("operation, draws", [
+    ("test-M", {"pairs": 1, "sequences": 1}),
+    ("test-meq", {"sequences": 1}),
+])
+def test_sequence_tests_draw_once(tmp_path, monkeypatch, operation, draws):
+    from weylab import core
+
+    fm, calls = core.get_factor("tm.pi"), collections.Counter()
+
+    def counted(name, sampler):
+        def draw(seed, count):
+            calls[name] += 1
+            return sampler(seed, count)
+        return draw
+
+    monkeypatch.setitem(core._FACTORS, "tm.pi", dataclasses.replace(
+        fm, pair_sampler=counted("pairs", fm.pair_sampler),
+        sequence_sampler=counted("sequences", fm.sequence_sampler)))
+    path = tmp_path / "draw.ini"
+    path.write_text("[scenario:draw]\noperation = %s\nfactor = tm.pi\n"
+                    "lo_exponent = 4\nmax_exponent = 6\nseed = 3\n" % operation)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert calls == draws
+    assert len(_read_csv(tmp_path / "o" / "results.csv")) > 1

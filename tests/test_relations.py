@@ -123,6 +123,22 @@ def test_property_m_directions():
     assert not bad.scan.holds
 
 
+def test_sequence_test_reports_keep_their_draw_out_of_the_json():
+    import dataclasses
+    import json
+
+    fm, schedule = get_factor("tm.pi"), dyadic_schedule(4, 6)
+    for report, draw, want in (
+            (scan_property_M(fm, schedule, seed=3, pair_count=6),
+             "sampled_pairs", tuple(fm.pair_sampler(3, 6))),
+            (scan_mean_equicontinuity(fm, schedule, seed=3),
+             "sequences", tuple(fm.sequence_sampler(3, 4)))):
+        assert getattr(report, draw) == want and want
+        rest = {k: v for k, v in dataclasses.asdict(report).items()
+                if k != draw}
+        assert json.dumps(report.as_dict()) == json.dumps(rest)
+
+
 def test_mean_equicontinuity_directions():
     good = scan_mean_equicontinuity(get_factor("sturm.phi"),
                                     dyadic_schedule(8, 12), seed=0)

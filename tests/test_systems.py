@@ -639,11 +639,15 @@ def test_concurrent_profiles_grow_both_ends_identically():
     import sys
 
     system = get_system("shells62")
-    spans = [(-512 * k, 512 * k) for k in (1, 4, 2, 8, 3, 6)] * 3
+    # spans that share an end with another: each range has its own samples
+    spans = ([(-512 * k, 512 * k) for k in (1, 4, 2, 8, 3, 6)]
+             + [(-1024, 512), (-512, 1024)]) * 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for round_ in range(32):  # fresh anchors each round, so every end grows
+        # fresh anchors each round, so that builds at different spans walk
+        # the same anchors side by side
+        for round_ in range(6):
             p, q = (5, 1.2345 + round_ / 64, 0), (5, 4.321, 3 + round_)
             with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
                 futures = [pool.submit(system.pair_profile, p, q, lo, hi)
@@ -693,6 +697,21 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _filled_orbits(monkeypatch):
+    """Patch orbits.fill to record, per call, the orbits it was asked to
+    fill; a pair build's first call walks its own orbits."""
+    from weylab.systems import orbits
+
+    calls, fill_ = [], orbits.fill
+
+    def recording(requests):
+        fill_(requests)
+        calls.append([orbit for orbit, _, _ in requests])
+
+    monkeypatch.setattr(orbits, "fill", recording)
+    return calls
+
+
 @pytest.mark.parametrize("system_id, p, q", [
     *(pytest.param("shells62", (k, 0.5 * math.pi, 0), (k, math.pi, 0),
                    id="shells62-level%d" % k) for k in (1, 2, 4, 8)),
@@ -704,14 +723,19 @@ def test_forked_fill_matches_in_process_walk(system_id, p, q, monkeypatch):
 
     system, n = get_system(system_id), 1 << 16
     forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
-    runs = []
+    filled, runs = _filled_orbits(monkeypatch), []
     for cpus in (1, 2):  # in process, then p's orbit in a forked child
         monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(orbits, "_STORE", OrderedDict())
+        monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # walk cold
+        filled.clear()
         profile = system.pair_profile(p, q, -n, n)
         _assert_no_child_left()
-        ends = [end for orbit in orbits._STORE.values() for end in orbit.ends]
+        # the build's first fill walked its two orbits, which the store
+        # does not hold: it holds the samples only
+        walked = filled[0]
+        ends = [end for orbit in walked for end in orbit.ends]
         assert [len(end) for end in ends] == [n + 1, n] * 2
+        assert [type(entry) for entry in orbits._STORE.values()] == [np.ndarray]
         runs.append((len(forks), _bits(profile), ends))
     (forks_1, profile_1, ends_1), (forks_2, profile_2, ends_2) = runs
     assert (forks_1, forks_2) == (0, 1)
@@ -831,19 +855,32 @@ def test_fill_beside_another_thread_does_not_fork(monkeypatch):
 
 
 def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
+    """Point reads fill anchor orbits and pair builds fill samples, under
+    one cap; what the store drops is rebuilt with the same bytes."""
     from weylab.systems import orbits
 
     system = get_system("interval61")
+    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
     p, q = ("hat", 0.4321, 0), ("check", 0.1234, 0)
-    before = system.pair_profile(p, q, -4096, 4096)
-    cap = 8 * 4096  # 8 bytes a point: one orbit over the 2^13 hull overflows it
+    before = system.pair_profile(p, q, -1000, 1000)
+    value = system.value(system.act(p, -1000))
+    assert len(orbits._STORE) == 2
+    # 8 bytes a point or sample: one anchor read 1000 back and one pair's
+    # samples on 2001 offsets fit, two do not
+    cap = 8 * 4096
     monkeypatch.setattr(orbits, "ORBIT_CACHE_BYTES", cap)
-    anchors = [("hat", 0.05 + 0.01 * k, 0) for k in range(20)]
-    for a in anchors:
+    held = set()
+    for k in range(20):
+        a = ("hat", 0.05 + 0.01 * k, 0)
+        system.value(system.act(a, -1000))
         system.pair_profile(a, q, -1000, 1000)
         assert orbits.cached_bytes() <= cap
+        held.update(type(entry) for entry in orbits._STORE.values())
+    assert held == {CachedOrbit, np.ndarray}
     assert ("interval61", 0.4321) not in orbits._STORE  # evicted
-    again = system.pair_profile(p, q, -4096, 4096)  # rebuilt past the cap
+    assert ("interval61", p, q, -1000, 1000) not in orbits._STORE
+    again = system.pair_profile(p, q, -1000, 1000)
+    assert system.value(system.act(p, -1000)) == value
     assert orbits.cached_bytes() <= cap
     assert np.array_equal(_bits(again), _bits(before))
 
@@ -852,32 +889,51 @@ def test_orbit_store_holds_one_float64_per_point(monkeypatch):
     from weylab.systems import orbits
 
     monkeypatch.setattr(orbits, "_STORE", OrderedDict())
-    r = 1 << 12
-    get_system("shells62").pair_profile((2, 1.0, 0), (2, 2.0, 0), -r, r)
-    # each of the two anchors walks r points forward of its x0 and r back
+    system, r = get_system("shells62"), 1 << 12
+    x, y = (2, 1.0, 0), (2, 2.0, 0)
+    for p in (x, y):  # each anchor walks r points forward of its x0 and r back
+        for g in (-r, r):
+            system.angle(system.act(p, g))
     assert len(orbits._STORE) == 2
     assert orbits.cached_bytes() == 8 * 2 * (2 * r + 1)
+    anchors = [(key, orbit, [end.copy() for end in orbit.ends])
+               for key, orbit in orbits._STORE.items()]
+    # a pair build walks orbits of its own, past the stored ends, and leaves
+    # the stored orbits as it found them; it adds its samples, 8 bytes each
+    profile = system.pair_profile(x, y, -2 * r, 2 * r)
+    *kept, (key, values) = orbits._STORE.items()
+    assert key == ("shells62", x, y, -2 * r, 2 * r)
+    assert values is profile.floats and not values.flags.writeable
+    assert len(kept) == len(anchors)
+    for (key, orbit), (key_, orbit_, ends) in zip(kept, anchors):
+        assert (key, orbit) == (key_, orbit_)
+        for end, copy in zip(orbit.ends, ends):
+            _assert_same_bits(end, copy)
+    assert orbits.cached_bytes() == 8 * 2 * (2 * r + 1) + 8 * len(profile)
 
 
 #: tracemalloc peak of one cold shell pair's profile build, in bytes per
-#: sample of its profile: 26 is measured.  The orbits hold 16, the samples
-#: 8, and the blocks O(2^14): each block's rows and distances
-SHELL_PROFILE_BYTES_PER_SAMPLE = 32
-#: the same for the pair's summary: 42.6 is measured.  The orbits hold 16,
-#: the samples 8, the limbs 8 each (two at 2^18 samples), and the blocks
-#: O(2^14): the limb build's and the scan's
-SHELL_PAIR_BYTES_PER_SAMPLE = 46
+#: sample of its profile: 26.0 is measured.  The build's own orbits hold
+#: 16, the samples 8, and the blocks O(2^14): each block's rows and
+#: distances
+SHELL_PROFILE_BYTES_PER_SAMPLE = 29
+#: the same for the pair's summary: 26.6 is measured.  The orbits go with
+#: the build, before the limbs are made: the samples hold 8, the limbs 8
+#: each (two at 2^18 samples), and the blocks O(2^14): the limb build's
+#: and the scan's
+SHELL_PAIR_BYTES_PER_SAMPLE = 29
 #: the same two for an interval61 pair on two anchors, which builds and
-#: scans as a shell pair does: 26 and 42.6 are measured
-INTERVAL_PROFILE_BYTES_PER_SAMPLE = 32
-INTERVAL_PAIR_BYTES_PER_SAMPLE = 46
+#: scans as a shell pair does: 26.5 and 26.6 are measured
+INTERVAL_PROFILE_BYTES_PER_SAMPLE = 29
+INTERVAL_PAIR_BYTES_PER_SAMPLE = 29
 
 
 def _replaying_walks(monkeypatch, module, run):
     """run()'s result, with module._walk recording its walks in process;
     then module._walk replays them.  tracemalloc slows the walk's Python
     loop about eightfold, so the traced runs replay the walks of an
-    untraced one into the output array the orbit store hands them."""
+    untraced one into the output array the orbit hands them.  Replacing
+    the store (orbits and samples) makes the next build walk cold."""
     from weylab.systems import orbits
 
     walks, walk = {}, module._walk
@@ -955,8 +1011,8 @@ def test_interval_pair_summary_working_set_is_bounded(monkeypatch):
 
 def test_shells_meq_sequence_working_set_is_bounded(monkeypatch):
     """The four shell pairs of shells-meq's sequence, summarized through one
-    memo as the scenario does, hold their orbits and, beyond those, one
-    pair's samples, limbs and blocks at a time."""
+    memo as the scenario does, hold their samples, 8 bytes a sample each,
+    and beyond those one pair's working set at a time; no orbit is held."""
     from weylab.core import dyadic_schedule, get_factor
     from weylab.estimators import SummaryMemo
     from weylab.systems import orbits
@@ -974,10 +1030,102 @@ def test_shells_meq_sequence_working_set_is_bounded(monkeypatch):
     monkeypatch.setattr(orbits, "_STORE", OrderedDict())
     got, peak = _traced_peak(run)
     assert got == want
-    assert len(orbits._STORE) == 2 * len(terms)  # every orbit is still held
-    # a pair's bound less its two orbits' 16 bytes a sample
-    working = (SHELL_PAIR_BYTES_PER_SAMPLE - 16) * (hi - lo + 1)
-    assert peak < orbits.cached_bytes() + working, (peak, orbits.cached_bytes())
+    n = hi - lo + 1
+    held = 8 * n * len(terms)  # every pair's samples, and nothing else
+    assert len(orbits._STORE) == len(terms) and orbits.cached_bytes() == held
+    # the last pair's samples are held and counted in its working set too
+    working = SHELL_PAIR_BYTES_PER_SAMPLE * n
+    assert peak < held - 8 * n + working, (peak / n, held / n)
+
+
+def _counted_walks(monkeypatch):
+    """Patch both float systems' _walk to record, in process, each walk as
+    (module, start and map, back) with its number of points.  The walks
+    write their start point n times: these tests count what is walked,
+    not what it reads."""
+    from weylab.systems import orbits
+
+    walks = []
+
+    def counted(module):
+        def walk(*args):
+            *start, n, back, out = args
+            walks.append(((module.__name__, *start, back), n))
+            out[:] = start[0]
+            return out
+        return walk
+
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # walk cold
+    for module in (shells, interval):
+        monkeypatch.setattr(module, "_walk", counted(module))
+    return walks
+
+
+def test_criterion_3_pattern_walks_each_orbit_once(monkeypatch):
+    from weylab.core import dyadic_schedule, get_factor
+    from weylab.estimators import weyl
+    from weylab.relations import scan_mean_equicontinuity, scan_property_M
+
+    walks = _counted_walks(monkeypatch)
+    schedule = dyadic_schedule(9, 16)
+    lo, hi = schedule.hull_range()
+    for k in (1, 2, 4, 8):
+        weyl(Point("shells62", (k, 0.5 * math.pi, 0)),
+             Point("shells62", (k, math.pi, 0)), schedule)
+    assert len(walks) == 16
+    factor, scans = get_factor("shells62.pi"), dyadic_schedule(13, 16)
+    assert scans.hull_range() == (lo, hi)
+    scan_property_M(factor, scans, seed=7, pair_count=12, sequence_count=2)
+    scan_mean_equicontinuity(factor, scans, seed=7, sequence_count=2)
+    # no orbit end is walked twice, and each end once over the hull: the
+    # scans rebuild the four pairs from their samples and walk the anchors
+    # of the five other shell pairs off the identity shell that the pair
+    # sampler draws
+    starts = [start for start, _ in walks]
+    assert len(set(starts)) == len(starts) == 16 + 2 * 2 * 5
+    assert {n for _, n in walks} == {hi}  # every anchor sits at offset 0
+
+
+@pytest.mark.parametrize("system_id, x, g", [
+    ("interval61", "y=0.3 branch=hat", 0),  # ex61's pair
+    ("shells62", "level=3 t=1.0", 5),
+])
+def test_pair_on_one_anchor_walks_it_once(monkeypatch, system_id, x, g):
+    walks = _counted_walks(monkeypatch)
+    system, (lo, hi) = get_system(system_id), (-4096, 4096)
+    p = system.parse_point(x)
+    q = system.act(p, g) if g else system.parse_point(x.replace("hat", "check"))
+    first = system.pair_profile(p, q, lo, hi)
+    start = walks[0][0][:-1]
+    assert len(walks) == 2
+    assert dict(walks) == {start + (False,): hi + g, start + (True,): -lo}
+    again = system.pair_profile(p, q, lo, hi)  # from the stored samples
+    assert len(walks) == 2
+    assert np.array_equal(_bits(again), _bits(first))
+
+
+def test_rebuild_at_one_range_computes_nothing(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    system, p, q = get_system("shells62"), (2, 1.0, 0), (4, 2.0, 3)
+    first = system.pair_profile(p, q, -4096, 4096)
+    assert len(walks) == 4
+
+    def no_trig(*args, **kwargs):
+        raise AssertionError("sine or cosine on a stored range")
+
+    monkeypatch.setattr(np, "sin", no_trig)
+    monkeypatch.setattr(np, "cos", no_trig)
+    again = system.pair_profile(p, q, -4096, 4096)
+    assert len(walks) == 4 and again.floats is first.floats
+
+
+def test_sequence_validation_at_offset_0_walks_nothing(monkeypatch):
+    from weylab.core import get_factor
+
+    walks = _counted_walks(monkeypatch)
+    (seq,) = get_factor("shells62.pi").sequence_sampler(7, 1)  # validates
+    assert seq.limit is not None and walks == []
 
 
 # -- parse/format roundtrips ---------------------------------------------------
