@@ -308,7 +308,8 @@ def _run_classify(sc: Scenario, seed_override, rows, verdicts, memo_of):
     seed = _require_seed(sc, seed_override)
     cls = classify_factor_map(sc.factor, None, sc.tolerances, seed,
                               sc.count, sc.sequences, summaries)
-    _weyl_series(sc, _sampled_items("", cls.sampled_pairs), summaries, rows)
+    _weyl_series(sc, _sampled_items("", cls.property_M_report.sampled_pairs),
+                 summaries, rows)
     verdicts[sc.name] = {"operation": "classify", **cls.as_dict()}
     return False
 
@@ -355,8 +356,8 @@ def _run_decomposition(sc: Scenario, seed_override, rows, verdicts, memo_of):
                                   sc.tolerances, seed, sc.count,
                                   sc.sequences, summaries=summaries)
     for label, cls in (("phi.", report.phi), ("psi.", report.psi)):
-        _weyl_series(sc, _sampled_items(label, cls.sampled_pairs), summaries,
-                     rows)
+        _weyl_series(sc, _sampled_items(
+            label, cls.property_M_report.sampled_pairs), summaries, rows)
     verdicts[sc.name] = {"operation": "verify-decomposition",
                          **report.as_dict()}
     return not report.passed

@@ -186,7 +186,6 @@ class FactorClassification:
     property_M_report: PropertyMReport
     mean_equicontinuity_report: MeanEquicontinuityReport
     warnings: Tuple[str, ...]
-    sampled_pairs: Tuple[Tuple[Point, Point], ...]  # not in as_dict
 
     def as_dict(self) -> dict:
         return {
@@ -267,7 +266,6 @@ def classify_factor_map(map_id, schedule: Optional[FolnerSchedule] = None,
         property_M_report=prop_m,
         mean_equicontinuity_report=me,
         warnings=tuple(warnings),
-        sampled_pairs=pairs,
     )
 
 

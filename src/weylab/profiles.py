@@ -28,10 +28,10 @@ vectorized pass.
 'float' profiles give a limbs view (`limbs`): every grid integer, shifted
 down by the profile's lowest set bit, split into int64 limbs narrow enough
 that their prefix sums cannot overflow (a small superaccumulator), so no
-sample becomes a Python int.  A float profile is built (`from_blocks`),
-split into limbs and scanned BLOCK samples or translates at a time, so
-that besides the samples and the limbs' prefix sums no buffer is longer
-than a block; each sample's arithmetic is the same for any block size.
+sample becomes a Python int.  A float profile's samples are built
+(`floats_from_blocks`), split into limbs and scanned BLOCK samples or
+translates at a time, so that besides the samples and the limbs' prefix
+sums no buffer is longer than a block; each sample's arithmetic is the same for any block size.
 `flag_runs` gives, for every kind, the runs view of the 0/1 flags of the
 samples at or above a threshold; a float profile's flags are compared a
 block at a time as well.  No profile stores a per-sample grid integer:
@@ -66,6 +66,17 @@ def blocks(n: int):
     """The bounds (i, j) of the blocks [i, j) of at most BLOCK that cover
     0 .. n - 1, in order."""
     return ((i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
+
+
+def floats_from_blocks(lo: int, hi: int, block) -> np.ndarray:
+    """The float64 samples on [lo, hi] whose values at t = a .. b, a block
+    of at most BLOCK, are the array block(a, b): each is copied into the one
+    sample array, so that the caller's buffers stay block-sized.  Unchecked:
+    `DistanceProfile.from_floats` validates them."""
+    values = np.empty(hi - lo + 1)
+    for i, j in blocks(len(values)):
+        values[i:j] = block(lo + i, lo + j - 1)
+    return values
 
 
 def scaled_from_float(x: float) -> int:
@@ -188,17 +199,6 @@ class DistanceProfile:
         if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < np.inf):
             raise ValueError("distance samples must be finite and nonnegative")
         return cls(lo=lo, hi=lo + len(values) - 1, kind="float", floats=values)
-
-    @classmethod
-    def from_blocks(cls, lo: int, hi: int, block) -> "DistanceProfile":
-        """The 'float' profile on [lo, hi] whose samples at t = a .. b, a
-        block of at most BLOCK, are the float64 array block(a, b): each is
-        copied into the one sample array, so that the caller's buffers stay
-        block-sized."""
-        values = np.empty(hi - lo + 1)
-        for i, j in blocks(len(values)):
-            values[i:j] = block(lo + i, lo + j - 1)
-        return cls.from_floats(lo, values)
 
     @classmethod
     def from_scaled(cls, lo: int, scaled: List[int]) -> "DistanceProfile":

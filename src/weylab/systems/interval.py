@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ..core import System, parse_fields, register_system
-from ..profiles import DistanceProfile
+from ..profiles import DistanceProfile, floats_from_blocks
 from .orbits import CachedOrbit, samples, walked
 
 _BRANCHES = ("hat", "check")
@@ -113,9 +113,9 @@ class IntervalMirrorSystem(System):
         """The pair's distances on [lo, hi], from orbits walked for this
         build only: each distinct anchor once, side by side in one fill."""
         held = walked([(y0, y0, _walk, off + lo, off + hi) for _, y0, off in (p, q)])
-        return DistanceProfile.from_blocks(lo, hi, lambda a, b: _mirror_dist(
+        return floats_from_blocks(lo, hi, lambda a, b: _mirror_dist(
             p[0] == q[0], *(held[y0].rows(off + a, off + b) for _, y0, off in (p, q)),
-            np.sqrt)).floats
+            np.sqrt))
 
     def parse_point(self, text: str):
         keys = {"y": None, "branch": "hat", "off": "0"}

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from ..core import IsometricSystem, System, parse_fields, register_system
-from ..profiles import DistanceProfile, scaled_from_float
+from ..profiles import DistanceProfile, floats_from_blocks, scaled_from_float
 from .orbits import CachedOrbit, samples, walked
 
 TWO_PI = 2.0 * math.pi
@@ -156,9 +156,9 @@ class ShellStackSystem(System):
         build only: each distinct anchor once, side by side in one fill."""
         held = walked([((level, t0), t0, _walker(level), off + lo, off + hi)
                        for level, t0, off in (p, q) if level is not None])
-        return DistanceProfile.from_blocks(lo, hi, lambda a, b: _dist(
+        return floats_from_blocks(lo, hi, lambda a, b: _dist(
             *(self._rows(x, held.get(x[:2]), a, b) for x in (p, q)),
-            lambda d: np.sqrt(d, out=d))).floats
+            lambda d: np.sqrt(d, out=d)))
 
     def parse_point(self, text: str):
         level, t, off = parse_fields(text, {"level": None, "t": None, "off": "0"}).values()

@@ -187,8 +187,8 @@ def test_classification_draws_once_and_measures_each_pair_once(
     cls = classify_factor_map(counted, dyadic_schedule(6, 8), seed=3,
                               pair_count=12, sequence_count=3)
     assert calls == {"pairs": 1, "sequences": 1, "dist": len(pairs)}
-    assert cls.sampled_pairs == tuple(pairs)
-    assert "sampled_pairs" not in cls.as_dict()
+    assert cls.property_M_report.sampled_pairs == tuple(pairs)
+    assert "sampled_pairs" not in cls.property_M_report.as_dict()
 
 
 _CLASSIFIED_MAPS = factor_ids() + ["identity.%s" % sid for sid in system_ids()]

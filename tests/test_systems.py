@@ -856,15 +856,17 @@ def test_fill_beside_another_thread_does_not_fork(monkeypatch):
 
 def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
     """Point reads fill anchor orbits and pair builds fill samples, under
-    one cap; what the store drops is rebuilt with the same bytes."""
+    one cap; what the store drops is rebuilt with the same bytes, also a
+    sample set larger than the whole cap."""
     from weylab.systems import orbits
 
     system = get_system("interval61")
     monkeypatch.setattr(orbits, "_STORE", OrderedDict())
     p, q = ("hat", 0.4321, 0), ("check", 0.1234, 0)
+    wide = system.pair_profile(p, q, -4096, 4096)
     before = system.pair_profile(p, q, -1000, 1000)
     value = system.value(system.act(p, -1000))
-    assert len(orbits._STORE) == 2
+    assert len(orbits._STORE) == 3  # two sample sets and one anchor orbit
     # 8 bytes a point or sample: one anchor read 1000 back and one pair's
     # samples on 2001 offsets fit, two do not
     cap = 8 * 4096
@@ -883,6 +885,12 @@ def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
     assert system.value(system.act(p, -1000)) == value
     assert orbits.cached_bytes() <= cap
     assert np.array_equal(_bits(again), _bits(before))
+    # 8193 samples take 65544 bytes, past the cap: rebuilt, then dropped
+    assert ("interval61", p, q, -4096, 4096) not in orbits._STORE
+    again = system.pair_profile(p, q, -4096, 4096)
+    assert orbits.cached_bytes() <= cap
+    assert ("interval61", p, q, -4096, 4096) not in orbits._STORE
+    assert np.array_equal(_bits(again), _bits(wide))
 
 
 def test_orbit_store_holds_one_float64_per_point(monkeypatch):
