@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .profiles import DistanceProfile, scaled_from_float
 
 
@@ -145,10 +143,10 @@ def default_schedule(max_exponent: int, family: str = "symmetric") -> FolnerSche
 class System:
     """A Z-action on a compact metric space with exact lazy point evaluation.
 
-    Subclasses provide the action on payloads, the metric, and (usually) a
-    fast exact pair_profile; the base implementation walks the orbit one
-    step at a time, which is the reference route the tests compare against.
-    A system that acts by isometries derives from IsometricSystem instead.
+    Subclasses provide the action on payloads, the metric, and a fast
+    exact pair_profile; the reference route that walks the orbit one step
+    at a time, which the tests compare against, lives in the tests.  A
+    system that acts by isometries derives from IsometricSystem instead.
     Diagonal pairs never reach pair_profile: estimators.pair_profile
     answers them with the zero profile.
     """
@@ -163,10 +161,7 @@ class System:
         raise NotImplementedError
 
     def pair_profile(self, p: Any, q: Any, lo: int, hi: int) -> DistanceProfile:
-        values = np.empty(hi - lo + 1, dtype=np.float64)
-        for i, t in enumerate(range(lo, hi + 1)):
-            values[i] = self.dist(self.act(p, t), self.act(q, t))
-        return DistanceProfile.from_floats(lo, values)
+        raise NotImplementedError
 
     # payload mini-syntax for the scenario runner
     def parse_point(self, text: str) -> Any:

@@ -10,10 +10,10 @@ distance 2y and the orbit sup is pinned by the backward drift toward b.
 Payloads are (branch, y0, offset): the action only moves the integer
 offset, so group laws are exact.  Interval values S^m(y0) are walked
 forward by iteration and backward by safeguarded Newton on the increasing
-quadratic.  A point's value is read from its anchor's orbit in the shared
-store (weylab.systems.orbits); a pair's profile walks its distinct anchors
-for that build only and keeps only the distance samples, which a rebuild
-on the same range reads back.
+quadratic.  A point's value is walked from its anchor, |offset| steps, and
+kept nowhere (weylab.systems.orbits); a pair's profile walks its distinct
+anchors for that build only and keeps only the distance samples, which a
+rebuild on the same range reads back.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core import System, parse_fields, register_system
 from ..profiles import DistanceProfile, floats_from_blocks
-from .orbits import CachedOrbit, samples, walked
+from .orbits import point, rows, samples, walked
 
 _BRANCHES = ("hat", "check")
 
@@ -92,11 +92,8 @@ class IntervalMirrorSystem(System):
     system_id = "interval61"
     diameter = 2.0
 
-    def _orbit(self, y0: float) -> CachedOrbit:
-        return CachedOrbit.get((self.system_id, y0), y0, _walk)
-
     def value(self, payload) -> float:
-        return self._orbit(payload[1]).at(payload[2])
+        return point(payload[1], _walk, payload[2])
 
     def act(self, payload, g: int):
         branch, y0, off = payload
@@ -111,10 +108,10 @@ class IntervalMirrorSystem(System):
 
     def _samples(self, p, q, lo, hi) -> np.ndarray:
         """The pair's distances on [lo, hi], from orbits walked for this
-        build only: each distinct anchor once, side by side in one fill."""
+        build only: each distinct anchor once, two side by side."""
         held = walked([(y0, y0, _walk, off + lo, off + hi) for _, y0, off in (p, q)])
         return floats_from_blocks(lo, hi, lambda a, b: _mirror_dist(
-            p[0] == q[0], *(held[y0].rows(off + a, off + b) for _, y0, off in (p, q)),
+            p[0] == q[0], *(rows(held[y0], off + a, off + b) for _, y0, off in (p, q)),
             np.sqrt))
 
     def parse_point(self, text: str):

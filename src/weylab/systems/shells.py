@@ -8,9 +8,9 @@ identity map.  Distances are Euclidean in R^3, so pairs on one shell are
 eventually summable while the limit shell preserves distances exactly.
 
 Payloads are (level, t0, offset): the action only moves the integer
-offset.  A point's angle is read from its anchor's orbit in the shared
-store (weylab.systems.orbits); a pair's profile walks the orbits of its
-distinct anchors for that build only, takes numpy's sin and cos of the
+offset.  A point's angle is walked from its anchor, |offset| steps, and
+kept nowhere (weylab.systems.orbits); a pair's profile walks the orbits of
+its distinct anchors for that build only, takes numpy's sin and cos of the
 angles a block at a time, and keeps only the distance samples, which a
 rebuild on the same range reads back.
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core import IsometricSystem, System, parse_fields, register_system
 from ..profiles import DistanceProfile, floats_from_blocks, scaled_from_float
-from .orbits import CachedOrbit, samples, walked
+from .orbits import point, rows, samples, walked
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,25 +112,20 @@ class ShellStackSystem(System):
     system_id = "shells62"
     diameter = math.sqrt(5.0)
 
-    def _orbit(self, payload) -> CachedOrbit:
-        """The stored orbit of the point's anchor, off the identity shell."""
-        level, t0, _ = payload
-        return CachedOrbit.get((self.system_id, level, t0), t0, _walker(level))
-
     def _rows(self, payload, orbit, lo: int, hi: int):
         """(sin, cos, height) over offsets lo..hi, as float64 rows whose
         cosine is taken in place of the angles, or as floats on the
         identity shell (orbit None); orbit is the point's, already
-        filled."""
+        walked."""
         level, t0, off = payload
         if orbit is None:
             return math.sin(t0), math.cos(t0), 0.0
-        t = orbit.rows(off + lo, off + hi)
+        t = rows(orbit, off + lo, off + hi)
         return np.sin(t), np.cos(t, out=t), 1.0 / level
 
     def angle(self, payload) -> float:
         level, t0, off = payload
-        return t0 if level is None else self._orbit(payload).at(off)
+        return t0 if level is None else point(t0, _walker(level), off)
 
     def act(self, payload, g: int):
         level, t0, off = payload
@@ -153,7 +148,7 @@ class ShellStackSystem(System):
 
     def _samples(self, p, q, lo, hi) -> np.ndarray:
         """The pair's distances on [lo, hi], from orbits walked for this
-        build only: each distinct anchor once, side by side in one fill."""
+        build only: each distinct anchor once, two side by side."""
         held = walked([((level, t0), t0, _walker(level), off + lo, off + hi)
                        for level, t0, off in (p, q) if level is not None])
         return floats_from_blocks(lo, hi, lambda a, b: _dist(

@@ -9,6 +9,7 @@ achieving translates and boundary flags.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -277,6 +278,33 @@ def step_walk(step, x, n):
         x = step(x)
         out.append(x)
     return out
+
+
+def _walked_payloads(system_id, payload, lo, hi):
+    """The points at offsets lo..hi of a shells62 or interval61 payload,
+    each as an anchor at offset 0: the anchor's orbit walked once with the
+    scalar steps above, from index 0 out to both ends of the range."""
+    head, x0, off = payload
+    a, b = off + lo, off + hi
+    if system_id == "interval61":
+        step, back = interval_step, interval_step_back
+    elif head is None:  # the identity shell: the angle stays put
+        return [payload[:2] + (0,)] * (hi - lo + 1)
+    else:
+        step = partial(shell_advance, eps=1.0 / head)
+        back = partial(shell_advance_back, eps=1.0 / head)
+    behind = max(-a, 0)
+    points = step_walk(back, x0, behind)[::-1] + [x0] + step_walk(step, x0, max(b, 0))
+    return [(head, points[behind + m], 0) for m in range(a, b + 1)]
+
+
+def float_orbit_distances(system, p, q, lo, hi):
+    """The float64 distances of the shells62 or interval61 pair (p, q) on
+    [lo, hi]: system.dist on points walked by _walked_payloads, so the
+    scalar metric bit for bit, without the package's orbit walks."""
+    sid = system.system_id
+    return np.array([system.dist(x, y) for x, y in zip(
+        _walked_payloads(sid, p, lo, hi), _walked_payloads(sid, q, lo, hi))])
 
 
 # -- per-sample exponent profiles ---------------------------------------------

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from weylab.core import IsometricSystem, Point, System, get_system, system_ids
+from weylab.core import IsometricSystem, Point, get_system, system_ids
 from weylab.dyadic import DyadicInteger
-from weylab.profiles import scaled_from_float
+from weylab.profiles import DistanceProfile, scaled_from_float
 from weylab.systems import interval, shells
 from weylab.systems.interval import level_of, step, step_back
-from weylab.systems.orbits import CachedOrbit, fill
+from weylab.systems.orbits import point, rows, walked
 from weylab.systems.shells import TWO_PI
 from weylab.systems.sturmian import A_UNITS, MOD, T_UNITS
 from weylab.systems.thuemorse import (PD_RULES, TM_RULES, complement,
@@ -84,8 +84,10 @@ def test_isometric_profiles_match_the_orbit_walk(system_id):
             == [2.0 ** -1073, 2.0 ** -1074, 0.0, 0.0, 0.0]
         pairs += _DEEP_ODOMETER_PAIRS
     for p, q in pairs:
-        walked = System.pair_profile(system, p, q, -20, 20)
-        assert system.pair_profile(p, q, -20, 20).scaled() == walked.scaled()
+        dists = _reference.orbit_distances(
+            Point(system_id, p), Point(system_id, q), -20, 20)
+        walk = DistanceProfile.from_floats(-20, np.array(list(dists.values())))
+        assert system.pair_profile(p, q, -20, 20).scaled() == walk.scaled()
 
 
 # -- toeplitz ---------------------------------------------------------------
@@ -517,39 +519,37 @@ def _bits(profile):
     ("interval61", ("hat", 0.22, 9), ("check", 0.22, 9), -8192, 8192),
 ])
 def test_vectorized_profile_matches_scalar_walk_bit_for_bit(system_id, p, q, lo, hi):
-    from weylab.core import System
-
     system = get_system(system_id)
     fast = system.pair_profile(p, q, lo, hi)
-    slow = System.pair_profile(system, p, q, lo, hi)
-    assert (fast.lo, fast.hi, fast.kind) == (slow.lo, slow.hi, "float")
-    assert np.array_equal(_bits(fast), _bits(slow))
+    slow = _reference.float_orbit_distances(system, p, q, lo, hi)
+    assert (fast.lo, fast.hi, fast.kind) == (lo, hi, "float")
+    _assert_same_bits(fast.floats, slow)
 
 
-def _shell_walk(eps):
-    return lambda t, n, back, out: shells._walk(t, eps, n, back, out)
-
-
-def test_cached_orbit_rows_match_plain_iteration():
-    for key, x0, walk, fwd, back in (
-        (("test", "interval"), 0.3, interval._walk,
-         _reference.interval_step, _reference.interval_step_back),
-        (("test", "shell"), 2.0, _shell_walk(0.5),
+def test_walked_rows_match_plain_iteration():
+    for x0, walk, fwd, back in (
+        (0.3, interval._walk, _reference.interval_step, _reference.interval_step_back),
+        (2.0, shells._walker(2),
          lambda t: _reference.shell_advance(t, 0.5),
          lambda t: _reference.shell_advance_back(t, 0.5)),
     ):
-        orbit = CachedOrbit.get(key, x0, walk)
         expect = {0: x0}
         for m in range(1, 301):
             expect[m] = fwd(expect[m - 1])
             expect[-m] = back(expect[1 - m])
-        for a, b in ((0, 300), (-300, -1), (-300, 300), (-7, -7), (5, 5)):
-            rows = orbit.rows(a, b)
-            assert rows.shape == (b - a + 1,)
-            assert rows.tolist() == [expect[m] for m in range(a, b + 1)]
-            rows[:] = -1.0  # the caller owns the returned array
-            assert orbit.rows(a, b).tolist() == [expect[m] for m in range(a, b + 1)]
-        assert type(orbit.at(-42)) is float and orbit.at(-42) == expect[-42]
+        spans = ((0, 300), (-300, -1), (-300, 300), (-7, -7), (5, 5))
+        # one orbit over the widest range of its requests, and one a span
+        orbit = walked([("anchor", x0, walk, a, b) for a, b in spans])["anchor"]
+        for a, b in spans:
+            for held in (orbit, walked([("anchor", x0, walk, a, b)])["anchor"]):
+                got = rows(held, a, b)
+                assert got.shape == (b - a + 1,)
+                assert got.tolist() == [expect[m] for m in range(a, b + 1)]
+                got[:] = -1.0  # the caller owns the returned array
+                assert rows(held, a, b).tolist() == [expect[m] for m in range(a, b + 1)]
+        assert [len(end) for end in orbit] == [301, 300]
+        for m in (-42, 0, 5, 300):
+            assert type(point(x0, walk, m)) is float and point(x0, walk, m) == expect[m]
 
 
 def _assert_same_bits(got, want):
@@ -560,20 +560,17 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("level", [1, 2, 4, 8])
-def test_shell_walk_matches_scalar_steps_at_scale(level, monkeypatch):
-    from weylab.systems import orbits
-
-    monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # every anchor walks cold
+def test_shell_walk_matches_scalar_steps_at_scale(level):
     system, eps, n = get_system("shells62"), 1.0 / level, 1 << 16
-    payloads = [(level, t0, 0) for t0 in (0.5 * math.pi, math.pi, 0.01, TWO_PI - 0.01)]
-    anchors = [system._orbit(x) for x in payloads]
-    fill([(orbit, -n, n) for orbit in anchors])  # forked where it can
-    for (_, t0, _), orbit in zip(payloads, anchors):
+    t0s, held = (0.5 * math.pi, math.pi, 0.01, TWO_PI - 0.01), {}
+    for pair in (t0s[:2], t0s[2:]):  # two anchors a walk: forked where it can
+        held.update(walked([(t0, t0, shells._walker(level), -n, n) for t0 in pair]))
+    for t0, orbit in held.items():
         fwd = _reference.step_walk(lambda t: _reference.shell_advance(t, eps), t0, n)
         back = _reference.step_walk(
             lambda t: _reference.shell_advance_back(t, eps), t0, n)
         angles = back[::-1] + [t0] + fwd
-        _assert_same_bits(orbit.rows(-n, n), angles)
+        _assert_same_bits(rows(orbit, -n, n), angles)
         sin, cos, height = system._rows((level, t0, 0), orbit, -n, n)
         _assert_same_bits(sin, [math.sin(t) for t in angles])
         _assert_same_bits(cos, [math.cos(t) for t in angles])
@@ -610,10 +607,10 @@ def test_shell_walk_matches_scalar_steps_on_drawn_angles(t, k):
 def test_interval_walk_matches_scalar_steps_at_scale():
     n = 1 << 14
     for y0 in (0.6, 0.3, 0.11):  # levels 1, 3 and 9
-        rows = CachedOrbit(y0, interval._walk).rows(-n, n)
+        got = rows(walked([(y0, y0, interval._walk, -n, n)])[y0], -n, n)
         fwd = _reference.step_walk(_reference.interval_step, y0, n)
         back = _reference.step_walk(_reference.interval_step_back, y0, n)
-        _assert_same_bits(rows, back[::-1] + [y0] + fwd)
+        _assert_same_bits(got, back[::-1] + [y0] + fwd)
 
 
 def test_numpy_trig_rows_match_math_bit_for_bit():
@@ -622,13 +619,13 @@ def test_numpy_trig_rows_match_math_bit_for_bit():
     # (both ends of its eight anchors) and on seeded angles in [-4 pi, 4 pi]
     system, n = get_system("shells62"), 1 << 17
     ts = np.random.default_rng(9).uniform(-4 * math.pi, 4 * math.pi, 10 ** 6)
-    rows = [(ts, np.sin(ts), np.cos(ts))]
-    payloads = [(level, t0, 0) for level in (1, 2, 4, 8) for t0 in (0.5 * math.pi, math.pi)]
-    anchors = [system._orbit(x) for x in payloads]
-    fill([(orbit, -n, n - 1) for orbit in anchors])
-    for x, orbit in zip(payloads, anchors):
-        rows.append((orbit.rows(-n, n - 1),) + system._rows(x, orbit, -n, n - 1)[:2])
-    for ts, sin, cos in rows:
+    pinned = [(ts, np.sin(ts), np.cos(ts))]
+    for level in (1, 2, 4, 8):  # one walk a level, of its two anchors
+        payloads = [(level, t0, 0) for t0 in (0.5 * math.pi, math.pi)]
+        held = walked([(x, x[1], shells._walker(level), -n, n - 1) for x in payloads])
+        for x, orbit in held.items():
+            pinned.append((rows(orbit, -n, n - 1),) + system._rows(x, orbit, -n, n - 1)[:2])
+    for ts, sin, cos in pinned:
         assert len(ts) in (10 ** 6, 2 * n)
         _assert_same_bits(sin, np.fromiter(map(math.sin, ts), np.float64, len(ts)))
         _assert_same_bits(cos, np.fromiter(map(math.cos, ts), np.float64, len(ts)))
@@ -679,13 +676,15 @@ def _counted_forks(monkeypatch):
 
 
 def _tracked_mappings(monkeypatch):
-    """Patch mmap.mmap to record every mapping the parent makes."""
+    """Patch mmap.mmap to record every mapping the parent makes; one it
+    fails to make stays recorded as None."""
     import mmap
 
     mappings, make = [], mmap.mmap
 
     def tracked(*args):
-        mappings.append(make(*args))
+        mappings.append(None)
+        mappings[-1] = make(*args)
         return mappings[-1]
 
     monkeypatch.setattr(mmap, "mmap", tracked)
@@ -697,18 +696,16 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _filled_orbits(monkeypatch):
-    """Patch orbits.fill to record, per call, the orbits it was asked to
-    fill; a pair build's first call walks its own orbits."""
-    from weylab.systems import orbits
-
-    calls, fill_ = [], orbits.fill
+def _walked_orbits(monkeypatch, module):
+    """Patch module.walked to record the orbits that each of its pair
+    builds walks."""
+    calls, walked_ = [], module.walked
 
     def recording(requests):
-        fill_(requests)
-        calls.append([orbit for orbit, _, _ in requests])
+        calls.append(walked_(requests))
+        return calls[-1]
 
-    monkeypatch.setattr(orbits, "fill", recording)
+    monkeypatch.setattr(module, "walked", recording)
     return calls
 
 
@@ -722,18 +719,19 @@ def test_forked_fill_matches_in_process_walk(system_id, p, q, monkeypatch):
     from weylab.systems import orbits
 
     system, n = get_system(system_id), 1 << 16
+    module = shells if system_id == "shells62" else interval
     forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
-    filled, runs = _filled_orbits(monkeypatch), []
+    filled, runs = _walked_orbits(monkeypatch, module), []
     for cpus in (1, 2):  # in process, then p's orbit in a forked child
         monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # walk cold
         filled.clear()
         profile = system.pair_profile(p, q, -n, n)
         _assert_no_child_left()
-        # the build's first fill walked its two orbits, which the store
-        # does not hold: it holds the samples only
-        walked = filled[0]
-        ends = [end for orbit in walked for end in orbit.ends]
+        # the build walked its two orbits, which the store does not hold:
+        # it holds the samples only
+        (held,) = filled
+        ends = [end for orbit in held.values() for end in orbit]
         assert [len(end) for end in ends] == [n + 1, n] * 2
         assert [type(entry) for entry in orbits._STORE.values()] == [np.ndarray]
         runs.append((len(forks), _bits(profile), ends))
@@ -743,6 +741,18 @@ def test_forked_fill_matches_in_process_walk(system_id, p, q, monkeypatch):
     assert np.array_equal(profile_1, profile_2)
     for one, two in zip(ends_1, ends_2):
         _assert_same_bits(two, one)
+
+
+def _walked_pair(walk, n):
+    """The interval orbits of 0.3 and 0.6 over -n..n, walked by walk."""
+    return walked([(y0, y0, walk, -n, n) for y0 in (0.3, 0.6)])
+
+
+def _assert_walked_here(held, n):
+    """held's orbits over -n..n are those of a one-anchor walk in process."""
+    for y0, orbit in held.items():
+        alone = walked([(y0, y0, interval._walk, -n, n)])[y0]
+        _assert_same_bits(rows(orbit, -n, n), rows(alone, -n, n))
 
 
 def test_failed_child_walk_leaves_no_child_and_runs_no_caller_code(
@@ -761,19 +771,16 @@ def test_failed_child_walk_leaves_no_child_and_runs_no_caller_code(
 
     forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
-    anchors = [CachedOrbit(y0, walk_here_only) for y0 in (0.3, 0.6)]
-    fill([(orbit, -64, 64) for orbit in anchors])  # the child's orbit is walked again here
+    held = _walked_pair(walk_here_only, 64)  # the child's orbit is walked again here
     with pytest.raises(RuntimeError, match="walk fails"):
-        fill([(CachedOrbit(y0, broken), -8, 8) for y0 in (0.3, 0.6)])
-    # a child that returned from fill would run the rest of this test too
+        _walked_pair(broken, 8)
+    # a child that returned from its walk would run the rest of this test too
     (tmp_path / str(os.getpid())).touch()
     assert len(forks) == len(mappings) == 2
     _assert_no_child_left()
     assert all(mapping.closed for mapping in mappings)
     assert [path.name for path in tmp_path.iterdir()] == [str(parent)]
-    for orbit, y0 in zip(anchors, (0.3, 0.6)):
-        _assert_same_bits(orbit.rows(-64, 64),
-                          CachedOrbit(y0, interval._walk).rows(-64, 64))
+    _assert_walked_here(held, 64)
 
 
 def test_child_finishes_its_share_while_the_parent_walks(monkeypatch):
@@ -789,22 +796,19 @@ def test_child_finishes_its_share_while_the_parent_walks(monkeypatch):
             child, deadline = None, time.monotonic() + 30
             while child is None and time.monotonic() < deadline:
                 time.sleep(0.01)
-                # WNOWAIT leaves an exited child for fill to reap
+                # WNOWAIT leaves an exited child for _fill to reap
                 child = os.waitid(os.P_PID, forks[0],
                                   os.WEXITED | os.WNOHANG | os.WNOWAIT)
             exits.append(child and (child.si_code, child.si_status))
         return interval._walk(x, n, back, out)
 
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
-    anchors = [CachedOrbit(y0, walk) for y0 in (0.3, 0.6)]
-    fill([(orbit, -n, n) for orbit in anchors])
+    held = _walked_pair(walk, n)
     assert exits == [(os.CLD_EXITED, 0)]
     assert len(forks) == len(mappings) == 1
     _assert_no_child_left()
     assert mappings[0].closed
-    for orbit, y0 in zip(anchors, (0.3, 0.6)):
-        _assert_same_bits(orbit.rows(-n, n),
-                          CachedOrbit(y0, interval._walk).rows(-n, n))
+    _assert_walked_here(held, n)
 
 
 def test_child_killed_mid_walk_is_walked_again_in_process(monkeypatch):
@@ -821,14 +825,11 @@ def test_child_killed_mid_walk_is_walked_again_in_process(monkeypatch):
 
     forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
-    anchors = [CachedOrbit(y0, walk) for y0 in (0.3, 0.6)]
-    fill([(orbit, -n, n) for orbit in anchors])
+    held = _walked_pair(walk, n)
     assert len(forks) == len(mappings) == 1
     _assert_no_child_left()
     assert mappings[0].closed
-    for orbit, y0 in zip(anchors, (0.3, 0.6)):
-        _assert_same_bits(orbit.rows(-n, n),
-                          CachedOrbit(y0, interval._walk).rows(-n, n))
+    _assert_walked_here(held, n)
 
 
 def test_fill_beside_another_thread_does_not_fork(monkeypatch):
@@ -842,21 +843,18 @@ def test_fill_beside_another_thread_does_not_fork(monkeypatch):
     thread = threading.Thread(target=done.wait, args=(60,))
     thread.start()
     try:
-        anchors = [CachedOrbit(y0, interval._walk) for y0 in (0.3, 0.6)]
-        fill([(orbit, -64, 64) for orbit in anchors])
+        held = _walked_pair(interval._walk, 64)
     finally:
         done.set()
         thread.join(timeout=60)
     assert not thread.is_alive()
     assert forks == []
-    for orbit, y0 in zip(anchors, (0.3, 0.6)):
-        _assert_same_bits(orbit.rows(-64, 64),
-                          CachedOrbit(y0, interval._walk).rows(-64, 64))
+    _assert_walked_here(held, 64)
 
 
 def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
-    """Point reads fill anchor orbits and pair builds fill samples, under
-    one cap; what the store drops is rebuilt with the same bytes, also a
+    """Pair builds fill samples under the cap and point reads store
+    nothing; what the store drops is rebuilt with the same bytes, also a
     sample set larger than the whole cap."""
     from weylab.systems import orbits
 
@@ -866,20 +864,16 @@ def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
     wide = system.pair_profile(p, q, -4096, 4096)
     before = system.pair_profile(p, q, -1000, 1000)
     value = system.value(system.act(p, -1000))
-    assert len(orbits._STORE) == 3  # two sample sets and one anchor orbit
-    # 8 bytes a point or sample: one anchor read 1000 back and one pair's
-    # samples on 2001 offsets fit, two do not
+    assert len(orbits._STORE) == 2  # two sample sets
+    # 8 bytes a sample: two pairs' samples on 2001 offsets fit, three do not
     cap = 8 * 4096
     monkeypatch.setattr(orbits, "ORBIT_CACHE_BYTES", cap)
-    held = set()
     for k in range(20):
         a = ("hat", 0.05 + 0.01 * k, 0)
         system.value(system.act(a, -1000))
         system.pair_profile(a, q, -1000, 1000)
         assert orbits.cached_bytes() <= cap
-        held.update(type(entry) for entry in orbits._STORE.values())
-    assert held == {CachedOrbit, np.ndarray}
-    assert ("interval61", 0.4321) not in orbits._STORE  # evicted
+        assert [entry.dtype for entry in orbits._STORE.values()] == [np.float64] * 2
     assert ("interval61", p, q, -1000, 1000) not in orbits._STORE
     again = system.pair_profile(p, q, -1000, 1000)
     assert system.value(system.act(p, -1000)) == value
@@ -902,22 +896,14 @@ def test_orbit_store_holds_one_float64_per_point(monkeypatch):
     for p in (x, y):  # each anchor walks r points forward of its x0 and r back
         for g in (-r, r):
             system.angle(system.act(p, g))
-    assert len(orbits._STORE) == 2
-    assert orbits.cached_bytes() == 8 * 2 * (2 * r + 1)
-    anchors = [(key, orbit, [end.copy() for end in orbit.ends])
-               for key, orbit in orbits._STORE.items()]
-    # a pair build walks orbits of its own, past the stored ends, and leaves
-    # the stored orbits as it found them; it adds its samples, 8 bytes each
+    assert len(orbits._STORE) == 0 and orbits.cached_bytes() == 0
+    # a pair build walks orbits of its own and adds its samples, 8 bytes each
     profile = system.pair_profile(x, y, -2 * r, 2 * r)
-    *kept, (key, values) = orbits._STORE.items()
+    ((key, values),) = orbits._STORE.items()
     assert key == ("shells62", x, y, -2 * r, 2 * r)
     assert values is profile.floats and not values.flags.writeable
-    assert len(kept) == len(anchors)
-    for (key, orbit), (key_, orbit_, ends) in zip(kept, anchors):
-        assert (key, orbit) == (key_, orbit_)
-        for end, copy in zip(orbit.ends, ends):
-            _assert_same_bits(end, copy)
-    assert orbits.cached_bytes() == 8 * 2 * (2 * r + 1) + 8 * len(profile)
+    assert values.dtype == np.float64
+    assert orbits.cached_bytes() == 8 * len(profile)
 
 
 #: tracemalloc peak of one cold shell pair's profile build, in bytes per
@@ -1100,7 +1086,10 @@ def test_criterion_3_pattern_walks_each_orbit_once(monkeypatch):
     ("shells62", "level=3 t=1.0", 5),
 ])
 def test_pair_on_one_anchor_walks_it_once(monkeypatch, system_id, x, g):
-    walks = _counted_walks(monkeypatch)
+    from weylab.systems import orbits
+
+    walks, forks = _counted_walks(monkeypatch), _counted_forks(monkeypatch)
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)  # one anchor forks none
     system, (lo, hi) = get_system(system_id), (-4096, 4096)
     p = system.parse_point(x)
     q = system.act(p, g) if g else system.parse_point(x.replace("hat", "check"))
@@ -1109,7 +1098,7 @@ def test_pair_on_one_anchor_walks_it_once(monkeypatch, system_id, x, g):
     assert len(walks) == 2
     assert dict(walks) == {start + (False,): hi + g, start + (True,): -lo}
     again = system.pair_profile(p, q, lo, hi)  # from the stored samples
-    assert len(walks) == 2
+    assert len(walks) == 2 and forks == []
     assert np.array_equal(_bits(again), _bits(first))
 
 
@@ -1134,6 +1123,59 @@ def test_sequence_validation_at_offset_0_walks_nothing(monkeypatch):
     walks = _counted_walks(monkeypatch)
     (seq,) = get_factor("shells62.pi").sequence_sampler(7, 1)  # validates
     assert seq.limit is not None and walks == []
+
+
+def test_point_read_walks_its_offset_and_stores_nothing(monkeypatch):
+    from weylab.systems import orbits
+
+    walks = _counted_walks(monkeypatch)
+    shell, line = get_system("shells62"), get_system("interval61")
+    shell.pair_profile((2, 1.0, 0), (4, 2.0, 0), -64, 64)
+    kept = list(orbits._STORE.items())
+    assert len(kept) == 1
+    walks.clear()
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
+    for m in (-300, 517, 0):  # index 0 walks nothing
+        assert shell.angle((2, 1.0, m)) == 1.0  # the counted walk repeats x0
+        assert line.value(("hat", 0.3, m)) == 0.3
+    assert walks == [(("weylab.systems.shells", 1.0, 0.5, True), 300),
+                     (("weylab.systems.interval", 0.3, True), 300),
+                     (("weylab.systems.shells", 1.0, 0.5, False), 517),
+                     (("weylab.systems.interval", 0.3, False), 517)]
+    assert forks == []
+    assert len(orbits._STORE) == 1 and all(orbits._STORE[key] is values for key, values in kept)
+
+
+@pytest.mark.parametrize("system_id, p, q", [
+    ("shells62", (2, 1.0, 0), (4, 2.0, 0)),
+    ("interval61", ("hat", 0.3, 0), ("check", 0.6, 0)),
+])
+@pytest.mark.parametrize("lo, hi, shift, forks_wanted", [
+    (0, 2048, 0, 1), (1024, 2048, 0, 1),  # forward ends only
+    (-2048, 0, 0, 1), (-2048, -1024, 0, 1),  # backward ends only
+    (7, 7, 0, 1), (-7, -7, 0, 1),  # a single sample
+    (-5, 0, 5, 1),  # p walks only back, q only forward
+    (0, 0, 5, 0), (-5, -5, 5, 0),  # p's or q's at index 0: nothing to fork for
+    (0, 0, 0, 0),  # both at index 0: nothing to walk
+], ids=lambda value: str(value))
+def test_one_sided_two_anchor_builds_fork_one_child(
+        monkeypatch, system_id, p, q, lo, hi, shift, forks_wanted):
+    """An anchor with no points to walk never reaches the fork: its
+    mmap.mmap(-1, 0) raises, ValueError or OSError by platform."""
+    from weylab.systems import orbits
+
+    system = get_system(system_id)
+    q = system.act(q, shift)
+    forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
+    monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # walk cold
+    profile = system.pair_profile(p, q, lo, hi)
+    _assert_no_child_left()
+    assert len(forks) == len(mappings) == forks_wanted
+    assert all(mapping.closed for mapping in mappings)
+    assert (profile.lo, profile.hi, profile.kind) == (lo, hi, "float")
+    _assert_same_bits(profile.floats, _reference.float_orbit_distances(system, p, q, lo, hi))
 
 
 # -- parse/format roundtrips ---------------------------------------------------
