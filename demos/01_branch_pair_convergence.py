@@ -5,7 +5,7 @@ sqrt(2)*|y - y| = 0 + eps but the backward orbit climbs to the plateau top,
 so one-sided windows see the averaged distance settle near 2/L.
 """
 
-from weylab import Point, dyadic_schedule, get_system, hat, weyl
+from weylab import Point, dyadic_schedule, estimates, get_system
 
 sys61 = get_system("interval61")
 sched = dyadic_schedule(5, 14, "left")
@@ -13,8 +13,8 @@ sched = dyadic_schedule(5, 14, "left")
 for y0, L in ((0.3, 3), (0.22, 4), (0.6, 1)):
     a = Point("interval61", sys61.parse_point("y=%r branch=hat" % y0))
     b = Point("interval61", sys61.parse_point("y=%r branch=check" % y0))
-    ew = weyl(a, b, sched)
-    eh = hat(a, b, sched)
+    both = estimates(a, b, sched, ("weyl", "hat"))  # one profile build
+    ew, eh = both["weyl"], both["hat"]
     print("y = %-5g plateau level L = %d, target 2/L = %.6f" % (y0, L, 2 / L))
     print("  %10s %12s %12s" % ("window", "weyl", "hat sample"))
     for wv, hv in zip(ew.per_window, eh.per_window):

@@ -3,7 +3,7 @@ limit circle, and the projection to heights fails mean equicontinuity."""
 
 import math
 
-from weylab import (Point, dist, dyadic_schedule, get_factor,
+from weylab import (Point, SummaryMemo, dist, dyadic_schedule, get_factor,
                     scan_mean_equicontinuity, scan_property_M, weyl)
 
 sched = dyadic_schedule(9, 16)
@@ -25,13 +25,16 @@ for t1, t2 in ((0.5 * math.pi, math.pi), (1.0, 1.3)):
 
 # the projection onto heights: small d implies small D on fibres (property
 # holds), yet the climbing sequence of shell pairs breaks the sequence
-# criterion, so the map is not mean equicontinuous
+# criterion, so the map is not mean equicontinuous; the two scans read one
+# memo, so the shell pairs of the sequences are built and scanned once
 factor = get_factor("shells62.pi")
 scan_sched = dyadic_schedule(13, 16)
-pm = scan_property_M(factor, scan_sched, seed=7, pair_count=12,
-                     sequence_count=2)
+memo = SummaryMemo(scan_sched)
+pm = scan_property_M(factor, seed=7, pair_count=12, sequence_count=2,
+                     summaries=memo)
 print("\nsmall-d-small-D scan over fibre pairs: holds =", pm.holds)
-meq = scan_mean_equicontinuity(factor, scan_sched, seed=7, sequence_count=2)
+meq = scan_mean_equicontinuity(factor, seed=7, sequence_count=2,
+                               summaries=memo)
 print("mean equicontinuity: holds =", meq.holds)
 for v in meq.violations:
     print("  witness:", v)

@@ -12,8 +12,8 @@ offset, so group laws are exact.  Interval values S^m(y0) are walked
 forward by iteration and backward by safeguarded Newton on the increasing
 quadratic.  A point's value is walked from its anchor, |offset| steps, and
 kept nowhere (weylab.systems.orbits); a pair's profile walks its distinct
-anchors for that build only and keeps only the distance samples, which a
-rebuild on the same range reads back.
+anchors for that build only, and its distance samples live as long as the
+profile: a rebuild walks again.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core import System, parse_fields, register_system
 from ..profiles import DistanceProfile, floats_from_blocks
-from .orbits import point, rows, samples, walked
+from .orbits import point, rows, walked
 
 _BRANCHES = ("hat", "check")
 
@@ -103,16 +103,13 @@ class IntervalMirrorSystem(System):
         return _mirror_dist(p[0] == q[0], self.value(p), self.value(q), math.sqrt)
 
     def pair_profile(self, p, q, lo, hi):
-        return DistanceProfile.from_floats(
-            lo, samples(self._samples, self.system_id, p, q, lo, hi))
-
-    def _samples(self, p, q, lo, hi) -> np.ndarray:
-        """The pair's distances on [lo, hi], from orbits walked for this
-        build only: each distinct anchor once, two side by side."""
+        # the distances from orbits walked for this build only: each
+        # distinct anchor once, two side by side
         held = walked([(y0, y0, _walk, off + lo, off + hi) for _, y0, off in (p, q)])
-        return floats_from_blocks(lo, hi, lambda a, b: _mirror_dist(
-            p[0] == q[0], *(rows(held[y0], off + a, off + b) for _, y0, off in (p, q)),
-            np.sqrt))
+        return DistanceProfile.from_floats(lo, floats_from_blocks(
+            lo, hi, lambda a, b: _mirror_dist(
+                p[0] == q[0], *(rows(held[y0], off + a, off + b) for _, y0, off in (p, q)),
+                np.sqrt)))
 
     def parse_point(self, text: str):
         keys = {"y": None, "branch": "hat", "off": "0"}

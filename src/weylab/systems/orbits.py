@@ -1,5 +1,4 @@
-"""Orbits of an invertible map of the line, and the float64 distance
-samples built from them.
+"""Orbits of an invertible map of the line.
 
 An orbit is walked once, to the exact length its one use needs, and is
 never grown or stored.  walk(x, n, back, out) writes the n points after x,
@@ -7,14 +6,11 @@ forward or backward, into the float64 array out.  A point read (point) at
 index m walks |m| points and keeps nothing; index 0 walks nothing.  A
 pair's profile build walks each distinct anchor of the pair once over the
 widest range requested on it (walked), into a forward and a backward
-array, builds its samples from them and drops them.  Anything derived from
-the points is computed by the caller on the rows it reads (the shells take
-numpy's float64 sin and cos of each row, which tests pin bit for bit
-against the scalar math functions).
-
-The store, a least recently used map bounded by ORBIT_CACHE_BYTES, holds
-only pairs' distance samples on one range (samples), read-only, 8 bytes a
-sample; a rebuild at the same range reads them back and walks nothing.
+array, builds its samples from them and drops them; the samples go with
+the profile, and a rebuild walks again.  The module holds no state.
+Anything derived from the points is computed by the caller on the rows it
+reads (the shells take numpy's float64 sin and cos of each row, which
+tests pin bit for bit against the scalar math functions).
 
 A build forks at most one child.  When both anchors of a pair have points
 to walk, more than one CPU is usable, os.fork exists and no other Python
@@ -32,16 +28,8 @@ from __future__ import annotations
 import gc
 import os
 import threading
-from collections import OrderedDict
 
 import numpy as np
-
-#: bytes of sample sets kept before the least recently used go
-ORBIT_CACHE_BYTES = 1 << 27
-
-#: pairs' read-only samples, in least recently used order
-_STORE: "OrderedDict[object, np.ndarray]" = OrderedDict()
-_LOCK = threading.Lock()  # guards the store
 
 
 def point(x0: float, walk, m: int) -> float:
@@ -61,16 +49,11 @@ def rows(orbit, a: int, b: int) -> np.ndarray:
     return np.concatenate([back, fwd[max(0, a):max(0, b + 1)]])
 
 
-def cached_bytes() -> int:
-    """Bytes held by the stored sample sets."""
-    return sum(values.nbytes for values in _STORE.values())
-
-
 def walked(requests) -> dict:
     """The orbit of each distinct anchor of the (anchor, x0, walk, a, b)
     requests, keyed by anchor and walked over the widest range requested on
     it: forward the points at 0..max(b, 0), backward those at -1 down to a
-    when a < 0, one walk per end.  No store holds them."""
+    when a < 0, one walk per end."""
     spans = {}
     for anchor, x0, walk, a, b in requests:
         _, _, lo, hi = spans.get(anchor, (x0, walk, a, b))
@@ -86,25 +69,6 @@ def walked(requests) -> dict:
             shares.append(share)
     _fill(shares)
     return orbits
-
-
-def samples(build, system_id, p, q, lo: int, hi: int) -> np.ndarray:
-    """The float64 distance samples on [lo, hi] of the pair (p, q) of
-    system_id, read-only, from the store; on a miss, build(p, q, lo, hi),
-    stored.  Threads that miss on one pair at once each build it, with
-    equal results."""
-    key = (system_id, p, q, lo, hi)
-    with _LOCK:
-        values = _STORE.pop(key, None)
-        if values is not None:
-            _STORE[key] = values
-            return values
-    values = build(p, q, lo, hi)
-    values.flags.writeable = False
-    with _LOCK:
-        _STORE[key] = values
-        _evict()
-    return values
 
 
 def usable_cpus() -> int:
@@ -143,13 +107,6 @@ def _fill(shares) -> None:
         if child:  # a walk here failed: reap the child
             os.waitpid(child[0], 0)
             child[1].close()
-
-
-def _evict() -> None:
-    """Drop least recently used entries while the store holds more than
-    ORBIT_CACHE_BYTES; the caller holds _LOCK."""
-    while cached_bytes() > ORBIT_CACHE_BYTES:
-        _STORE.popitem(last=False)
 
 
 def _spawn(share):

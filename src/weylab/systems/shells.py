@@ -10,9 +10,9 @@ eventually summable while the limit shell preserves distances exactly.
 Payloads are (level, t0, offset): the action only moves the integer
 offset.  A point's angle is walked from its anchor, |offset| steps, and
 kept nowhere (weylab.systems.orbits); a pair's profile walks the orbits of
-its distinct anchors for that build only, takes numpy's sin and cos of the
-angles a block at a time, and keeps only the distance samples, which a
-rebuild on the same range reads back.
+its distinct anchors for that build only and takes numpy's sin and cos of
+the angles a block at a time; its distance samples live as long as the
+profile, and a rebuild walks again.
 
 The base system is the convergent sequence {1/k} with a point at 0 and the
 trivial action; projecting a shell to its height label is the canonical
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core import IsometricSystem, System, parse_fields, register_system
 from ..profiles import DistanceProfile, floats_from_blocks, scaled_from_float
-from .orbits import point, rows, samples, walked
+from .orbits import point, rows, walked
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,17 +143,14 @@ class ShellStackSystem(System):
         if p[0] is None and q[0] is None:
             # identity shell: the distance is constant along the orbit
             return DistanceProfile.constant(lo, hi, scaled_from_float(self.dist(p, q)))
-        return DistanceProfile.from_floats(
-            lo, samples(self._samples, self.system_id, p, q, lo, hi))
-
-    def _samples(self, p, q, lo, hi) -> np.ndarray:
-        """The pair's distances on [lo, hi], from orbits walked for this
-        build only: each distinct anchor once, two side by side."""
+        # the distances from orbits walked for this build only: each
+        # distinct anchor once, two side by side
         held = walked([((level, t0), t0, _walker(level), off + lo, off + hi)
                        for level, t0, off in (p, q) if level is not None])
-        return floats_from_blocks(lo, hi, lambda a, b: _dist(
-            *(self._rows(x, held.get(x[:2]), a, b) for x in (p, q)),
-            lambda d: np.sqrt(d, out=d)))
+        return DistanceProfile.from_floats(lo, floats_from_blocks(
+            lo, hi, lambda a, b: _dist(
+                *(self._rows(x, held.get(x[:2]), a, b) for x in (p, q)),
+                lambda d: np.sqrt(d, out=d))))
 
     def parse_point(self, text: str):
         level, t, off = parse_fields(text, {"level": None, "t": None, "off": "0"}).values()

@@ -15,7 +15,7 @@ import numpy as np
 from weylab.core import (FolnerWindow, Point, default_schedule,
                          dyadic_schedule, dist, get_factor, get_system)
 from weylab.dyadic import DyadicInteger
-from weylab.estimators import estimate, hat, pair_profile, weyl
+from weylab.estimators import SummaryMemo, estimate, hat, pair_profile, weyl
 from weylab.profiles import SCALE
 from weylab.factors import (FunctionFamily, classify_factor_map,
                             domination_check, lift_metric,
@@ -100,10 +100,11 @@ def test_criterion_3_shell_stack_dichotomy():
         y = Point("shells62", (None, t2, 0))
         rigid_exact = rigid_exact and weyl(x, y, fib_sched).value == dist(x, y)
     factor = get_factor("shells62.pi")
-    pm = scan_property_M(factor, dyadic_schedule(13, 16), seed=7,
-                         pair_count=12, sequence_count=2)
-    meq = scan_mean_equicontinuity(factor, dyadic_schedule(13, 16), seed=7,
-                                   sequence_count=2)
+    memo = SummaryMemo(dyadic_schedule(13, 16))  # both scans read one memo
+    pm = scan_property_M(factor, seed=7, pair_count=12, sequence_count=2,
+                         summaries=memo)
+    meq = scan_mean_equicontinuity(factor, seed=7, sequence_count=2,
+                                   summaries=memo)
     witnessed = meq.holds is False and any(
         "shell" in v for v in meq.violations)
     ok = worst < 0.05 and rigid_exact and pm.holds and witnessed

@@ -333,10 +333,8 @@ BASELINE_DIGESTS = {
                             pytest.param("shells-meq", 1, 1, id="shells-meq-1-one-cpu")])
 def test_bundled_scenarios_reproduce_baseline_digests(tmp_path, monkeypatch, name,
                                                       threads, cpus):
-    if cpus is not None:  # every orbit walked cold, on that many CPUs
+    if cpus is not None:  # every orbit walked on that many CPUs
         monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
-        # the store holds the pairs' samples too: none is read back
-        monkeypatch.setattr(orbits, "_STORE", collections.OrderedDict())
     out = tmp_path / "out"
     code = main(["run", name, "--out", str(out), "--threads", str(threads)])
     assert code == (2 if name == "tm-chain-decomposition-fail" else 0)

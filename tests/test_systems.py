@@ -1,7 +1,6 @@
 import math
 import os
 import time
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -724,16 +723,12 @@ def test_forked_fill_matches_in_process_walk(system_id, p, q, monkeypatch):
     filled, runs = _walked_orbits(monkeypatch, module), []
     for cpus in (1, 2):  # in process, then p's orbit in a forked child
         monkeypatch.setattr(orbits, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # walk cold
         filled.clear()
         profile = system.pair_profile(p, q, -n, n)
         _assert_no_child_left()
-        # the build walked its two orbits, which the store does not hold:
-        # it holds the samples only
-        (held,) = filled
+        (held,) = filled  # the build walked its two orbits
         ends = [end for orbit in held.values() for end in orbit]
         assert [len(end) for end in ends] == [n + 1, n] * 2
-        assert [type(entry) for entry in orbits._STORE.values()] == [np.ndarray]
         runs.append((len(forks), _bits(profile), ends))
     (forks_1, profile_1, ends_1), (forks_2, profile_2, ends_2) = runs
     assert (forks_1, forks_2) == (0, 1)
@@ -852,60 +847,6 @@ def test_fill_beside_another_thread_does_not_fork(monkeypatch):
     _assert_walked_here(held, 64)
 
 
-def test_orbit_store_stays_under_its_byte_cap(monkeypatch):
-    """Pair builds fill samples under the cap and point reads store
-    nothing; what the store drops is rebuilt with the same bytes, also a
-    sample set larger than the whole cap."""
-    from weylab.systems import orbits
-
-    system = get_system("interval61")
-    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
-    p, q = ("hat", 0.4321, 0), ("check", 0.1234, 0)
-    wide = system.pair_profile(p, q, -4096, 4096)
-    before = system.pair_profile(p, q, -1000, 1000)
-    value = system.value(system.act(p, -1000))
-    assert len(orbits._STORE) == 2  # two sample sets
-    # 8 bytes a sample: two pairs' samples on 2001 offsets fit, three do not
-    cap = 8 * 4096
-    monkeypatch.setattr(orbits, "ORBIT_CACHE_BYTES", cap)
-    for k in range(20):
-        a = ("hat", 0.05 + 0.01 * k, 0)
-        system.value(system.act(a, -1000))
-        system.pair_profile(a, q, -1000, 1000)
-        assert orbits.cached_bytes() <= cap
-        assert [entry.dtype for entry in orbits._STORE.values()] == [np.float64] * 2
-    assert ("interval61", p, q, -1000, 1000) not in orbits._STORE
-    again = system.pair_profile(p, q, -1000, 1000)
-    assert system.value(system.act(p, -1000)) == value
-    assert orbits.cached_bytes() <= cap
-    assert np.array_equal(_bits(again), _bits(before))
-    # 8193 samples take 65544 bytes, past the cap: rebuilt, then dropped
-    assert ("interval61", p, q, -4096, 4096) not in orbits._STORE
-    again = system.pair_profile(p, q, -4096, 4096)
-    assert orbits.cached_bytes() <= cap
-    assert ("interval61", p, q, -4096, 4096) not in orbits._STORE
-    assert np.array_equal(_bits(again), _bits(wide))
-
-
-def test_orbit_store_holds_one_float64_per_point(monkeypatch):
-    from weylab.systems import orbits
-
-    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
-    system, r = get_system("shells62"), 1 << 12
-    x, y = (2, 1.0, 0), (2, 2.0, 0)
-    for p in (x, y):  # each anchor walks r points forward of its x0 and r back
-        for g in (-r, r):
-            system.angle(system.act(p, g))
-    assert len(orbits._STORE) == 0 and orbits.cached_bytes() == 0
-    # a pair build walks orbits of its own and adds its samples, 8 bytes each
-    profile = system.pair_profile(x, y, -2 * r, 2 * r)
-    ((key, values),) = orbits._STORE.items()
-    assert key == ("shells62", x, y, -2 * r, 2 * r)
-    assert values is profile.floats and not values.flags.writeable
-    assert values.dtype == np.float64
-    assert orbits.cached_bytes() == 8 * len(profile)
-
-
 #: tracemalloc peak of one cold shell pair's profile build, in bytes per
 #: sample of its profile: 26.0 is measured.  The build's own orbits hold
 #: 16, the samples 8, and the blocks O(2^14): each block's rows and
@@ -926,8 +867,7 @@ def _replaying_walks(monkeypatch, module, run):
     """run()'s result, with module._walk recording its walks in process;
     then module._walk replays them.  tracemalloc slows the walk's Python
     loop about eightfold, so the traced runs replay the walks of an
-    untraced one into the output array the orbit hands them.  Replacing
-    the store (orbits and samples) makes the next build walk cold."""
+    untraced one into the output array the orbit hands them."""
     from weylab.systems import orbits
 
     walks, walk = {}, module._walk
@@ -944,7 +884,6 @@ def _replaying_walks(monkeypatch, module, run):
 
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 1)
     monkeypatch.setattr(module, "_walk", record)
-    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
     want = run()
     monkeypatch.setattr(module, "_walk", replay)
     return want
@@ -983,7 +922,6 @@ def _assert_pair_working_set(monkeypatch, module, x, y, bounds):
         for build, bound in zip(
                 (lambda: system.pair_profile(x.payload, y.payload, lo, hi),
                  lambda: PairSummary.of(x, y, schedule)), bounds):
-            monkeypatch.setattr(orbits, "_STORE", OrderedDict())
             got, peak = _traced_peak(build)
             assert peak / (hi - lo + 1) < bound, (cpus, peak)
         assert got == want
@@ -1005,11 +943,10 @@ def test_interval_pair_summary_working_set_is_bounded(monkeypatch):
 
 def test_shells_meq_sequence_working_set_is_bounded(monkeypatch):
     """The four shell pairs of shells-meq's sequence, summarized through one
-    memo as the scenario does, hold their samples, 8 bytes a sample each,
-    and beyond those one pair's working set at a time; no orbit is held."""
+    memo as the scenario does, take one pair's working set at a time: no
+    pair's orbits or samples outlive its summary."""
     from weylab.core import dyadic_schedule, get_factor
     from weylab.estimators import SummaryMemo
-    from weylab.systems import orbits
 
     schedule = dyadic_schedule(13, 16)  # the scenario's
     lo, hi = schedule.hull_range()
@@ -1021,15 +958,10 @@ def test_shells_meq_sequence_working_set_is_bounded(monkeypatch):
         return [memo(x, y) for x, y in terms]
 
     want = _replaying_walks(monkeypatch, shells, run)
-    monkeypatch.setattr(orbits, "_STORE", OrderedDict())
     got, peak = _traced_peak(run)
     assert got == want
     n = hi - lo + 1
-    held = 8 * n * len(terms)  # every pair's samples, and nothing else
-    assert len(orbits._STORE) == len(terms) and orbits.cached_bytes() == held
-    # the last pair's samples are held and counted in its working set too
-    working = SHELL_PAIR_BYTES_PER_SAMPLE * n
-    assert peak < held - 8 * n + working, (peak / n, held / n)
+    assert peak < SHELL_PAIR_BYTES_PER_SAMPLE * n, peak / n
 
 
 def _counted_walks(monkeypatch):
@@ -1050,15 +982,16 @@ def _counted_walks(monkeypatch):
         return walk
 
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # walk cold
     for module in (shells, interval):
         monkeypatch.setattr(module, "_walk", counted(module))
     return walks
 
 
 def test_criterion_3_pattern_walks_each_orbit_once(monkeypatch):
+    """Criterion 3's calls walk each orbit end once a consumer: once for
+    the weyl calls, and once for the two scans, which share one memo."""
     from weylab.core import dyadic_schedule, get_factor
-    from weylab.estimators import weyl
+    from weylab.estimators import SummaryMemo, weyl
     from weylab.relations import scan_mean_equicontinuity, scan_property_M
 
     walks = _counted_walks(monkeypatch)
@@ -1068,16 +1001,18 @@ def test_criterion_3_pattern_walks_each_orbit_once(monkeypatch):
         weyl(Point("shells62", (k, 0.5 * math.pi, 0)),
              Point("shells62", (k, math.pi, 0)), schedule)
     assert len(walks) == 16
-    factor, scans = get_factor("shells62.pi"), dyadic_schedule(13, 16)
-    assert scans.hull_range() == (lo, hi)
-    scan_property_M(factor, scans, seed=7, pair_count=12, sequence_count=2)
-    scan_mean_equicontinuity(factor, scans, seed=7, sequence_count=2)
-    # no orbit end is walked twice, and each end once over the hull: the
-    # scans rebuild the four pairs from their samples and walk the anchors
+    factor, memo = get_factor("shells62.pi"), SummaryMemo(dyadic_schedule(13, 16))
+    assert memo.schedule.hull_range() == (lo, hi)
+    scan_property_M(factor, seed=7, pair_count=12, sequence_count=2,
+                    summaries=memo)
+    # the scan walks each end once: the four pairs' again, and the anchors
     # of the five other shell pairs off the identity shell that the pair
     # sampler draws
     starts = [start for start, _ in walks]
-    assert len(set(starts)) == len(starts) == 16 + 2 * 2 * 5
+    assert len(set(starts[16:])) == len(starts) - 16 == 16 + 2 * 2 * 5
+    assert set(starts[:16]) < set(starts[16:])
+    scan_mean_equicontinuity(factor, seed=7, sequence_count=2, summaries=memo)
+    assert len(walks) == 16 + 16 + 2 * 2 * 5  # the memo serves every pair
     assert {n for _, n in walks} == {hi}  # every anchor sits at offset 0
 
 
@@ -1097,24 +1032,22 @@ def test_pair_on_one_anchor_walks_it_once(monkeypatch, system_id, x, g):
     start = walks[0][0][:-1]
     assert len(walks) == 2
     assert dict(walks) == {start + (False,): hi + g, start + (True,): -lo}
-    again = system.pair_profile(p, q, lo, hi)  # from the stored samples
-    assert len(walks) == 2 and forks == []
+    again = system.pair_profile(p, q, lo, hi)  # nothing kept: walked again
+    assert walks[2:] == walks[:2] and forks == []
     assert np.array_equal(_bits(again), _bits(first))
 
 
-def test_rebuild_at_one_range_computes_nothing(monkeypatch):
-    walks = _counted_walks(monkeypatch)
-    system, p, q = get_system("shells62"), (2, 1.0, 0), (4, 2.0, 3)
-    first = system.pair_profile(p, q, -4096, 4096)
-    assert len(walks) == 4
+@pytest.mark.parametrize("system_id, p, q", [
+    ("shells62", (2, 1.0, 0), (4, 2.0, 0)),
+    ("interval61", ("hat", 0.3, 0), ("check", 0.6, 0)),
+])
+def test_float_samples_go_with_their_profile(system_id, p, q):
+    import weakref
 
-    def no_trig(*args, **kwargs):
-        raise AssertionError("sine or cosine on a stored range")
-
-    monkeypatch.setattr(np, "sin", no_trig)
-    monkeypatch.setattr(np, "cos", no_trig)
-    again = system.pair_profile(p, q, -4096, 4096)
-    assert len(walks) == 4 and again.floats is first.floats
+    profile = get_system(system_id).pair_profile(p, q, -4096, 4096)
+    samples = weakref.ref(profile.floats)
+    del profile
+    assert samples() is None
 
 
 def test_sequence_validation_at_offset_0_walks_nothing(monkeypatch):
@@ -1130,21 +1063,17 @@ def test_point_read_walks_its_offset_and_stores_nothing(monkeypatch):
 
     walks = _counted_walks(monkeypatch)
     shell, line = get_system("shells62"), get_system("interval61")
-    shell.pair_profile((2, 1.0, 0), (4, 2.0, 0), -64, 64)
-    kept = list(orbits._STORE.items())
-    assert len(kept) == 1
-    walks.clear()
     forks = _counted_forks(monkeypatch)
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
-    for m in (-300, 517, 0):  # index 0 walks nothing
-        assert shell.angle((2, 1.0, m)) == 1.0  # the counted walk repeats x0
-        assert line.value(("hat", 0.3, m)) == 0.3
-    assert walks == [(("weylab.systems.shells", 1.0, 0.5, True), 300),
-                     (("weylab.systems.interval", 0.3, True), 300),
-                     (("weylab.systems.shells", 1.0, 0.5, False), 517),
-                     (("weylab.systems.interval", 0.3, False), 517)]
+    for _ in range(2):  # nothing is kept: a second read walks again
+        for m in (-300, 517, 0):  # index 0 walks nothing
+            assert shell.angle((2, 1.0, m)) == 1.0  # the counted walk repeats x0
+            assert line.value(("hat", 0.3, m)) == 0.3
+    assert walks == 2 * [(("weylab.systems.shells", 1.0, 0.5, True), 300),
+                         (("weylab.systems.interval", 0.3, True), 300),
+                         (("weylab.systems.shells", 1.0, 0.5, False), 517),
+                         (("weylab.systems.interval", 0.3, False), 517)]
     assert forks == []
-    assert len(orbits._STORE) == 1 and all(orbits._STORE[key] is values for key, values in kept)
 
 
 @pytest.mark.parametrize("system_id, p, q", [
@@ -1169,7 +1098,6 @@ def test_one_sided_two_anchor_builds_fork_one_child(
     q = system.act(q, shift)
     forks, mappings = _counted_forks(monkeypatch), _tracked_mappings(monkeypatch)
     monkeypatch.setattr(orbits, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(orbits, "_STORE", OrderedDict())  # walk cold
     profile = system.pair_profile(p, q, lo, hi)
     _assert_no_child_left()
     assert len(forks) == len(mappings) == forks_wanted
