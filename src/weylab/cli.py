@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import functools
 import io
 import json
 import os
@@ -253,7 +252,7 @@ def _resolve_pairs(sc: Scenario, seed_override: Optional[int]):
     return fm.pair_sampler(_require_seed(sc, seed_override), sc.count)
 
 
-def _run_estimate(sc: Scenario, seed_override, rows, verdicts, memo_of):
+def _run_estimate(sc: Scenario, seed_override, rows, verdicts, summaries):
     schedule = _schedule_of(sc)
     for kind in sc.kinds:
         if kind not in ESTIMATE_KINDS:
@@ -276,11 +275,11 @@ def _run_estimate(sc: Scenario, seed_override, rows, verdicts, memo_of):
     return False
 
 
-def _weyl_series(sc: Scenario, items, summaries, rows):
+def _weyl_series(sc: Scenario, items, summaries, schedule, rows):
     """Weyl series rows of (pair_id, pair) items; pairs behind a verdict
     are already in summaries and are not estimated again."""
     for pid, (x, y) in items:
-        rows.extend(_series_rows(sc.name, pid, summaries(x, y).weyl))
+        rows.extend(_series_rows(sc.name, pid, summaries(x, y, schedule).weyl))
 
 
 def _sampled_items(prefix: str, pairs):
@@ -288,82 +287,83 @@ def _sampled_items(prefix: str, pairs):
             for idx, pair in enumerate(pairs)]
 
 
-def _run_classify(sc: Scenario, seed_override, rows, verdicts, memo_of):
-    summaries = memo_of(_schedule_of(sc))
+def _run_classify(sc: Scenario, seed_override, rows, verdicts, summaries):
+    schedule = _schedule_of(sc)
     if sc.pairs:
         fm = get_factor(sc.factor) if sc.factor else None
         legend = {}
         for idx, (x, y) in enumerate(_resolve_pairs(sc, seed_override)):
-            verdict = classify_pair(x, y, tolerances=sc.tolerances,
-                                    factor=fm, summaries=summaries)
-            pid = "p%03d" % idx
+            verdict = classify_pair(x, y, schedule, sc.tolerances, fm,
+                                    summaries)
+            pid, summary = "p%03d" % idx, summaries(x, y, schedule)
             for kind in DEFAULT_KINDS:
-                rows.extend(_series_rows(sc.name, pid,
-                                         getattr(summaries(x, y), kind)))
+                rows.extend(_series_rows(sc.name, pid, getattr(summary, kind)))
             legend[pid] = verdict.as_dict()
         verdicts[sc.name] = {"operation": "classify", "pairs": legend}
         return False
     if sc.factor is None:
         _fail(sc.name, "classify needs a factor id or explicit pairs")
     seed = _require_seed(sc, seed_override)
-    cls = classify_factor_map(sc.factor, None, sc.tolerances, seed,
+    cls = classify_factor_map(sc.factor, schedule, sc.tolerances, seed,
                               sc.count, sc.sequences, summaries)
     _weyl_series(sc, _sampled_items("", cls.property_M_report.sampled_pairs),
-                 summaries, rows)
+                 summaries, schedule, rows)
     verdicts[sc.name] = {"operation": "classify", **cls.as_dict()}
     return False
 
 
-def _run_test_M(sc: Scenario, seed_override, rows, verdicts, memo_of):
-    summaries = memo_of(_schedule_of(sc))
+def _run_test_M(sc: Scenario, seed_override, rows, verdicts, summaries):
+    schedule = _schedule_of(sc)
     if sc.factor is None:
         _fail(sc.name, "test-M needs a factor id")
     seed = _require_seed(sc, seed_override)
     fm = get_factor(sc.factor)
-    report = scan_property_M(fm, None, sc.tolerances, seed, sc.count,
+    report = scan_property_M(fm, schedule, sc.tolerances, seed, sc.count,
                              sc.sequences, summaries)
-    _weyl_series(sc, _sampled_items("", report.sampled_pairs), summaries, rows)
+    _weyl_series(sc, _sampled_items("", report.sampled_pairs), summaries,
+                 schedule, rows)
     verdicts[sc.name] = {"operation": "test-M", **report.as_dict()}
     return False
 
 
-def _run_test_meq(sc: Scenario, seed_override, rows, verdicts, memo_of):
-    summaries = memo_of(_schedule_of(sc))
+def _run_test_meq(sc: Scenario, seed_override, rows, verdicts, summaries):
+    schedule = _schedule_of(sc)
     if sc.factor is None:
         _fail(sc.name, "test-meq needs a factor id")
     seed = _require_seed(sc, seed_override)
     fm = get_factor(sc.factor)
-    report = scan_mean_equicontinuity(fm, None, sc.tolerances, seed,
+    report = scan_mean_equicontinuity(fm, schedule, sc.tolerances, seed,
                                       sc.sequences, summaries)
     for sidx, seq in enumerate(report.sequences):
         items = [("s%02d.t%02d" % (sidx, tidx), pair)
                  for tidx, pair in enumerate(seq.terms)]
         if seq.limit is not None:
             items.append(("s%02d.lim" % sidx, seq.limit))
-        _weyl_series(sc, items, summaries, rows)
+        _weyl_series(sc, items, summaries, schedule, rows)
     verdicts[sc.name] = {"operation": "test-meq", **report.as_dict()}
     return False
 
 
-def _run_decomposition(sc: Scenario, seed_override, rows, verdicts, memo_of):
-    summaries = memo_of(_schedule_of(sc))
+def _run_decomposition(sc: Scenario, seed_override, rows, verdicts, summaries):
+    schedule = _schedule_of(sc)
     if sc.decomposition is None or len(sc.decomposition) != 3:
         _fail(sc.name, "verify-decomposition needs decomposition = "
                        "'<pi> <phi> <psi>'")
     seed = _require_seed(sc, seed_override)
     pi_id, phi_id, psi_id = sc.decomposition
-    report = verify_decomposition(pi_id, phi_id, psi_id, None,
+    report = verify_decomposition(pi_id, phi_id, psi_id, schedule,
                                   sc.tolerances, seed, sc.count,
                                   sc.sequences, summaries=summaries)
     for label, cls in (("phi.", report.phi), ("psi.", report.psi)):
         _weyl_series(sc, _sampled_items(
-            label, cls.property_M_report.sampled_pairs), summaries, rows)
+            label, cls.property_M_report.sampled_pairs), summaries, schedule,
+            rows)
     verdicts[sc.name] = {"operation": "verify-decomposition",
                          **report.as_dict()}
     return not report.passed
 
 
-def _run_language_check(sc: Scenario, seed_override, rows, verdicts, memo_of):
+def _run_language_check(sc: Scenario, seed_override, rows, verdicts, summaries):
     system = get_system(sc.system or "toeplitz")
     if not hasattr(system, "coords"):
         _fail(sc.name, "language-check needs a symbolic system")
@@ -414,13 +414,13 @@ _RUNNERS = {
 
 def run_scenarios(scenarios, seed_override: Optional[int] = None):
     """Execute scenarios in file order; returns (csv rows, verdict document,
-    verdict_failed flag); the run keeps one SummaryMemo per schedule."""
+    verdict_failed flag); one SummaryMemo serves the whole run."""
     rows, verdicts = [], {}
     failed = False
-    memo_of = functools.cache(SummaryMemo)
+    summaries = SummaryMemo()
     for sc in scenarios:
         failed = _RUNNERS[sc.operation](sc, seed_override, rows, verdicts,
-                                        memo_of) or failed
+                                        summaries) or failed
     return rows, verdicts, failed
 
 

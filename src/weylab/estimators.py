@@ -53,15 +53,15 @@ window it is given in one vectorized pass; check and hat read every
 window's ranges from one DistanceProfile.extremes call.  No estimator
 calls the per-sample reference accessors (scaled, prefix).
 
-A PairSummary holds a pair's four classification kinds, and a SummaryMemo
-keeps one summary per unordered pair (estimates are bit-symmetric), so
-that a whole run builds each distinct off-diagonal pair once and scans one
-diagonal pair per schedule.
+A PairSummary holds a pair's four classification kinds on one schedule.
+A SummaryMemo keeps their per-window rows by unordered pair (estimates are
+bit-symmetric), window and radius, on which alone a row depends, so that a
+whole run builds each distinct pair once, whatever its schedules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -71,6 +71,7 @@ from .core import CrossSystemError, FolnerSchedule, FolnerWindow, Point
 from .profiles import SCALE, DistanceProfile, _ragged_range, blocks
 
 ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
+SUMMARY_KINDS = ("check", "besicovitch", "weyl", "hat")
 
 
 def pair_profile(x: Point, y: Point, lo: int, hi: int) -> DistanceProfile:
@@ -302,47 +303,36 @@ def _scan_windows(scan, windows, radii, unit, below=False):
     return per
 
 
-def _extreme_windows(profile, schedule):
+def _extreme_windows(profile, windows, radii):
     """(check, hat) per-window values, from one extremes call over every
     window's range with its translate slack and over that range less its
     two ends (the range itself when that leaves nothing).  The boundary
     flag is set when the two differ: the extreme lies on the ends only."""
-    windows, radii = schedule.windows, schedule.translate_radius
     a = [w.lo - M for w, M in zip(windows, radii)]
     b = [w.hi + M for w, M in zip(windows, radii)]
     cut = [int(q - p >= 2) for p, q in zip(a, b)]
     mn, mn_t, mx, mx_t = profile.extremes(
         a + [p + c for p, c in zip(a, cut)], b + [q - c for q, c in zip(b, cut)])
     W = len(windows)
-    low = [_window_value(w, M, mn_t[k], Fraction(mn[k], SCALE), mn[W + k] != mn[k])
-           for k, (w, M) in enumerate(zip(windows, radii))]
-    high = [_window_value(w, M, mx_t[k], Fraction(mx[k], SCALE), mx[W + k] != mx[k])
-            for k, (w, M) in enumerate(zip(windows, radii))]
-    return low, high
+    return ([_window_value(w, M, t[k], Fraction(v[k], SCALE), v[W + k] != v[k])
+             for k, (w, M) in enumerate(zip(windows, radii))]
+            for v, t in ((mn, mn_t), (mx, mx_t)))
 
 
 # ---------------------------------------------------------------------------
 # estimates of a pair from one profile
 
 
-def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
-              eps: Optional[float] = None) -> Dict[str, PseudometricEstimate]:
-    """The estimates of the named kinds, by kind name, from one profile
-    build.  Only the passes those kinds need are run; 'check' and 'hat'
-    share one.  'banach-density' needs eps."""
-    for kind in kinds:
-        if kind not in ESTIMATE_KINDS:
-            raise ValueError("unknown estimate kind %r" % (kind,))
-        if kind == "banach-density":
-            if eps is None:
-                raise ValueError("banach-density needs eps")
-            if eps <= 0:
-                raise ValueError("eps must be positive")
-    profile = pair_profile(x, y, *schedule.hull_range())
-    windows, radii = schedule.windows, schedule.translate_radius
+def _window_rows(x, y, windows, radii, kinds, eps=None):
+    """The per-window values of the named kinds, by kind name, from one
+    build over the hull of the windows with their radii.  Only the passes
+    those kinds need are run; 'check' and 'hat' share one."""
+    lo = min(w.lo - M for w, M in zip(windows, radii))
+    hi = max(w.hi + M for w, M in zip(windows, radii))
+    profile = pair_profile(x, y, lo, hi)
     per = {}
     if "check" in kinds or "hat" in kinds:
-        per["check"], per["hat"] = _extreme_windows(profile, schedule)
+        per["check"], per["hat"] = _extreme_windows(profile, windows, radii)
     # besicovitch is the weyl scan at radius 0, so one scan call serves both
     summed = [kind for kind in ("besicovitch", "weyl") if kind in kinds]
     if summed:
@@ -357,6 +347,20 @@ def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
         per["banach-density"] = _scan_windows(
             _run_scan(flags + (flags[1],), profile.lo), windows, radii, 1,
             below=True)
+    return per
+
+
+def estimates(x: Point, y: Point, schedule: FolnerSchedule, kinds,
+              eps: Optional[float] = None) -> Dict[str, PseudometricEstimate]:
+    """The estimates of the named kinds, by kind name, from one profile
+    build over the schedule's hull.  'banach-density' needs eps."""
+    for kind in kinds:
+        if kind not in ESTIMATE_KINDS:
+            raise ValueError("unknown estimate kind %r" % (kind,))
+    if "banach-density" in kinds and (eps is None or eps <= 0):
+        raise ValueError("banach-density needs a positive eps")
+    per = _window_rows(x, y, schedule.windows, schedule.translate_radius,
+                       kinds, eps)
     return {kind: _aggregate(kind, x, y, per[kind], schedule) for kind in kinds}
 
 
@@ -405,10 +409,10 @@ def banach_density(x: Point, y: Point, eps: float,
 @dataclass(frozen=True)
 class PairSummary:
     """check, besicovitch, weyl and hat of one ordered pair on one schedule,
-    all from a single profile build and a single translate scan.  The
-    profile itself is not kept: at a 2^16 hull the samples and limb sums of
-    a float profile weigh megabytes, and the runs view of a symbolic one
-    holds a big integer per run."""
+    from one profile build (`of`) or from a memo's rows.  No profile is
+    kept: at a 2^16 hull the samples and limb sums of a float profile weigh
+    megabytes, and the runs view of a symbolic one holds a big integer per
+    run."""
 
     check: PseudometricEstimate
     besicovitch: PseudometricEstimate
@@ -417,41 +421,37 @@ class PairSummary:
 
     @classmethod
     def of(cls, x: Point, y: Point, schedule: FolnerSchedule) -> "PairSummary":
-        return cls(**estimates(x, y, schedule,
-                               ("check", "besicovitch", "weyl", "hat")))
-
-    def relabelled(self, x: Point, y: Point) -> "PairSummary":
-        """The same estimates, labelled as the pair (x, y): the summary of
-        (y, x) for the reverse of a pair, or of any diagonal pair for
-        another diagonal one on the same schedule."""
-        return PairSummary(*(replace(e, x=str(x), y=str(y))
-                             for e in vars(self).values()))
+        return cls(**estimates(x, y, schedule, SUMMARY_KINDS))
 
 
 class SummaryMemo:
-    """One PairSummary per unordered pair of points, for one schedule: every
-    consumer in a run reads its estimates here, so each distinct pair is
-    built and scanned once and (y, x) after (x, y) is only relabelled.
-    Every diagonal pair on one schedule has the same estimates, so the
-    first one is scanned (on the zero profile, with no system build) and
-    later ones relabel it.  Only summaries are held, never a profile.
-    Threads may share a memo: two that miss on one pair at once both
-    compute it, with equal results."""
+    """A run's PairSummaries, on any schedules.  For each unordered pair it
+    keeps one row per (window, radius), the four kinds' values there, and
+    every diagonal pair shares one entry (its profile is zero).  A request
+    whose schedule has windows the pair lacks builds the pair once, over
+    the hull of those windows only, and adds their rows; each summary is
+    aggregated once and kept for its (x, y, schedule).  Only rows and
+    summaries are held, never a profile.  Threads may share a memo: two
+    that miss on one pair at once both compute it, with equal results."""
 
-    def __init__(self, schedule: FolnerSchedule):
-        self.schedule = schedule
-        self._summaries: Dict[Tuple[Point, Point], PairSummary] = {}
-        self._diagonal: Optional[PairSummary] = None
+    def __init__(self):
+        self._rows: Dict[object, Dict[Tuple[FolnerWindow, int], tuple]] = {}
+        self._summaries: Dict[tuple, PairSummary] = {}
 
-    def __call__(self, x: Point, y: Point) -> PairSummary:
-        summary = self._summaries.get((x, y))
+    def __call__(self, x: Point, y: Point,
+                 schedule: FolnerSchedule) -> PairSummary:
+        summary = self._summaries.get((x, y, schedule))
         if summary is None:
-            held = self._diagonal if x == y else self._summaries.get((y, x))
-            if held is not None:
-                summary = held.relabelled(x, y)
-            else:
-                summary = PairSummary.of(x, y, self.schedule)
-                if x == y:
-                    self._diagonal = summary
-            self._summaries[(x, y)] = summary
+            rows = self._rows.setdefault(
+                None if x == y else frozenset((x, y)), {})
+            keys = list(zip(schedule.windows, schedule.translate_radius))
+            missing = [key for key in keys if key not in rows]
+            if missing:
+                per = _window_rows(x, y, *zip(*missing), SUMMARY_KINDS)
+                rows.update(zip(missing, zip(*(per[k] for k in SUMMARY_KINDS))))
+            columns = zip(*(rows[key] for key in keys))  # one a kind
+            summary = PairSummary(*(
+                _aggregate(kind, x, y, column, schedule)
+                for kind, column in zip(SUMMARY_KINDS, columns)))
+            self._summaries[(x, y, schedule)] = summary
         return summary

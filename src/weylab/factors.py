@@ -212,20 +212,20 @@ def classify_factor_map(map_id, schedule: Optional[FolnerSchedule] = None,
                         summaries: Optional[SummaryMemo] = None
                         ) -> FactorClassification:
     """Pairs and sequences are drawn once and estimated once through one
-    memo (pass `summaries` to share it further); the reports equal those of
-    the scan_* functions for the same seed and counts."""
+    memo (pass `summaries` to share it, across schedules too); the reports
+    equal those of the scan_* functions for the same arguments."""
     fm = map_id if isinstance(map_id, FactorMap) else get_factor(map_id)
-    summaries = summaries_for(schedule, summaries)
+    schedule, summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     if fm.pair_sampler is None:
         raise CompositionError("factor map %s has no pair sampler" % fm.map_id)
     pairs = tuple(_sample_pairs(fm, seed, pair_count))
-    verdicts = _pair_verdicts(pairs, fm, tol, summaries)
+    verdicts = _pair_verdicts(pairs, fm, schedule, tol, summaries)
     if not all(v.in_R_pi for v in verdicts):
         raise CompositionError(
             "sampler for %s produced a pair outside R(pi)" % fm.map_id)
-    reports, seqs = _sequence_reports(fm, seed, sequence_count, tol,
-                                      summaries)
+    reports, seqs = _sequence_reports(fm, seed, sequence_count, schedule,
+                                      tol, summaries)
     equi = _modulus_scan(verdicts, "hat_value", tol)
     prop_m = _property_M_report(pairs, verdicts, reports, seqs, tol)
     me = _mean_equicontinuity_report(reports, seqs)
@@ -319,10 +319,10 @@ def verify_decomposition(pi_id: str, phi_id: str, psi_id: str,
         if psi.apply(phi.apply(x)).payload != pi.apply(x).payload:
             composition_ok = False
             break
-    summaries = summaries_for(schedule, summaries)
-    phi_cls = classify_factor_map(phi, None, tolerances, seed, pair_count,
+    schedule, summaries = summaries_for(schedule, summaries)
+    phi_cls = classify_factor_map(phi, schedule, tolerances, seed, pair_count,
                                   sequence_count, summaries)
-    psi_cls = classify_factor_map(psi, None, tolerances, seed, pair_count,
+    psi_cls = classify_factor_map(psi, schedule, tolerances, seed, pair_count,
                                   sequence_count, summaries)
     passed = composition_ok and phi_cls.topo_isomorphic \
         and psi_cls.equicontinuous

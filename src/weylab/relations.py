@@ -31,15 +31,12 @@ def default_classify_schedule() -> FolnerSchedule:
 
 
 def summaries_for(schedule: Optional[FolnerSchedule] = None,
-                  summaries: Optional[SummaryMemo] = None) -> SummaryMemo:
-    """The memo every estimate here is read from: the caller's, whose
-    schedule must match a given one, or a fresh memo on the schedule
-    (default: the classification schedule) that lasts for the call."""
-    if summaries is None:
-        return SummaryMemo(schedule or default_classify_schedule())
-    if schedule is not None and schedule != summaries.schedule:
-        raise ValueError("schedule differs from the schedule of summaries")
-    return summaries
+                  summaries: Optional[SummaryMemo] = None):
+    """The schedule (default: the classification schedule) and the memo
+    (the caller's, or a fresh one that lasts for the call) that every
+    estimate here is read through."""
+    return (schedule or default_classify_schedule(),
+            SummaryMemo() if summaries is None else summaries)
 
 
 @dataclass(frozen=True)
@@ -92,12 +89,12 @@ def classify_pair(x: Point, y: Point, schedule: Optional[FolnerSchedule] = None,
                   tolerances: Optional[Tolerances] = None,
                   factor: Optional[FactorMap] = None,
                   summaries: Optional[SummaryMemo] = None) -> PairVerdict:
-    summaries = summaries_for(schedule, summaries)
+    schedule, summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     in_r: Optional[bool] = None
     if factor is not None:
         in_r = factor.apply(x).payload == factor.apply(y).payload
-    summary = summaries(x, y)
+    summary = summaries(x, y, schedule)
     e_check, e_weyl = summary.check, summary.weyl
     banach_proximal = e_weyl.value < tol.zero_tol
     proximal = e_check.value < tol.zero_tol
@@ -174,15 +171,15 @@ def sequence_report(seq: PairSequence, schedule: Optional[FolnerSchedule] = None
     The sequence counts as asymptotically Banach proximal when the tail
     half of the term estimates sits below zero_tol.
     """
-    summaries = summaries_for(schedule, summaries)
+    schedule, summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
-    values = [summaries(a, b).weyl.value for a, b in seq.terms]
+    values = [summaries(a, b, schedule).weyl.value for a, b in seq.terms]
     tail = values[len(values) // 2 :]
     abp = max(tail) < tol.zero_tol
     limit_bp = None
     limit_value = None
     if seq.limit is not None:
-        limit_value = summaries(*seq.limit).weyl.value
+        limit_value = summaries(*seq.limit, schedule).weyl.value
         limit_bp = limit_value < tol.zero_tol
     return SequenceReport(abp, tuple(values), limit_bp, limit_value,
                           seq.description)
@@ -207,20 +204,21 @@ def _sample_pairs(factor: FactorMap, seed: int, count: int):
     return pairs
 
 
-def _pair_verdicts(pairs, factor: FactorMap, tol: Tolerances,
-                   summaries: SummaryMemo):
-    return [classify_pair(a, b, tolerances=tol, factor=factor,
-                          summaries=summaries) for a, b in pairs]
+def _pair_verdicts(pairs, factor: FactorMap, schedule: FolnerSchedule,
+                   tol: Tolerances, summaries: SummaryMemo):
+    return [classify_pair(a, b, schedule, tol, factor, summaries)
+            for a, b in pairs]
 
 
 def _sequence_reports(factor: FactorMap, seed: int, count: int,
-                      tol: Tolerances, summaries: SummaryMemo):
+                      schedule: FolnerSchedule, tol: Tolerances,
+                      summaries: SummaryMemo):
     """Reports of the drawn sequences that declare a limit (the only ones
     the criteria can judge), and every sequence drawn."""
     if factor.sequence_sampler is None:
         return [], ()
     seqs = tuple(factor.sequence_sampler(seed, count))
-    return [sequence_report(seq, None, tol, summaries)
+    return [sequence_report(seq, schedule, tol, summaries)
             for seq in seqs if seq.limit is not None], seqs
 
 
@@ -268,11 +266,11 @@ def scan_equicontinuity(factor: FactorMap,
                         summaries: Optional[SummaryMemo] = None) -> ModulusReport:
     """Scan R(pi) samples for pairs that start close but drift far apart
     at some single orbit time (hat)."""
-    summaries = summaries_for(schedule, summaries)
+    schedule, summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    return _modulus_scan(_pair_verdicts(pairs, factor, tol, summaries),
-                         "hat_value", tol)
+    verdicts = _pair_verdicts(pairs, factor, schedule, tol, summaries)
+    return _modulus_scan(verdicts, "hat_value", tol)
 
 
 def _sequence_violations(reports, converse: bool) -> Tuple[str, ...]:
@@ -323,14 +321,13 @@ def scan_property_M(factor: FactorMap,
     """Two routes at once: the delta*(eps) scan on weyl values over sampled
     R(pi) pairs, and the sequence criterion that a convergent sequence with
     a Banach proximal limit must itself be asymptotically Banach proximal."""
-    summaries = summaries_for(schedule, summaries)
+    schedule, summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     pairs = _sample_pairs(factor, seed, pair_count)
-    reports, seqs = _sequence_reports(factor, seed, sequence_count, tol,
-                                      summaries)
-    return _property_M_report(pairs,
-                              _pair_verdicts(pairs, factor, tol, summaries),
-                              reports, seqs, tol)
+    reports, seqs = _sequence_reports(factor, seed, sequence_count, schedule,
+                                      tol, summaries)
+    verdicts = _pair_verdicts(pairs, factor, schedule, tol, summaries)
+    return _property_M_report(pairs, verdicts, reports, seqs, tol)
 
 
 @dataclass(frozen=True)
@@ -367,10 +364,11 @@ def scan_mean_equicontinuity(factor: FactorMap,
     """On convergent sequences in R(pi) the map is mean equicontinuous iff
     'asymptotically Banach proximal' and 'limit Banach proximal' agree;
     both defect directions are reported."""
-    summaries = summaries_for(schedule, summaries)
+    schedule, summaries = summaries_for(schedule, summaries)
     tol = tolerances or Tolerances()
     return _mean_equicontinuity_report(
-        *_sequence_reports(factor, seed, sequence_count, tol, summaries))
+        *_sequence_reports(factor, seed, sequence_count, schedule, tol,
+                           summaries))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +392,7 @@ def regional_witness_search(factor: FactorMap, x: Point, y: Point,
     """Look for a non-diagonal sampled pair in R(pi) within eps_pair of
     (x, y) coordinatewise whose weyl value sits below zero_tol: evidence
     that (x, y) is regionally Banach proximal without being so itself."""
-    summaries = summaries_for(schedule)
+    schedule, summaries = summaries_for(schedule)
     tol = tolerances or Tolerances()
     best = None
     for a, b in _sample_pairs(factor, seed, count):
@@ -403,7 +401,7 @@ def regional_witness_search(factor: FactorMap, x: Point, y: Point,
         for (a2, b2) in ((a, b), (b, a)):
             dxa, dyb = dist(x, a2), dist(y, b2)
             if dxa < eps_pair and dyb < eps_pair:
-                value = summaries(a2, b2).weyl.value
+                value = summaries(a2, b2, schedule).weyl.value
                 if value < tol.zero_tol and (best is None or value < best[2]):
                     best = (a2, b2, value, dxa, dyb)
     if best is None:

@@ -89,22 +89,22 @@ def test_criterion_2_interval_mirror_pair_values():
 def test_criterion_3_shell_stack_dichotomy():
     t0 = time.monotonic()
     fib_sched = dyadic_schedule(9, 16)
+    memo = SummaryMemo()  # the weyl reads and both scans share one memo
     worst = 0.0
     for k in (1, 2, 4, 8):
         x = Point("shells62", (k, 0.5 * math.pi, 0))
         y = Point("shells62", (k, math.pi, 0))
-        worst = max(worst, weyl(x, y, fib_sched).value)
+        worst = max(worst, memo(x, y, fib_sched).weyl.value)
     rigid_exact = True
     for t1, t2 in ((0.5 * math.pi, math.pi), (1.0, 1.3), (0.25, 5.9)):
         x = Point("shells62", (None, t1, 0))
         y = Point("shells62", (None, t2, 0))
         rigid_exact = rigid_exact and weyl(x, y, fib_sched).value == dist(x, y)
-    factor = get_factor("shells62.pi")
-    memo = SummaryMemo(dyadic_schedule(13, 16))  # both scans read one memo
-    pm = scan_property_M(factor, seed=7, pair_count=12, sequence_count=2,
-                         summaries=memo)
-    meq = scan_mean_equicontinuity(factor, seed=7, sequence_count=2,
-                                   summaries=memo)
+    factor, scan_sched = get_factor("shells62.pi"), dyadic_schedule(13, 16)
+    pm = scan_property_M(factor, scan_sched, seed=7, pair_count=12,
+                         sequence_count=2, summaries=memo)
+    meq = scan_mean_equicontinuity(factor, scan_sched, seed=7,
+                                   sequence_count=2, summaries=memo)
     witnessed = meq.holds is False and any(
         "shell" in v for v in meq.violations)
     ok = worst < 0.05 and rigid_exact and pm.holds and witnessed

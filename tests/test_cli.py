@@ -438,6 +438,23 @@ def test_scenarios_on_one_schedule_share_one_memo(tmp_path, count_builds):
     assert unordered and set(unordered.values()) == {1}
 
 
+def test_scenarios_on_nested_schedules_share_one_memo(tmp_path,
+                                                      count_builds):
+    # the second scenario's windows are among the first's, so the run's one
+    # memo serves its pairs without a build
+    counts = count_builds("thuemorse")
+    path = tmp_path / "chain.ini"
+    path.write_text("".join(
+        "[scenario:%s]\noperation = classify\nfactor = %s\n"
+        "lo_exponent = %d\nmax_exponent = 6\nseed = 3\n" % (name, name, lo)
+        for name, lo in (("tm.phi", 4), ("tm.pi", 5))))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    unordered = collections.Counter()
+    for (p, q), n in counts.items():
+        unordered[frozenset((p, q))] += n
+    assert unordered and set(unordered.values()) == {1}
+
+
 @pytest.mark.parametrize("operation, draws", [
     ("test-M", {"pairs": 1, "sequences": 1}),
     ("test-meq", {"sequences": 1}),

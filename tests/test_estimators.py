@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -235,10 +236,11 @@ def test_estimates_builds_once_for_the_requested_kinds(count_builds):
 def test_summary_memo_builds_each_unordered_pair_once(count_builds):
     counts = count_builds("toeplitz")
     _, x, y = PAIRS[1]
-    memo = SummaryMemo(default_schedule(3))
-    first = memo(x, y)
-    assert memo(x, y) is first
-    reversed_ = memo(y, x)
+    schedule = default_schedule(3)
+    memo = SummaryMemo()
+    first = memo(x, y, schedule)
+    assert memo(x, y, schedule) is first
+    reversed_ = memo(y, x, schedule)
     assert sum(counts.values()) == 1
     for kind in ("check", "besicovitch", "weyl", "hat"):
         a, b = getattr(first, kind), getattr(reversed_, kind)
@@ -246,8 +248,59 @@ def test_summary_memo_builds_each_unordered_pair_once(count_builds):
         assert b.per_window == a.per_window, kind
         assert (b.kind, b.value, b.exact, b.boundary_warning) \
             == (a.kind, a.value, a.exact, a.boundary_warning), kind
-    assert memo(y, x) is reversed_
-    assert reversed_ == PairSummary.of(y, x, memo.schedule)
+    assert memo(y, x, schedule) is reversed_
+    assert reversed_ == PairSummary.of(y, x, schedule)
+
+
+# one pair of each system family the classifiers read, and a diagonal one
+MEMO_PAIRS = [
+    ("shells62", Point("shells62", (2, 0.5 * math.pi, 0)),
+     Point("shells62", (2, math.pi, 0))),
+    ("interval61", Point("interval61", ("hat", 0.4321, 0)),
+     Point("interval61", ("check", 0.1234, 0))),
+    ("thuemorse", _pt("thuemorse", "addr=int:0 flag=plain bit=0"),
+     _pt("thuemorse", "addr=int:0 flag=primed bit=0")),
+    ("toeplitz", _pt("toeplitz", "addr=int:7 flag=plain"),
+     _pt("toeplitz", "addr=int:7 flag=primed")),
+    ("sturmian", _pt("sturmian", "orbit=1 side=upper"),
+     _pt("sturmian", "orbit=1 side=lower")),
+    ("diagonal", _pt("toeplitz", "addr=int:2 flag=plain"),
+     _pt("toeplitz", "addr=int:2 flag=plain")),
+]
+
+
+@pytest.mark.parametrize("label,x,y", MEMO_PAIRS,
+                         ids=[p[0] for p in MEMO_PAIRS])
+def test_memo_summaries_across_schedules_match_fresh_ones_at_scale(
+        label, x, y, monkeypatch):
+    """A memo serves two nested schedules in either order, bit for bit as
+    fresh summaries, and builds the pair once over what it lacks."""
+    from weylab import estimators
+
+    wide, narrow = dyadic_schedule(12, 16), dyadic_schedule(14, 16)
+    lacking = dyadic_schedule(12, 13)  # the windows of wide not in narrow
+    assert wide.windows == lacking.windows + narrow.windows
+    fresh = {wide: PairSummary.of(x, y, wide),
+             narrow: PairSummary.of(x, y, narrow)}
+    built = []
+
+    def recorded(*args):
+        built.append(args[2:])
+        return pair_profile(*args)
+
+    monkeypatch.setattr(estimators, "pair_profile", recorded)
+    for order, builds in (((wide, narrow), [wide.hull_range()]),
+                          ((narrow, wide), [narrow.hull_range(),
+                                            lacking.hull_range()])):
+        memo, built[:] = SummaryMemo(), []
+        for schedule in order:
+            got = memo(x, y, schedule)
+            for kind in ("check", "besicovitch", "weyl", "hat"):
+                # WindowValue equality covers exact, translate and boundary
+                assert getattr(got, kind).per_window \
+                    == getattr(fresh[schedule], kind).per_window, kind
+            assert got == fresh[schedule]
+        assert built == builds
 
 
 @pytest.mark.parametrize("system_id", system_ids())
@@ -262,15 +315,15 @@ def test_summary_memo_serves_diagonal_pairs_without_a_build(system_id,
              _pt("odometer", "int:1"))
     builds = [count_builds(sid) for sid in system_ids()]
     eps = 0.25
+    memo = SummaryMemo()
     for schedule in (dyadic_schedule(2, 5), dyadic_schedule(2, 5, "left")):
-        memo = SummaryMemo(schedule)
         summary = PairSummary.of(x, x, schedule)
         together = estimates(x, x, schedule, ESTIMATE_KINDS, eps)
-        assert memo(x, x) == summary
-        second = memo(z, z)
+        assert memo(x, x, schedule) == summary
+        second = memo(z, z, schedule)
         assert not any(builds), schedule.family
         assert second == PairSummary.of(z, z, schedule)
-        assert memo(x, x) == summary
+        assert memo(x, x, schedule) == summary
         for point, got in ((x, summary), (z, second)):
             for kind in ("check", "besicovitch", "weyl", "hat"):
                 est = getattr(got, kind)
@@ -288,18 +341,19 @@ def test_summary_memo_shared_by_threads():
     schedule = dyadic_schedule(2, 5)
     pairs = [(x, y) for _, x, y in PAIRS[:6]]
     expected = [PairSummary.of(x, y, schedule) for x, y in pairs]
-    memo = SummaryMemo(schedule)
+    memo = SummaryMemo()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(lambda: [memo(x, y) for x, y in pairs])
-                       for _ in range(8)]
+            futures = [pool.submit(
+                lambda: [memo(x, y, schedule) for x, y in pairs])
+                for _ in range(8)]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(old)
     assert all(got == expected for got in results)
-    assert [memo(x, y) for x, y in pairs] == expected
+    assert [memo(x, y, schedule) for x, y in pairs] == expected
 
 
 def test_boundary_warning_on_half_line_pair():

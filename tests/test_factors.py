@@ -202,14 +202,15 @@ def test_classification_reports_equal_the_public_scans(map_id, seed,
                                                        sequence_count):
     fm = get_factor(map_id)
     tol = Tolerances()
-    memo = SummaryMemo(dyadic_schedule(6, 8))
-    cls = classify_factor_map(fm, None, tol, seed, 6, sequence_count, memo)
+    memo, schedule = SummaryMemo(), dyadic_schedule(6, 8)
+    cls = classify_factor_map(fm, schedule, tol, seed, 6, sequence_count,
+                              memo)
     assert cls.equicontinuity_report == scan_equicontinuity(
-        fm, None, tol, seed, 6, memo)
+        fm, schedule, tol, seed, 6, memo)
     assert cls.property_M_report == scan_property_M(
-        fm, None, tol, seed, 6, sequence_count, memo)
+        fm, schedule, tol, seed, 6, sequence_count, memo)
     assert cls.mean_equicontinuity_report == scan_mean_equicontinuity(
-        fm, None, tol, seed, sequence_count, memo)
+        fm, schedule, tol, seed, sequence_count, memo)
 
 
 def test_classification_flags_a_failed_scan_on_a_mean_equicontinuous_sample():

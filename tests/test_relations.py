@@ -187,14 +187,15 @@ def test_empirical_measure_is_exact():
     assert empirical_measure(x, lambda p: 0.1, FolnerWindow(1, 10)) == 0.1
 
 
-def test_summaries_must_share_the_schedule():
+def test_one_memo_classifies_a_pair_on_two_schedules():
     x = _pt("toeplitz", "addr=int:2 flag=plain")
     y = _pt("toeplitz", "addr=int:2 flag=primed")
-    memo = SummaryMemo(SCHED)
-    verdict = classify_pair(x, y, SCHED, summaries=memo)
-    assert verdict.weyl_value == classify_pair(x, y, SCHED).weyl_value
-    with pytest.raises(ValueError):
-        classify_pair(x, y, dyadic_schedule(6, 9), summaries=memo)
+    memo, other = SummaryMemo(), dyadic_schedule(4, 8)
+    verdicts = [classify_pair(x, y, schedule, summaries=memo)
+                for schedule in (SCHED, other, SCHED)]
+    assert verdicts == [classify_pair(x, y, schedule)
+                        for schedule in (SCHED, other, SCHED)]
+    assert verdicts[0] != verdicts[1]
 
 
 def test_no_public_name_is_collected_as_a_test():

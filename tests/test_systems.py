@@ -954,8 +954,8 @@ def test_shells_meq_sequence_working_set_is_bounded(monkeypatch):
     assert len(terms) == 4
 
     def run():
-        memo = SummaryMemo(schedule)
-        return [memo(x, y) for x, y in terms]
+        memo = SummaryMemo()
+        return [memo(x, y, schedule) for x, y in terms]
 
     want = _replaying_walks(monkeypatch, shells, run)
     got, peak = _traced_peak(run)
@@ -988,31 +988,33 @@ def _counted_walks(monkeypatch):
 
 
 def test_criterion_3_pattern_walks_each_orbit_once(monkeypatch):
-    """Criterion 3's calls walk each orbit end once a consumer: once for
-    the weyl calls, and once for the two scans, which share one memo."""
+    """Criterion 3's calls walk each orbit end once: the weyl reads and the
+    two scans share one memo, and the scans' schedule is nested in the
+    weyl reads' one."""
     from weylab.core import dyadic_schedule, get_factor
-    from weylab.estimators import SummaryMemo, weyl
+    from weylab.estimators import SummaryMemo
     from weylab.relations import scan_mean_equicontinuity, scan_property_M
 
     walks = _counted_walks(monkeypatch)
-    schedule = dyadic_schedule(9, 16)
+    schedule, scan_schedule = dyadic_schedule(9, 16), dyadic_schedule(13, 16)
     lo, hi = schedule.hull_range()
+    assert scan_schedule.hull_range() == (lo, hi)
+    memo = SummaryMemo()
     for k in (1, 2, 4, 8):
-        weyl(Point("shells62", (k, 0.5 * math.pi, 0)),
+        memo(Point("shells62", (k, 0.5 * math.pi, 0)),
              Point("shells62", (k, math.pi, 0)), schedule)
     assert len(walks) == 16
-    factor, memo = get_factor("shells62.pi"), SummaryMemo(dyadic_schedule(13, 16))
-    assert memo.schedule.hull_range() == (lo, hi)
-    scan_property_M(factor, seed=7, pair_count=12, sequence_count=2,
-                    summaries=memo)
-    # the scan walks each end once: the four pairs' again, and the anchors
-    # of the five other shell pairs off the identity shell that the pair
-    # sampler draws
+    factor = get_factor("shells62.pi")
+    scan_property_M(factor, scan_schedule, seed=7, pair_count=12,
+                    sequence_count=2, summaries=memo)
+    # the scan walks only the anchors of the five other shell pairs off the
+    # identity shell that the pair sampler draws: the memo holds every
+    # window of the four pairs' rows
     starts = [start for start, _ in walks]
-    assert len(set(starts[16:])) == len(starts) - 16 == 16 + 2 * 2 * 5
-    assert set(starts[:16]) < set(starts[16:])
-    scan_mean_equicontinuity(factor, seed=7, sequence_count=2, summaries=memo)
-    assert len(walks) == 16 + 16 + 2 * 2 * 5  # the memo serves every pair
+    assert len(set(starts)) == len(starts) == 16 + 2 * 2 * 5
+    scan_mean_equicontinuity(factor, scan_schedule, seed=7, sequence_count=2,
+                             summaries=memo)
+    assert len(walks) == 16 + 2 * 2 * 5  # the memo serves every pair
     assert {n for _, n in walks} == {hi}  # every anchor sits at offset 0
 
 
