@@ -29,15 +29,14 @@ call serves both, its windows once at radius 0 and once at the
 schedule's radii.  The scan follows the profile's shape:
 
 - 'exp2' and 'scaled' profiles (symbolic systems, diagonal pairs,
-  isometric systems and lifted profiles; a 'scaled' one is stored as its
-  runs) are scanned by constant runs.  A window sum is affine in the
-  translate between breakpoints, where a window edge crosses a run start;
-  it is evaluated exactly at the breakpoints that can hold the maximum and
-  at the radius only.  Every window's breakpoints are tagged by window
-  into one sorted int64 array, and the keep test compares int64 order
-  keys of the runs (DistanceProfile.keyed_runs), so each step is one
-  numpy pass over all windows; only the sums at kept breakpoints are
-  Python ints.
+  isometric systems and lifted profiles) are scanned by pieces
+  (DistanceProfile.pieces), along which an int64 order key of the samples
+  is linear.  Between breakpoints, where a window edge crosses a piece
+  start or the keys at the two edges change order, a window sum is flat
+  or strictly monotone in the translate; it is evaluated exactly, in
+  closed form inside a piece, only at the breakpoints that can hold the
+  maximum and at the radius.  Every window's breakpoints are one sorted
+  int64 array, tagged by window, so each step is one numpy pass.
 - 'float' profiles (shells62, interval61) are scanned on their int64
   limbs, one window after another and BLOCK translates at a time: the
   sums of a block of translates are one slice difference per limb plus a
@@ -47,11 +46,11 @@ schedule's radii.  The scan follows the profile's shape:
 
 banach-density, for every kind, runs the same run scan on the runs of the
 0/1 flags of the samples at or above eps (DistanceProfile.flag_runs),
-whose flags are their own order keys.  The run and limb scans pick their
-translates and boundary flags in one routine, _best, which settles every
-window it is given in one vectorized pass; check and hat read every
-window's ranges from one DistanceProfile.extremes call.  No estimator
-calls the per-sample reference accessors (scaled, prefix).
+flat pieces whose flags are their own order keys.  The run and limb scans
+pick their translates and boundary flags in one routine, _best, which
+settles every window it is given in one vectorized pass; check and hat
+read every window's ranges from one DistanceProfile.extremes call.  No
+estimator calls the per-sample reference accessors (scaled, prefix).
 
 A PairSummary holds a pair's four classification kinds on one schedule.
 A SummaryMemo keeps their per-window rows by unordered pair (estimates are
@@ -68,7 +67,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import CrossSystemError, FolnerSchedule, FolnerWindow, Point
-from .profiles import SCALE, DistanceProfile, _ragged_range, blocks
+from .profiles import SCALE, DistanceProfile, _piece_sums, blocks
 
 ESTIMATE_KINDS = ("besicovitch", "weyl", "check", "hat", "banach-density")
 SUMMARY_KINDS = ("check", "besicovitch", "weyl", "hat")
@@ -174,18 +173,34 @@ def _best(at, a, w, radii):
     return a, (radii > 0) & ~interior
 
 
-def _run_scan(runs, base):
-    """Window scan over a keyed runs view (starts, values, sums, keys),
-    whose first sample is at base, for many windows at once.  S(a) =
-    P(u + a) - P(l + a), P the prefix sum, is affine between breakpoints,
-    where a window edge crosses a run start, with slope v(u + a) - v(l + a).
-    Only a breakpoint whose left piece does not fall and whose right piece
-    does not rise can hold the maximum: the int64 keys, ordered as the
-    values are, tell which, and S is evaluated exactly there and at
-    a = -M, M.  Every window's candidates are one sorted int64 array,
-    offset by window, so each step is one numpy pass for all windows."""
-    starts, values, sums, keys = runs
-    later = starts[1:]  # the run holding sample t >= 0 is the count of these <= t
+def _ragged_range(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The integers of the ranges [first[k], last[k]], one after another;
+    a range with last < first is empty."""
+    lengths = np.maximum(last - first + 1, 0)
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(first - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _run_scan(pieces, base):
+    """Window scan over a pieces view whose first sample is at base, for
+    many windows at once.  S(a) = P(u + a) - P(l + a), P the prefix sum,
+    steps by v(u + a) - v(l + a), of the sign of D(a) = key(u + a) -
+    key(l + a).  D is linear between breakpoints, where a window edge
+    crosses a piece start, and the at most two translates where its sign
+    changes are breakpoints too, so S is flat or strictly monotone between
+    neighbours.  Only a breakpoint whose left stretch does not fall and
+    whose right one does not rise can hold the maximum, and S is evaluated
+    exactly there and at a = -M, M.  Every window's candidates are one
+    sorted int64 array, offset by window: one numpy pass a step."""
+    starts, values, sums, keys, slopes = pieces
+    later = starts[1:]  # the piece holding sample t >= 0 is the count of these <= t
+
+    def prefix(t):  # P(t), summing inside a piece where t is not its start
+        k = np.searchsorted(later, t, "right")
+        p, i = sums[k], np.flatnonzero(t > starts[k])
+        k = k[i]
+        p[i] += _piece_sums(values[k], keys[k], slopes[k], t[i] - starts[k])
+        return p
 
     def scan(wlos, whis, radii):
         radii = np.asarray(radii, np.int64)
@@ -205,31 +220,39 @@ def _run_scan(runs, base):
         cand = np.sort(np.concatenate(parts), kind="stable")
         del parts
         cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-        count = np.diff(np.searchsorted(cand, np.arange(W + 1) * span))
-        last = np.cumsum(count) - 1
-        first = last - count + 1
-        # the sign of each piece's slope: the key of the sample entering the
-        # window less that of the one leaving it
-        pos = np.repeat(u - zero, count)
-        pos += cand
-        slope = keys[np.searchsorted(later, pos, "right")]
-        pos -= np.repeat(u - l, count)
-        run = np.searchsorted(later, pos, "right")
-        del pos
-        slope -= keys[run]
-        del run
+        window = cand // span
+        # D and its slope at each candidate, from the pieces at both edges
+        d = ds = 0
+        for sign, edge in ((1, u), (-1, l)):
+            t = cand + (edge - zero)[window]
+            k = np.searchsorted(later, t, "right")
+            slope = sign * slopes[k]
+            d = d + sign * keys[k] + slope * (t - starts[k])
+            ds = ds + slope
+        # where D, moving toward 0 by |ds| a step, first reaches 0 and first
+        # passes it, if before the next candidate (a = M is a window's last)
+        i = np.flatnonzero(ds)
+        i = i[cand[i] - zero[window[i]] < radii[window[i]]]
+        if len(i):
+            toward, step = -np.sign(ds[i]) * d[i], np.abs(ds[i])
+            reach, past = cand[i] - (-toward // step), cand[i] + toward // step + 1
+            r = (toward > 0) & (reach < cand[i + 1])
+            p = (toward >= 0) & (past > reach) & (past < cand[i + 1])
+            i, z = np.concatenate((i[r], i[p])), np.concatenate((reach[r], past[p]))
+            d = np.insert(d, i + 1, d[i] + ds[i] * (z - cand[i]))
+            window = np.insert(window, i + 1, window[i])
+            cand = np.insert(cand, i + 1, z)
+        last = np.flatnonzero(np.append(window[1:] != window[:-1], True))
+        first = np.append(0, last[:-1] + 1)
         keep = np.ones(len(cand), bool)
-        keep[1:] = (slope[:-1] >= 0) & (slope[1:] <= 0)
-        del slope
+        keep[1:] = (d[:-1] >= 0) & (d[1:] <= 0)
+        del d
         keep[first] = keep[last] = True
         at = np.flatnonzero(keep)
         del keep
-        w = np.searchsorted(last, at)
+        w = window[at]
         a = cand[at] - zero[w]
-        ku = np.searchsorted(later, u[w] + a, "right")
-        kl = np.searchsorted(later, l[w] + a, "right")
-        sums_at = (sums[ku] + (u[w] + a - starts[ku]) * values[ku]
-                   - sums[kl] - (l[w] + a - starts[kl]) * values[kl])
+        sums_at = prefix(u[w] + a) - prefix(l[w] + a)
         best = np.maximum.reduceat(sums_at, np.searchsorted(at, first))
         hit = sums_at == best[w]
         a, boundary = _best(at[hit], a[hit], w[hit], radii)
@@ -337,15 +360,14 @@ def _window_rows(x, y, windows, radii, kinds, eps=None):
     summed = [kind for kind in ("besicovitch", "weyl") if kind in kinds]
     if summed:
         scan = (_limb_scan(profile) if profile.kind == "float"
-                else _run_scan(profile.keyed_runs(), profile.lo))
+                else _run_scan(profile.pieces(), profile.lo))
         rows = _scan_windows(scan, windows * len(summed), [
             M if kind == "weyl" else 0 for kind in summed for M in radii], SCALE)
         for n, kind in enumerate(summed):
             per[kind] = rows[n * len(windows):(n + 1) * len(windows)]
     if "banach-density" in kinds:
-        flags = profile.flag_runs(eps)  # 0/1 values are their own keys
         per["banach-density"] = _scan_windows(
-            _run_scan(flags + (flags[1],), profile.lo), windows, radii, 1,
+            _run_scan(profile.flag_runs(eps), profile.lo), windows, radii, 1,
             below=True)
     return per
 
@@ -411,8 +433,8 @@ class PairSummary:
     """check, besicovitch, weyl and hat of one ordered pair on one schedule,
     from one profile build (`of`) or from a memo's rows.  No profile is
     kept: at a 2^16 hull the samples and limb sums of a float profile weigh
-    megabytes, and the runs view of a symbolic one holds a big integer per
-    run."""
+    megabytes, and the pieces of a symbolic one hold a big integer each
+    (up to one a run of equal samples)."""
 
     check: PseudometricEstimate
     besicovitch: PseudometricEstimate

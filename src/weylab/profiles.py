@@ -12,19 +12,22 @@ subshift metrics exactly (floor is monotone and commutes with max), so the
 property suites can assert window-level inequalities with zero tolerance.
 
 A profile offers its samples to the estimators in one of two shapes.
-'exp2' and 'scaled' profiles give a runs view (`runs`): the maximal constant
-runs, with exact prefix sums at run starts only.  `keyed_runs` adds an
-int64 order key per run, ordered as the values are, so that the run scan
-compares runs on machine integers and evaluates Python-int sums only
-where it must.  The grid integers 2^-e for e <= SCALE_BITS + 1 are held
-once, in one table that the runs, the extremes and scaled_from_exponent
-read.  A 'scaled' profile is stored as its runs.  An 'exp2' profile (a
-subshift pair) is stored as its disagreement spans, the maximal ranges
+'exp2' and 'scaled' profiles give a pieces view (`pieces`): the maximal
+ranges on which an int64 order key of the samples, ordered as their
+values are, is linear in t with slope -1, 0 or 1, with exact prefix sums at
+piece starts only, so that the scan compares samples on machine integers
+and evaluates Python-int sums only where it must.  A 'scaled' profile is
+stored as its pieces, its constant runs keyed by rank.  An 'exp2' profile
+(a subshift pair) is stored as its disagreement spans, the maximal ranges
 where the two points' letters differ; the value at t is 2^-e with e the
-distance from t to the nearest disagreement, so its runs and extremes are
-built from the spans in time linear in their number, with no per-sample
-array; `extremes` reads every range of a call off the spans in one
-vectorized pass.
+distance from t to the nearest disagreement, keyed -e, so its pieces are
+the spans, each gap's two ramps, along which the value halves or doubles
+a sample, and the zeros between them.  They and the extremes are built
+from the spans in time linear in their number, with no per-sample array;
+`extremes` reads every range of a call off the spans in one vectorized
+pass.  The grid integers 2^-e for e <= SCALE_BITS + 1 are held once, in
+one table that the pieces, their sums, the extremes and
+scaled_from_exponent read.
 'float' profiles give a limbs view (`limbs`): every grid integer, shifted
 down by the profile's lowest set bit, split into int64 limbs narrow enough
 that their prefix sums cannot overflow (a small superaccumulator), so no
@@ -32,9 +35,10 @@ sample becomes a Python int.  A float profile's samples are built
 (`floats_from_blocks`), split into limbs and scanned BLOCK samples or
 translates at a time, so that besides the samples and the limbs' prefix
 sums no buffer is longer than a block; each sample's arithmetic is the same for any block size.
-`flag_runs` gives, for every kind, the runs view of the 0/1 flags of the
-samples at or above a threshold; a float profile's flags are compared a
-block at a time as well.  No profile stores a per-sample grid integer:
+`flag_runs` gives, for every kind, the pieces view of the 0/1 flags of the
+samples at or above a threshold: a float profile's flags are compared a
+block at a time as well, and an 'exp2' profile's are its spans dilated by
+the threshold's exponent.  No profile stores a per-sample grid integer:
 `scaled`, `prefix` and `indicator_prefix` build them on each call, as
 reference accessors for tests and diagnostics.
 """
@@ -104,21 +108,16 @@ def limb_bits(n: int) -> int:
 
 
 def _run_table(keys: np.ndarray, n: int, at=None):
-    """The runs view (see DistanceProfile.runs) of the samples keys, with
-    the last run extended to n samples, and its order keys: int64, one per
-    entry of values (the closing 0 included), ordered as the values are.
-    keys are capped exponents 0 .. SCALE_BITS + 1 (int64: the values are
-    their grid entries, the keys their negatives), 0/1 flags (bool: values
-    and keys are the flags as int64) or grid integers (object: the keys
-    rank them).  keys[k] is the sample at at[k] (at 0, 1, ... by default);
-    at must be sorted, start at 0 and hold every run start, and may repeat
-    a position."""
+    """The pieces view (see DistanceProfile.pieces) of the samples keys, a
+    flat piece per maximal constant run, the last extended to n samples.
+    keys are 0/1 flags (bool: values and keys are the flags as int64) or
+    grid integers (object: the keys rank them).  keys[k] is the sample at
+    at[k] (at 0, 1, ... by default); at must be sorted, start at 0 and
+    hold every run start."""
     new = np.concatenate(([True], keys[1:] != keys[:-1]))
     starts = np.append(np.flatnonzero(new) if at is None else at[new], n)
     keys = keys[new]
-    if keys.dtype == np.int64:
-        values, order = _GRID[keys], np.append(-keys, -(SCALE_BITS + 1))
-    elif keys.dtype == bool:
+    if keys.dtype == bool:
         values = keys.astype(np.int64)
         order = np.append(values, 0)
     else:
@@ -127,7 +126,23 @@ def _run_table(keys: np.ndarray, n: int, at=None):
         order = np.array([rank[v] for v in values.tolist()] + [rank[0]],
                          np.int64)
     sums = np.concatenate(([0], np.cumsum(values * np.diff(starts))))
-    return starts, np.append(values, 0), sums, order
+    return starts, np.append(values, 0), sums, order, 0 * order  # flat
+
+
+def _piece_sums(values, keys, slopes, length):
+    """The exact sums of the first length[k] samples of pieces from
+    their first values, keys and key slopes: v L on a flat piece; on an
+    'exp2' ramp from 2^-e (keyed -e, no 0 in it) 2^(1-e) - 2^(1-e-L) halving
+    and 2^(L-e) - 2^-e doubling, the difference of two grid entries."""
+    out = values.copy()  # a piece's first sample, the sum of one
+    flat = (slopes == 0) & (length != 1)
+    out[flat] = values[flat] * length[flat]
+    e = -keys
+    for ramp, top, bottom in ((slopes < 0, e - 1, e + length - 1),
+                              (slopes > 0, e - length, e)):
+        if ramp.any():
+            out[ramp] = _GRID[top[ramp]] - _GRID[bottom[ramp]]
+    return out
 
 
 def _significands(floats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,14 +166,6 @@ def _lowest_bit(sig: np.ndarray, pos: np.ndarray) -> Optional[int]:
     return int((pos + lowest - 1)[sig != 0].min())
 
 
-def _ragged_range(first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """The integers of the ranges [first[k], last[k]], one after another;
-    a range with last < first is empty."""
-    lengths = np.maximum(last - first + 1, 0)
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(first - offsets, lengths) + np.arange(lengths.sum())
-
-
 @dataclass
 class DistanceProfile:
     """Distance samples d(t) for t in [lo, hi], exact on the quantization grid.
@@ -166,7 +173,7 @@ class DistanceProfile:
     kind is 'exp2' (values 2^-e, e the distance to the nearest of the
     disagreement spans), 'float' (a float64 array, each value exactly
     representable) or 'scaled' (grid integers, held as constant runs).  The
-    runs and limbs views are built lazily and cached; sums are exact
+    pieces and limbs views are built lazily and cached; sums are exact
     integers, so they never round.
     """
 
@@ -175,7 +182,7 @@ class DistanceProfile:
     kind: str
     spans: Optional[Tuple[np.ndarray, np.ndarray]] = None
     floats: Optional[np.ndarray] = None
-    _runs: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False)
+    _pieces: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False)
     _gaps: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False)
     _limbs: Optional[Tuple[List[np.ndarray], int, int]] = field(
         default=None, repr=False)
@@ -203,12 +210,12 @@ class DistanceProfile:
     @classmethod
     def from_scaled(cls, lo: int, scaled: List[int]) -> "DistanceProfile":
         return cls(lo=lo, hi=lo + len(scaled) - 1, kind="scaled",
-                   _runs=_run_table(np.array(scaled, dtype=object), len(scaled)))
+                   _pieces=_run_table(np.array(scaled, dtype=object), len(scaled)))
 
     @classmethod
     def constant(cls, lo: int, hi: int, scaled_value: int) -> "DistanceProfile":
         """One run of scaled_value on [lo, hi]."""
-        return cls(lo=lo, hi=hi, kind="scaled", _runs=_run_table(
+        return cls(lo=lo, hi=hi, kind="scaled", _pieces=_run_table(
             np.array([scaled_value], dtype=object), hi - lo + 1))
 
     # -- exact values ---------------------------------------------------
@@ -221,47 +228,46 @@ class DistanceProfile:
         accessor, which no estimator uses."""
         if self.kind == "float":
             return [scaled_from_float(v) for v in self.floats.tolist()]
-        starts, values, _ = self.runs()
+        if self.kind == "exp2":
+            return _GRID[np.minimum(self._exponents_at(np.arange(len(self))),
+                                    SCALE_BITS + 1)].tolist()
+        starts, values = self.pieces()[:2]
         return np.repeat(values[:-1], np.diff(starts)).tolist()
 
     def prefix(self) -> List[int]:
         """Prefix sums: prefix[i] = sum of scaled values at t in [lo, lo+i)."""
         return list(accumulate(self.scaled(), initial=0))
 
-    def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Maximal constant runs of an 'exp2' or 'scaled' profile, as
-        (starts, values, sums): starts holds each run's first sample index
-        and then len(self), values[k] is run k's grid value and sums[k] the
-        exact sum of the samples before starts[k].  The closing entry at
-        len(self) has value 0 and sums to the whole profile.  values and
-        sums are object arrays of Python ints; an 'exp2' profile reads them
-        from the grid table, one entry per run, and builds none per
-        sample."""
-        return self.keyed_runs()[:3]
-
-    def keyed_runs(self) -> Tuple[np.ndarray, ...]:
-        """runs() and its order keys, as (starts, values, sums, keys):
-        keys[k] is an int64 that orders as values[k] does, the closing 0
-        included, so that the run scan compares runs on machine integers.
-        An 'exp2' profile's keys are its negated capped exponents, a
-        'scaled' profile's the ranks of its values."""
-        if self._runs is None:
+    def pieces(self) -> Tuple[np.ndarray, ...]:
+        """(starts, values, sums, keys, slopes) of an 'exp2' or 'scaled'
+        profile: piece k starts at sample starts[k] with grid value
+        values[k], int64 key keys[k] and key slope slopes[k], after samples
+        summing to sums[k]; a closing entry at len(self) has value 0.  A
+        'scaled' profile's pieces are its runs, keyed by rank; an 'exp2'
+        one's, at most one a run, are keyed -e (e capped at SCALE_BITS + 1)."""
+        if self._pieces is None:
             if self.kind != "exp2":
-                raise ValueError("float profiles have no runs view")
-            # runs start at 0, at each span and, in each gap, at the samples
-            # within SCALE_BITS + 1 of its left end or SCALE_BITS of its
-            # right end: between those the gap's samples are 0 on the grid
-            n, (starts, _) = len(self), self.spans
-            last, nxt, _, _ = self._gap_table()
-            rise = np.minimum(last + SCALE_BITS + 1, nxt - 1)
-            at = np.sort(np.concatenate((
-                [0], starts[(starts >= 0) & (starts < n)],
-                _ragged_range(np.maximum(last + 1, 0), np.minimum(rise, n - 1)),
-                _ragged_range(np.maximum(np.maximum(nxt - SCALE_BITS, rise + 1), 0),
-                              np.minimum(nxt - 1, n - 1)))))
-            keys = np.minimum(self._exponents_at(at), SCALE_BITS + 1)  # equal on the grid
-            self._runs = _run_table(keys, n, at)
-        return self._runs
+                raise ValueError("float profiles have no pieces view")
+            n, (last, nxt, _, _) = len(self), self._gap_table()
+            # each gap's ramp up, zeros and ramp down, then the next span
+            mid = (last + nxt) // 2 + 1  # a gap's first sample past its apex
+            at = np.stack((last + 1, np.minimum(last + SCALE_BITS + 1, mid),
+                           np.maximum(nxt - SCALE_BITS, mid), nxt), 1).ravel()
+            at = np.append(0, at[(at > 0) & (at < n)])
+            at = at[np.append(True, at[1:] != at[:-1])]
+            length = np.diff(np.append(at, n))
+            e, e1 = np.minimum(self._exponents_at(np.stack((at, at + 1))),
+                               SCALE_BITS + 1)
+            slopes = np.where(length > 1, e - e1, 0)  # one sample is flat
+            # a piece that goes on the line of the one before joins it
+            new = np.append(True, (slopes[1:] != slopes[:-1])
+                            | (e[:-1] - e[1:] != slopes[:-1] * length[:-1]))
+            at, e, slopes = at[new], e[new], slopes[new]
+            at, values = np.append(at, n), _GRID[e]
+            sums = np.cumsum(_piece_sums(values, -e, slopes, np.diff(at)))
+            self._pieces = (at, np.append(values, 0), np.append(0, sums),
+                            np.append(-e, -SCALE_BITS - 1), np.append(slopes, 0))
+        return self._pieces
 
     def _gap_table(self) -> Tuple[np.ndarray, ...]:
         """(last, nxt, apex, height) of an 'exp2' profile, cached.  Gap k
@@ -355,7 +361,7 @@ class DistanceProfile:
             return (scaled_from_float(float(seg[kmin])), self.lo + i + kmin,
                     scaled_from_float(float(seg[kmax])), self.lo + i + kmax)
         # the first run reaching each extreme, its start clipped to i
-        starts, values, _ = self.runs()
+        starts, values = self.pieces()[:2]
         k = int(np.searchsorted(starts, i, "right")) - 1
         seg = values[k:np.searchsorted(starts, j + 1)].tolist()
         mn, mx = min(seg), max(seg)
@@ -401,23 +407,35 @@ class DistanceProfile:
         flags = [1 if s < threshold_scaled else 0 for s in self.scaled()]
         return list(accumulate(flags, initial=0))
 
-    def flag_runs(self, eps: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The runs view of the 0/1 flags of the samples at or above eps,
-        as int64 values and sums: one pass over a float profile's samples,
-        which compare with eps as doubles (exact, both sides are doubles)
-        a block at a time, or one grid compare per run of a runs profile."""
+    def flag_runs(self, eps: float) -> Tuple[np.ndarray, ...]:
+        """The runs of the 0/1 flags of the samples at or above eps, as
+        flat pieces keyed by their int64 values: float samples compare with
+        eps as doubles (exact) a block at a time, 'scaled' runs on the grid,
+        and 'exp2' flags are the spans dilated by the largest k, 2^-k >= eps."""
+        n = len(self)
         if self.kind == "float":
             # each block's flags, with the last sample before it, give the
             # run starts in it; no per-sample row outlives a block
             floats, at = self.floats, [np.zeros(1, np.int64)]
-            for i, j in blocks(len(self)):
+            for i, j in blocks(n):
                 flags = floats[max(i - 1, 0):j] >= eps
                 at.append(np.flatnonzero(flags[1:] != flags[:-1]) + max(i, 1))
             at = np.concatenate(at)
-            return _run_table(floats[at] >= eps, len(self), at)[:3]
-        starts, values, _ = self.runs()
-        return _run_table(values[:-1] >= scaled_from_float(eps), len(self),
-                          at=starts[:-1])[:3]
+            return _run_table(floats[at] >= eps, n, at)
+        if self.kind == "scaled" or eps == 0:  # every sample reaches eps 0
+            starts, values = self.pieces()[:2]
+            return _run_table(values[:-1] >= scaled_from_float(eps), n,
+                              at=starts[:-1])
+        k = SCALE_BITS - (scaled_from_float(eps) - 1).bit_length()
+        starts, ends = self.spans if k >= 0 else (np.empty(0, np.int64),) * 2
+        # the spans dilated by k, merged: flags rise at even bounds, fall at odd
+        bounds = np.stack((starts - k, ends + k), 1).ravel()
+        apart = np.ones(len(bounds), bool)
+        apart[1:-1] = np.repeat(bounds[2::2] > bounds[1:-1:2], 2)
+        bounds = bounds[apart]
+        i, j = np.searchsorted(bounds, (0, n - 1), "right")
+        return _run_table(np.arange(i - 1, j) % 2 == 0, n,
+                          np.append(0, bounds[i:j]))
 
     def plus(self, other: "DistanceProfile") -> "DistanceProfile":
         """Termwise sum on the grid (the lifted-metric profile)."""

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from weylab.core import Point, get_system
-from weylab.profiles import limb_bits
+from weylab.profiles import DistanceProfile, _piece_sums, limb_bits
 
 SCALE_BITS = 1074
 
@@ -310,7 +310,8 @@ def float_orbit_distances(system, p, q, lo, hi):
 # -- per-sample exponent profiles ---------------------------------------------
 # Verbatim copies of the subshift profile build (one int64 exponent per
 # sample), its runs view and its 'exp2' extremes, which disagreement spans
-# replaced; a spans profile must give the same runs, counts and extremes.
+# replaced; a spans profile's pieces must expand to the same samples and
+# prefix sums, and its counts and extremes must be the same.
 
 INF_EXP = 1 << 30
 _PAD = SCALE_BITS + 2
@@ -341,6 +342,27 @@ def letter_exponents(a, b, lo, hi):
         np.int64(INF_EXP),
     )
     return np.minimum(np.minimum(left, right), np.int64(INF_EXP))
+
+
+def span_profile(lo, hi, pos, lengths):
+    """(profile, exps): the 'exp2' profile on [lo, hi] of the disagreements
+    laid out by lengths, (gap, span) pairs from the sample index pos on,
+    each span clipped to the padding a subshift build sees, and
+    letter_exponents of the same disagreements."""
+    n = hi - lo + 1
+    mask = np.zeros(n + 2 * _PAD, np.uint8)
+    starts, ends = [], []
+    for gap, span in lengths:
+        start = max(pos + gap, -_PAD)
+        end = min(start + span, n + _PAD)
+        if start >= end:
+            break
+        starts.append(start)
+        ends.append(end)
+        mask[start + _PAD:end + _PAD] = 1
+        pos = end
+    return (DistanceProfile.from_spans(lo, hi, starts, ends),
+            letter_exponents(np.zeros_like(mask), mask, lo, hi))
 
 
 def pair_exponents(system, p, q, lo, hi):
@@ -382,11 +404,64 @@ def exponent_extremes(exps, lo, a, b):
     )
 
 
+# -- pieces, expanded per sample ---------------------------------------------
+# A pieces view written back out one sample at a time, to be compared with
+# per-sample values such as the exponents above.
+
+
+def piece_keys(pieces, n):
+    """Every int64 key of the n samples of a pieces view (starts, values,
+    sums, keys, slopes), from its piece's first key and slope."""
+    starts, _, _, keys, slopes = pieces
+    t = np.arange(n)
+    k = np.searchsorted(starts[1:], t, "right")
+    return keys[k] + slopes[k] * (t - starts[k])
+
+
+def piece_prefix(pieces, t):
+    """The exact sums of the samples before the indices t (0 .. n) of a
+    pieces view, as Python ints: the sum before t's piece plus the closed
+    form of the piece's samples before t (profiles._piece_sums)."""
+    starts, values, sums, keys, slopes = pieces
+    t = np.asarray(t, np.int64)
+    k = np.searchsorted(starts[1:], t, "right")
+    inside = np.flatnonzero(t > starts[k])
+    prefix = sums[k]
+    j = k[inside]
+    prefix[inside] += _piece_sums(values[j], keys[j], slopes[j],
+                                  t[inside] - starts[j])
+    return prefix.tolist()
+
+
+def assert_pieces_match_exponents(prof, exps):
+    """prof's pieces against the per-sample exponents exps: every sample's
+    key is its negated exponent capped at SCALE_BITS + 1, each piece's
+    value is its first sample's, the prefix sums at every run start of the
+    samples (every sample of a ramp) and at the end are exact, the pieces
+    are maximal lines and there are no more of them than runs."""
+    starts, values, _, keys, slopes = pieces = prof.pieces()
+    capped = np.minimum(exps, SCALE_BITS + 1)
+    assert piece_keys(pieces, len(prof)).tolist() == (-capped).tolist()
+    assert values.tolist() == [exponent_grid(e) for e in
+                               capped[starts[:-1]].tolist()] + [0]
+    run_starts, _, run_sums = exponent_runs(exps)
+    assert piece_prefix(pieces, run_starts) == run_sums.tolist()
+    assert set(slopes.tolist()) <= {-1, 0, 1} and slopes[-1] == 0
+    assert (np.diff(starts) > 0).all() and starts[0] == 0
+    # no piece goes on the line of the one before it
+    assert ((slopes[1:-1] != slopes[:-2]) | (keys[1:-1] - keys[:-2]
+            != slopes[:-2] * np.diff(starts[:-1]))).all()
+    assert len(starts) <= len(run_starts)  # at most one piece a run
+
+
 # -- all-breakpoint scans -----------------------------------------------------
-# Verbatim copies of the run scan that evaluated every breakpoint, the
-# banach-density scan over int64 prefix counts of all 2M + 1 translates, the
+# Copies of the run scan that evaluated every breakpoint, the banach-density
+# scan over int64 prefix counts of all 2M + 1 translates, the
 # DistanceProfile.below_counts that fed it, and their shared tie-break; the
-# pruned run scan must give the same translate, sum and boundary flag.
+# pruned piece scan must give the same translate, sum and boundary flag.
+# The scan and the counts read a runs view (starts, values, sums) given to
+# them, an 'exp2' profile's from its per-sample exponents (exponent_runs),
+# never a profile's pieces.
 
 
 def _best(cand, hit, M):
@@ -409,12 +484,12 @@ def _best(cand, hit, M):
     return int(a), bool(M > 0 and not interior)
 
 
-def _run_scan(profile):
-    """Window scan over the runs of an 'exp2' or 'scaled' profile.  The
-    prefix sum P is affine inside a run, so S(a) = P(u + a) - P(l + a) is
-    affine between breakpoints, where either window edge crosses a run
-    start: S is evaluated only there and at a = -M, M."""
-    starts, values, sums = profile.runs()
+def _run_scan(runs, base):
+    """Window scan over the runs (starts, values, sums) of samples whose
+    first is at base.  The prefix sum P is affine inside a run, so S(a) =
+    P(u + a) - P(l + a) is affine between breakpoints, where either window
+    edge crosses a run start: S is evaluated only there and at a = -M, M."""
+    starts, values, sums = runs
 
     def prefix_at(i):
         k = np.searchsorted(starts, i, "right") - 1
@@ -425,7 +500,7 @@ def _run_scan(profile):
         return starts[i:j] - edge
 
     def scan(wlo, whi, M):
-        l, u = wlo - profile.lo, whi - profile.lo + 1
+        l, u = wlo - base, whi - base + 1
         # the two sorted knot lists merge in linear time under a stable sort
         cand = np.sort(np.concatenate(([-M], knots(l, M), knots(u, M), [M])),
                        kind="stable")
@@ -449,25 +524,27 @@ def _count_scan(counts, base):
     return scan
 
 
-def below_counts(profile, eps):
-    """indicator_prefix(scaled_from_float(eps)) as an int64 array.
-    Float samples compare with eps as doubles, which is exact because
-    both sides are doubles; other kinds compare each run's grid value.
+def below_counts(samples, eps):
+    """indicator_prefix(scaled_from_float(eps)) as an int64 array, of a
+    float profile's float64 samples or of a runs view (starts, values,
+    sums).  Float samples compare with eps as doubles, which is exact
+    because both sides are doubles; runs compare each run's grid value.
     The flags are written into the result and summed in place there."""
-    out = np.zeros(len(profile) + 1, np.int64)
-    if profile.kind == "float":
-        np.less(profile.floats, eps, out=out[1:])
+    if isinstance(samples, np.ndarray):
+        out = np.zeros(len(samples) + 1, np.int64)
+        np.less(samples, eps, out=out[1:])
     else:
-        starts, values, _ = profile.runs()
+        starts, values, _ = samples
+        out = np.zeros(starts[-1] + 1, np.int64)
         out[1:] = np.repeat(values[:-1] < scaled(eps), np.diff(starts))
     np.cumsum(out[1:], out=out[1:])
     return out
 
 
 def below_prefix(flag_runs):
-    """Prefix counts of the samples below eps, expanded from the runs view
-    (starts, values, sums) of the 0/1 flags of the samples at or above it."""
-    starts, values, _ = flag_runs
+    """Prefix counts of the samples below eps, expanded from the runs
+    (starts, values, ...) of the 0/1 flags of the samples at or above it."""
+    starts, values = flag_runs[:2]
     flags = np.repeat(values[:-1], np.diff(starts))
     return np.concatenate(([0], np.cumsum(1 - flags)))
 

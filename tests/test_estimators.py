@@ -14,15 +14,17 @@ from weylab.estimators import (ESTIMATE_KINDS, PairSummary, SummaryMemo,
                                _limb_scan, _run_scan, _scan_windows,
                                banach_density, besicovitch, check, estimate,
                                estimates, hat, pair_profile, weyl)
-from weylab import profiles
+from weylab import estimators, profiles
+from weylab.cli import main
 from weylab.factors import lift_metric
 from weylab.profiles import INF_EXP, SCALE, SCALE_BITS, DistanceProfile
 
 import _reference
-from _reference import (_scan, _value_rows, below_prefix,
-                        exponent_below_counts, exponent_extremes,
-                        exponent_runs, linear_window_rows, naive_estimate,
-                        pair_exponents, profile_window_rows, scaled)
+from _reference import (_scan, _value_rows, assert_pieces_match_exponents,
+                        below_prefix, exponent_below_counts,
+                        exponent_extremes, exponent_runs, linear_window_rows,
+                        naive_estimate, pair_exponents, profile_window_rows,
+                        scaled)
 
 _ESTIMATORS = {"besicovitch": besicovitch, "weyl": weyl, "check": check,
                "hat": hat}
@@ -44,9 +46,15 @@ def _windowwise(scan):
     return lambda wlos, whis, radii: [scan(*w) for w in zip(wlos, whis, radii)]
 
 
-def _keyed_flags(flag_runs):
-    """A flag runs view keyed for _run_scan: 0/1 values are their own keys."""
-    return flag_runs + (flag_runs[1],)
+def _reference_runs(x, y, profile):
+    """The runs (starts, values, sums) of the built 'exp2' or 'scaled'
+    profile of the pair (x, y), read without the pieces of an 'exp2' one:
+    its runs are those of the pair's per-sample exponents.  A 'scaled'
+    profile's pieces are its stored runs."""
+    if profile.kind == "scaled":
+        return profile.pieces()[:3]
+    return exponent_runs(pair_exponents(x.system(), x.payload, y.payload,
+                                        profile.lo, profile.hi))
 
 
 # pairs chosen to exercise every boundary/tie case the scanner has:
@@ -394,10 +402,11 @@ def _lifted_fibre():
             Point(lifted, _pt("toeplitz", "addr=int:7 flag=primed").payload))
 
 
-# profiles the run-length scan serves, at realistic window sizes: Toeplitz
-# fibres (about 2151 runs in 2^18 samples), the one-run tm.phi complement
-# pair, two dense sturm.pi pairs (30,943 and 50,066 runs in 65,537 samples)
-# and a lifted graph metric, whose profile is a 'scaled' one
+# profiles the piece scan serves, at realistic window sizes: Toeplitz
+# fibres (about 2151 runs in 2^18 samples, 5 pieces), the one-run tm.phi
+# complement pair, two dense sturm.pi pairs (30,943 and 50,066 runs in
+# 65,537 samples; 30,943 and 40,504 pieces) and a lifted graph metric,
+# whose profile is a 'scaled' one
 RUN_PROFILE_PAIRS = [
     ("toeplitz fibre 7", lambda: (_pt("toeplitz", "addr=int:7 flag=plain"),
                                   _pt("toeplitz", "addr=int:7 flag=primed")),
@@ -466,8 +475,7 @@ def test_span_profiles_match_exponent_reference_at_scale(label, pair, schedule):
     profile = pair_profile(x, y, lo, hi)
     exps = pair_exponents(x.system(), x.payload, y.payload, lo, hi)
     assert profile.kind == "exp2"
-    for got, want in zip(profile.runs(), exponent_runs(exps)):
-        assert got.tolist() == want.tolist(), label
+    assert_pieces_match_exponents(profile, exps)
     for eps in (0.25, 2.0 ** -20):
         assert below_prefix(profile.flag_runs(eps)).tolist() \
             == exponent_below_counts(exps, eps).tolist(), label
@@ -525,7 +533,7 @@ def test_best_from_run_and_count_scans_matches_reference(case, eps):
     prefix = list(accumulate(values, initial=0))
     want = _scan(lambda a, b: prefix[b + 1 - lo] - prefix[a - lo],
                  wlo, whi, M, True)
-    assert _run_scan(profile.keyed_runs(), lo)([wlo], [whi], [M]) == [want]
+    assert _run_scan(profile.pieces(), lo)([wlo], [whi], [M]) == [want]
     counts = list(accumulate((int(v < scaled(eps)) for v in values), initial=0))
     below, a, boundary = _scan(lambda a, b: counts[b + 1 - lo] - counts[a - lo],
                                wlo, whi, M, False)
@@ -534,7 +542,7 @@ def test_best_from_run_and_count_scans_matches_reference(case, eps):
     floats = DistanceProfile.from_floats(lo, np.array([2.0 ** -e for e in exps]))
     for prof in (profile, floats):
         # the most samples at or above eps are the fewest below it
-        assert _run_scan(_keyed_flags(prof.flag_runs(eps)), lo)(
+        assert _run_scan(prof.flag_runs(eps), lo)(
             [wlo], [whi], [M]) == [(whi - wlo + 1 - below, a, boundary)], \
             prof.kind
 
@@ -572,23 +580,24 @@ def test_batched_run_scans_match_per_window_reference(case, eps):
     exps, lo, windows = case
     wlos, whis, radii = (list(c) for c in zip(*windows))
     profile = DistanceProfile.from_scaled(lo, [_grid(e) for e in exps])
-    assert _run_scan(profile.keyed_runs(), lo)(wlos, whis, radii) \
-        == _windowwise(_reference._run_scan(profile))(wlos, whis, radii)
-    counts = _reference.below_counts(profile, eps)
+    runs = exponent_runs(np.array(exps))  # the runs of the same samples
+    assert _run_scan(profile.pieces(), lo)(wlos, whis, radii) \
+        == _windowwise(_reference._run_scan(runs, lo))(wlos, whis, radii)
+    counts = _reference.below_counts(runs, eps)
     want = [(whi - wlo + 1 - below, a, boundary) for (wlo, whi, _), (below, a, boundary)
             in zip(windows, _windowwise(_reference._count_scan(counts, lo))(
                 wlos, whis, radii))]
     floats = DistanceProfile.from_floats(lo, np.array([2.0 ** -e for e in exps]))
     for prof in (profile, floats):
-        assert _run_scan(_keyed_flags(prof.flag_runs(eps)), lo)(
+        assert _run_scan(prof.flag_runs(eps), lo)(
             wlos, whis, radii) == want, prof.kind
 
 
 #: tracemalloc peak of one Toeplitz fibre pair's five estimates at
-#: dyadic_schedule(8, 16), in bytes: 0.90 MB is measured (the profile's
-#: 2151 runs and their sums, then the scans' candidate arrays); one more
-#: int64 array over the weyl scan's 18,170 candidates adds 0.15 MB
-FIBRE_ESTIMATES_PEAK_BYTES = 1_000_000
+#: dyadic_schedule(8, 16), in bytes: 35 KB is measured (the profile's 5
+#: pieces, the scans' candidate arrays and the windows' rows); a table of
+#: the 2151 runs of its samples and their sums would hold 0.6 MB
+FIBRE_ESTIMATES_PEAK_BYTES = 100_000
 
 
 def test_fibre_pair_estimates_working_set_is_bounded():
@@ -679,20 +688,133 @@ def test_pruned_scans_match_all_breakpoint_scans_at_scale(label, pair,
         return [(wv.translate, wv.exact, wv.boundary) for wv in per_window]
 
     want = {}
+    samples = profile.floats
     if profile.kind != "float":
-        scan = _windowwise(_reference._run_scan(profile))
+        samples = _reference_runs(x, y, profile)
+        scan = _windowwise(_reference._run_scan(samples, profile.lo))
         want["besicovitch"] = rows(_scan_windows(
             scan, schedule.windows, [0] * len(radii), SCALE))
         want["weyl"] = rows(_scan_windows(scan, schedule.windows, radii,
                                           SCALE))
     for eps in (0.25, 0.01, 5e-324):
-        counts = _reference.below_counts(profile, eps)
+        counts = _reference.below_counts(samples, eps)
         want["banach-density"] = rows(_scan_windows(
             _windowwise(_reference._count_scan(counts, profile.lo)),
             schedule.windows, radii, 1))
         got = estimates(x, y, schedule, tuple(want), eps)
         for kind in want:
             assert rows(got[kind].per_window) == want[kind], (label, kind, eps)
+
+
+def _assert_piece_scans_match_reference(profile, exps, schedule):
+    """The piece scans of profile, of sums at radius 0 and at the
+    schedule's radii and of flags at two thresholds, against the
+    all-breakpoint run scan and the count scan of the runs of its
+    per-sample exponents exps."""
+    lo, runs = profile.lo, exponent_runs(exps)
+    wlos = [w.lo for w in schedule.windows]
+    whis = [w.hi for w in schedule.windows]
+    scan = _run_scan(profile.pieces(), lo)
+    want = _windowwise(_reference._run_scan(runs, lo))
+    for radii in ([0] * len(wlos), schedule.translate_radius):
+        assert scan(wlos, whis, radii) == want(wlos, whis, radii)
+    radii = schedule.translate_radius
+    for eps in (0.25, 5e-324):
+        below = _windowwise(_reference._count_scan(
+            _reference.below_counts(runs, eps), lo))(wlos, whis, radii)
+        assert _run_scan(profile.flag_runs(eps), lo)(wlos, whis, radii) \
+            == [(whi - wlo + 1 - count, a, boundary) for wlo, whi,
+                (count, a, boundary) in zip(wlos, whis, below)], eps
+
+
+def _opposite_ramps(exps, lo, schedule):
+    """Whether a translate of a window of the schedule puts the window's two
+    edges on opposite ramps, one exponent rising and the other falling, so
+    that the key difference the piece scan reads changes by 2 a step."""
+    step = np.diff(np.minimum(exps, SCALE_BITS + 1))
+    for w, M in zip(schedule.windows, schedule.translate_radius):
+        a = np.arange(-M, M - 1)
+        if (step[w.lo - lo + a] * step[w.hi + 1 - lo + a] == -1).any():
+            return True
+    return False
+
+
+#: (gap, span) lengths: short ones, odd and even, and those around a gap's
+#: ramps (SCALE_BITS samples each way) and twice 1075, where its zeros begin
+_WIDE_LENGTHS = st.sampled_from([1, 2, 3, 4, 5, 8, 41, 1073, 1074, 1075,
+                                 1076, 2148, 2149, 2150, 2151, 2152, 4000])
+
+
+# the piece scan against the all-breakpoint run scan at 2^12-2^16 windows,
+# on span sets: none; one over the hull and beyond; every gap length from
+# 2148 to 2152 after a span reaching beyond the low end, repeated past the
+# high end; single-sample spans 3001 apart, which put the two edges of a
+# 2^12 window on opposite ramps; and short odd and even gaps
+WIDE_SPAN_CASES = [
+    ("no spans", dyadic_schedule(12, 16), 0, []),
+    ("one span over the hull", dyadic_schedule(12, 16), -3 * _reference._PAD,
+     [(1, 1 << 19)]),
+    ("gaps around 2 * 1075", dyadic_schedule(12, 16), -_reference._PAD - 5,
+     [(1, 3000), (2148, 1), (2149, 1), (2150, 2), (2151, 1), (2152, 40)] * 25),
+    ("opposite ramps", dyadic_schedule(12, 16), 0, [(3000, 1)] * 100),
+    ("short odd and even gaps", dyadic_schedule(12, 14), 0,
+     [(6, 1), (7, 2), (1, 1), (2, 1)] * 3200),
+]
+
+
+@pytest.mark.parametrize("label,schedule,pos,lengths", WIDE_SPAN_CASES,
+                         ids=[c[0] for c in WIDE_SPAN_CASES])
+def test_piece_scans_match_reference_on_span_sets_at_scale(label, schedule,
+                                                          pos, lengths):
+    lo, hi = schedule.hull_range()
+    profile, exps = _reference.span_profile(lo, hi, pos, lengths)
+    if label == "opposite ramps":
+        assert _opposite_ramps(exps, lo, schedule)
+    _assert_piece_scans_match_reference(profile, exps, schedule)
+
+
+@given(st.integers(min_value=12, max_value=16), st.data())
+@settings(max_examples=20, deadline=None)
+def test_piece_scans_match_reference_on_drawn_spans(hi_exp, data):
+    schedule = dyadic_schedule(12, hi_exp)
+    lo, hi = schedule.hull_range()
+    # a drawn run of gaps and spans, repeated, from before the hull or in it
+    pos = data.draw(st.integers(-3 * _reference._PAD, hi - lo))
+    lengths = data.draw(st.lists(st.tuples(_WIDE_LENGTHS, _WIDE_LENGTHS),
+                                 min_size=1, max_size=6))
+    profile, exps = _reference.span_profile(
+        lo, hi, pos, lengths * data.draw(st.integers(1, 40)))
+    _assert_piece_scans_match_reference(profile, exps, schedule)
+
+
+def test_pieces_stay_few_per_span(monkeypatch, tmp_path):
+    """A guard without timing against a return to per-sample runs: every
+    'exp2' profile that bundled tm-chain-classify builds at seed 3, and the
+    Toeplitz fibre -13 pair's at 2^8..2^16, has at most 5 pieces a span
+    (2151 runs for its one span), and both dense sturm.pi pairs have no
+    more pieces than runs."""
+    built = []
+
+    def recording(x, y, lo, hi):
+        built.append(build(x, y, lo, hi))
+        return built[-1]
+
+    build = estimators.pair_profile
+    monkeypatch.setattr(estimators, "pair_profile", recording)
+    assert main(["run", "tm-chain-classify", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    fibre = next(p for p in RUN_PROFILE_PAIRS if p[0] == "toeplitz fibre -13")
+    built.append(pair_profile(*fibre[1](), *fibre[2].hull_range()))
+    spans = [p for p in built if p.kind == "exp2"]
+    assert len(spans) >= 50
+    for profile in spans:
+        assert len(profile.pieces()[0]) - 1 <= 5 * max(len(profile.spans[0]), 1)
+    for label, pair, schedule in RUN_PROFILE_PAIRS:
+        if label.startswith("sturm.pi"):
+            (x, y), (lo, hi) = pair(), schedule.hull_range()
+            runs = exponent_runs(pair_exponents(x.system(), x.payload,
+                                                y.payload, lo, hi))[0]
+            assert len(pair_profile(x, y, lo, hi).pieces()[0]) <= len(runs)
 
 
 # zeros, subnormals, values that tie, and spreads from 5e-324 up to the

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weylab import profiles
 from weylab.core import Point, dyadic_schedule, get_system
@@ -15,8 +15,10 @@ from weylab.profiles import (_GRID, INF_EXP, SCALE, SCALE_BITS,
 from weylab.systems.thuemorse import ThueMorseSystem
 
 import _reference
-from _reference import (_PAD, below_prefix, exponent_below_counts,
-                        exponent_extremes, exponent_runs, letter_exponents)
+from _reference import (_PAD, assert_pieces_match_exponents, below_prefix,
+                        exponent_below_counts, exponent_extremes,
+                        exponent_runs, letter_exponents, pair_exponents,
+                        piece_keys, piece_prefix, span_profile)
 
 finite_dists = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 
@@ -125,7 +127,8 @@ def test_plus_matches_per_sample_sum(n, lo, data):
     total = a.plus(b)
     assert (total.lo, total.hi, total.kind) == (lo, lo + n - 1, "scaled")
     assert total.scaled() == [x + y for x, y in zip(a.scaled(), b.scaled())]
-    starts, values, sums = total.runs()
+    starts, values, sums, _, slopes = total.pieces()
+    assert not slopes.any()  # its pieces are its runs
     assert all(x != y for x, y in zip(values[:-2], values[1:-1]))  # maximal
     prefix = total.prefix()
     assert sums.tolist() == [prefix[i] for i in starts]
@@ -165,8 +168,10 @@ _EXPONENTS = st.sampled_from([-1, 0, 1, 2, 3, 1073, 1074, 1075, 1100,
 def _flag_counts(prof, eps):
     """Prefix counts of the samples below eps, from prof.flag_runs(eps),
     after checking that it is a runs view: maximal runs of 0/1 flags, as
-    int64 values with exact sums at run starts."""
-    starts, values, sums = runs = prof.flag_runs(eps)
+    int64 values with exact sums at run starts, keyed by the flags and
+    flat."""
+    starts, values, sums, keys, slopes = runs = prof.flag_runs(eps)
+    assert keys.tolist() == values.tolist() and not slopes.any()
     assert starts[0] == 0 and starts[-1] == len(prof)
     assert (np.diff(starts) > 0).all()
     assert values.dtype == sums.dtype == np.int64
@@ -207,32 +212,16 @@ def _span_profiles(draw):
     spans reach into the padding that a subshift build sees."""
     n = draw(st.integers(min_value=1, max_value=3000))
     lo = draw(st.integers(min_value=-20, max_value=20))
-    mask = np.zeros(n + 2 * _PAD, np.uint8)
     # the end of a span before the first, which may clip to the padding
     pos = draw(st.integers(min_value=-3 * _PAD, max_value=n + _PAD))
-    starts, ends = [], []
-    for gap, span in draw(st.lists(st.tuples(_SPAN_LENGTHS, _SPAN_LENGTHS),
-                                   max_size=6)):
-        start = max(pos + gap, -_PAD)
-        end = min(start + span, n + _PAD)
-        if start >= end:
-            break
-        starts.append(start)
-        ends.append(end)
-        mask[start + _PAD:end + _PAD] = 1
-        pos = end
-    profile = DistanceProfile.from_spans(lo, lo + n - 1, starts, ends)
-    return profile, letter_exponents(np.zeros_like(mask), mask, lo, lo + n - 1)
+    return span_profile(lo, lo + n - 1, pos, draw(st.lists(
+        st.tuples(_SPAN_LENGTHS, _SPAN_LENGTHS), max_size=6)))
 
 
 @given(_span_profiles(), st.data())
 def test_span_profiles_match_per_sample_exponents(case, data):
     prof, exps = case
-    starts, values, sums = prof.runs()
-    want = exponent_runs(exps)
-    assert starts.tolist() == want[0].tolist()
-    assert values.tolist() == want[1].tolist()
-    assert sums.tolist() == want[2].tolist()
+    assert_pieces_match_exponents(prof, exps)
     for eps in (0.25, 0.3, 1.0, 5e-324):
         assert _flag_counts(prof, eps) \
             == exponent_below_counts(exps, eps).tolist()
@@ -244,6 +233,36 @@ def test_span_profiles_match_per_sample_exponents(case, data):
         assert prof.extremes(a, b) == row
     # one call over every range gives the same rows
     assert list(zip(*prof.extremes(*zip(*windows)))) == want
+
+
+# gaps of 1 to 4 samples, exponents 1; 1, 1; 1, 2, 1 and 1, 2, 2, 1, and
+# a range of the two equal middle samples of a gap of 6 alone: a
+# one-sample piece is flat and joins an equal neighbour, so no gap has
+# more pieces than runs
+@pytest.mark.parametrize("lo,hi,pos,lengths", [
+    (0, 40, 0, [(10, 1), (1, 1), (2, 1), (3, 2), (4, 1)]),
+    (7, 8, -4, [(1, 1), (6, 1)])])
+def test_short_gap_pieces_match_per_sample_exponents(lo, hi, pos, lengths):
+    assert_pieces_match_exponents(*span_profile(lo, hi, pos, lengths))
+
+
+#: thresholds at 2^-k and the doubles either side of it (down to 0, which
+#: every sample reaches, below the least double 2^-1074) and above 1
+_DILATION_EPS = [eps for k in (0, 1, 2, 3, 20, 1073, 1074)
+                 for eps in (2.0 ** -k, float(np.nextafter(2.0 ** -k, 0.0)),
+                             float(np.nextafter(2.0 ** -k, 2.0)))] + [1.5, 2.0, 1e300]
+
+
+@given(_span_profiles(), st.sampled_from(_DILATION_EPS))
+# dilated by 2, the spans 10 and 14 overlap and 14 and 19 meet
+@example(span_profile(0, 40, 0, [(10, 1), (3, 1), (4, 1)]), 0.25)
+# dilated by 3, the spans -2 and 42, beyond both ends, reach into 0 .. 40
+@example(span_profile(0, 40, -3, [(1, 1), (43, 1)]), 0.125)
+@settings(deadline=None)
+def test_exponent_flag_runs_are_the_dilated_spans(case, eps):
+    prof, exps = case
+    assert _flag_counts(prof, eps) \
+        == exponent_below_counts(exps, eps).tolist()
 
 
 def test_span_extremes_match_reference_on_every_window():
@@ -266,19 +285,24 @@ def test_span_extremes_match_reference_on_every_window():
 
 @given(st.lists(st.tuples(_EXPONENTS, st.integers(min_value=1, max_value=4)),
                 min_size=1, max_size=10), _span_profiles())
-def test_runs_rebuild_samples_and_prefix(runs, spans):
+def test_pieces_rebuild_samples_and_prefix(runs, spans):
     exps = [e for e, n in runs for _ in range(n)]
-    for prof in (spans[0], DistanceProfile.from_scaled(
-            0, [scaled_from_exponent(e) for e in exps])):
-        starts, values, sums = prof.runs()
+    scaled = [scaled_from_exponent(e) for e in exps]
+    for prof, want in ((spans[0], spans[0].scaled()),
+                       (DistanceProfile.from_scaled(0, scaled), scaled)):
+        starts, values, sums, _, slopes = pieces = prof.pieces()
         assert starts[0] == 0 and starts[-1] == len(prof)
-        assert values[-1] == 0
-        lengths = np.diff(starts)
-        assert (lengths > 0).all()
-        assert all(a != b for a, b in zip(values[:-2], values[1:-1]))  # maximal
-        assert [v for v, n in zip(values, lengths) for _ in range(n)] \
-            == prof.scaled()
-        prefix = prof.prefix()
+        assert values[-1] == 0 and slopes[-1] == 0
+        assert (np.diff(starts) > 0).all()
+        if prof.kind == "exp2":  # keyed by the negated exponent
+            assert [_GRID[-k] for k in piece_keys(pieces, len(prof)).tolist()] \
+                == want
+        else:  # flat runs
+            assert not slopes.any()
+            assert all(a != b for a, b in zip(values[:-2], values[1:-1]))
+            assert np.repeat(values[:-1], np.diff(starts)).tolist() == want
+        prefix = piece_prefix(pieces, np.arange(len(prof) + 1))
+        assert prefix == list(accumulate(want, initial=0))
         assert sums.tolist() == [prefix[i] for i in starts]
 
 
@@ -294,20 +318,27 @@ def test_scaled_extremes_match_list_at_first_t(values, data):
         == (min(seg), a + seg.index(min(seg)), max(seg), a + seg.index(max(seg)))
 
 
-def _assert_keys_order_values(starts, values, sums, keys):
-    """keys is an int64 per entry of values, the closing 0 included, and
+def _assert_keys_order_values(values, keys):
+    """keys holds an int64 per entry of values, the closing 0 included, and
     every two entries compare by key as they do by value."""
-    assert keys.dtype == np.int64 and len(keys) == len(values) == len(starts)
+    assert len(keys) == len(values)
     # neighbours in value order compare alike, so every pair does
-    pairs = sorted(zip(values.tolist(), keys.tolist()))
+    pairs = sorted(zip(list(values), list(keys)))
     assert all((v < w, v == w) == (k < m, k == m)
                for (v, k), (w, m) in zip(pairs, pairs[1:]))
+
+
+def _assert_sample_keys_order_values(prof):
+    """Every two samples of an 'exp2' profile compare by their keys, read
+    off its pieces, as they do by value."""
+    keys = piece_keys(prof.pieces(), len(prof))
+    _assert_keys_order_values(prof.scaled(), keys.tolist())
 
 
 @given(_span_profiles())
 @settings(deadline=None)
 def test_exponent_run_keys_order_as_values(case):
-    _assert_keys_order_values(*case[0].keyed_runs())
+    _assert_sample_keys_order_values(case[0])
 
 
 @pytest.mark.parametrize("spans", [[(0, 1)], [(-1100, -1099), (2990, 2991)],
@@ -316,9 +347,8 @@ def test_exponent_run_keys_order_as_values_beyond_the_grid(spans):
     # gaps wide enough that exponents 1074, 1075 and beyond all occur
     prof = DistanceProfile.from_spans(0, 2999, [s for s, _ in spans],
                                       [e for _, e in spans])
-    starts, values, sums, keys = prof.keyed_runs()
-    assert {1, 0} <= set(values.tolist())  # 2^-1074 and 2^-1075 or beyond
-    _assert_keys_order_values(starts, values, sums, keys)
+    assert {1, 0} <= set(prof.scaled())  # 2^-1074 and 2^-1075 or beyond
+    _assert_sample_keys_order_values(prof)
 
 
 @given(st.lists(st.sampled_from([0, 0, 1, 2, 3, SCALE, SCALE + 1, 3 * SCALE]),
@@ -327,9 +357,10 @@ def test_exponent_run_keys_order_as_values_beyond_the_grid(spans):
 def test_scaled_and_flag_run_keys_order_as_values(values, eps):
     for prof in (DistanceProfile.from_scaled(-3, values),
                  DistanceProfile.constant(0, 9, values[0])):
-        _assert_keys_order_values(*prof.keyed_runs())
-        flags = prof.flag_runs(eps)  # 0/1 flags are their own keys
-        _assert_keys_order_values(*flags, flags[1])
+        for view in (prof.pieces(), prof.flag_runs(eps)):  # flags key themselves
+            _, values_, _, keys, slopes = view
+            assert keys.dtype == np.int64 and not slopes.any()
+            _assert_keys_order_values(values_.tolist(), keys.tolist())
 
 
 def test_grid_table_holds_every_power_of_two_on_the_grid():
@@ -351,47 +382,53 @@ def _traced_peak(fn):
 
 def test_constant_profile_holds_one_run():
     n = 1 << 20
-    (starts, values, sums), peak = _traced_peak(
-        lambda: DistanceProfile.constant(0, n - 1, SCALE >> 3).runs())
+    (starts, values, sums, keys, slopes), peak = _traced_peak(
+        lambda: DistanceProfile.constant(0, n - 1, SCALE >> 3).pieces())
+    assert slopes.tolist() == [0, 0] and keys[0] > keys[1]
     assert starts.tolist() == [0, n]
     assert values.tolist() == [SCALE >> 3, 0]
     assert sums.tolist() == [0, n * (SCALE >> 3)]
     assert peak < 4096, peak
 
 
-#: tracemalloc peak of flag_runs on an 'exp2' profile whose runs are built,
-#: in bytes per run of the profile: the fibre below peaks at 3.5, one flag
-#: byte a run and a runs view of the few maximal flag runs; one byte a
-#: sample would add 122 a run (2151 runs in 262,145 samples)
-FLAG_RUNS_BYTES_PER_RUN = 16
+#: tracemalloc peak of flag_runs on an 'exp2' profile, in bytes per run of
+#: the profile: the fibre below peaks at 1.2 (2591 bytes), the flag runs
+#: of its one span dilated, built from the spans alone; one byte a run
+#: would add 1, one byte a sample 122 (2151 runs in 262,145 samples)
+FLAG_RUNS_BYTES_PER_RUN = 4
 
 
 def test_flag_runs_are_bounded_by_the_run_count():
     schedule = dyadic_schedule(8, 16)
     x, y = (Point("toeplitz", get_system("toeplitz").parse_point(
         "addr=int:7 flag=%s" % flag)) for flag in ("plain", "primed"))
-    prof = pair_profile(x, y, *schedule.hull_range())
+    lo, hi = schedule.hull_range()
+    prof = pair_profile(x, y, lo, hi)
     assert prof.kind == "exp2"
-    runs = len(prof.runs()[0]) - 1  # cached, so not traced below
+    runs = len(exponent_runs(pair_exponents(
+        x.system(), x.payload, y.payload, lo, hi))[0]) - 1
+    assert runs == 2151
     flags, peak = _traced_peak(lambda: prof.flag_runs(2.0 ** -20))
     assert below_prefix(flags).tolist() \
         == prof.indicator_prefix(scaled_from_float(2.0 ** -20))
     assert peak / runs < FLAG_RUNS_BYTES_PER_RUN, peak
 
 
-#: tracemalloc bound on building a Toeplitz fibre profile and its runs at
-#: dyadic_schedule(8, 16), 262,145 samples: its 2151 runs hold about 0.6 MB
-#: of big integers, and a per-sample int64 array would add 2 MB
-FIBRE_BUILD_PEAK_BYTES = 1 << 20
+#: tracemalloc bound on building a Toeplitz fibre profile and its pieces at
+#: dyadic_schedule(8, 16), 262,145 samples: about 5 KB is measured, its 5
+#: pieces and their sums; a table of its 2151 runs would hold about 0.6 MB
+#: of big integers, and a per-sample int64 array 2 MB
+FIBRE_BUILD_PEAK_BYTES = 1 << 15
 
 
 def test_fibre_profile_build_holds_no_per_sample_array():
     schedule = dyadic_schedule(8, 16)
     x, y = (Point("toeplitz", get_system("toeplitz").parse_point(
         "addr=int:7 flag=%s" % flag)) for flag in ("plain", "primed"))
-    (starts, _, _), peak = _traced_peak(
-        lambda: pair_profile(x, y, *schedule.hull_range()).runs())
-    assert len(starts) == 2152  # 2151 runs and the closing entry
+    (starts, *_), peak = _traced_peak(
+        lambda: pair_profile(x, y, *schedule.hull_range()).pieces())
+    # zeros, the ramp down, the span, the ramp up, zeros; the closing entry
+    assert len(starts) == 6
     assert peak < FIBRE_BUILD_PEAK_BYTES, peak
 
 
@@ -408,7 +445,7 @@ def test_thuemorse_fibre_profile_build_holds_no_per_sample_array(a, b):
     x, y = (Point("thuemorse", get_system("thuemorse").parse_point(
         "addr=int:7 " + rest)) for rest in (a, b))
     _, peak = _traced_peak(
-        lambda: pair_profile(x, y, *schedule.hull_range()).runs())
+        lambda: pair_profile(x, y, *schedule.hull_range()).pieces())
     assert peak < FIBRE_BUILD_PEAK_BYTES, peak
 
 
@@ -427,13 +464,14 @@ def test_same_address_thuemorse_pairs_write_no_letters(monkeypatch):
             p, q = (system.parse_point("addr=%s %s" % (addr, rest))
                     for rest in (a, b))
             pair_profile(Point("thuemorse", p), Point("thuemorse", q),
-                         lo, hi).runs()
+                         lo, hi).pieces()
             assert system.dist(p, q) == want, (addr, a, b)
 
 
 def test_float_profiles_have_no_runs_view():
+    # nor pieces: they are scanned on limbs
     with pytest.raises(ValueError):
-        DistanceProfile.from_floats(0, np.array([0.5, 0.5])).runs()
+        DistanceProfile.from_floats(0, np.array([0.5, 0.5])).pieces()
 
 
 @pytest.mark.parametrize("n", [1 << 16, 1 << 22, 1 << 26])
@@ -533,7 +571,7 @@ def test_block_flag_runs_match_full_length_compare(block, monkeypatch):
         2.0 * floats.max(), 1e-12, 0.5)]
     for prof, eps in cases:
         got = prof.flag_runs(eps)
-        want = profiles._run_table(prof.floats >= eps, len(prof))[:3]
+        want = profiles._run_table(prof.floats >= eps, len(prof))
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), eps
 
